@@ -597,6 +597,19 @@ mod tests {
         assert_eq!(hits, vec![1]);
         let all = tree.overlapping_leaves(&Aabb::new(Vec3::splat(-1.0), Vec3::splat(2.0)));
         assert_eq!(all, vec![0, 1, 2]);
+        // The linear scan is the reference for the tree walk every read
+        // path culls with: a bounds-only query picks exactly these leaves.
+        for (lo, hi) in [
+            (0.45, 0.5),
+            (-1.0, 2.0),
+            (0.4, 0.7),
+            (0.0, 0.05),
+            (3.0, 4.0),
+        ] {
+            let b = Aabb::new(Vec3::splat(lo), Vec3::splat(hi));
+            let walked = tree.candidate_leaves(&Query::new().with_bounds(b)).unwrap();
+            assert_eq!(walked, tree.overlapping_leaves(&b), "box {lo}..{hi}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! 1. sums the v2 section codec tables and **gates the position columns at
 //!    ≤ 0.7× their raw bytes**;
 //! 2. asserts the v2 query results are **FNV-identical to v1** across all
-//!    four read backends (mmap / owned / range-file / range-sim);
+//!    three read backends (mmap / range-file / range-sim);
 //! 3. replays the serving mix against the object-store simulator on both
 //!    datasets and asserts v2 **fetches fewer bytes** on the same plan;
 //! 4. reports cold decode throughput and appends the run to
@@ -166,11 +166,11 @@ fn measure_store(dir: &std::path::Path) -> bat_iosim::StoreStats {
     store.stats()
 }
 
-/// Cold full-scan wall time on the owned backend; with the v2 dataset this
+/// Cold full-scan wall time on the mmap backend; with the v2 dataset this
 /// decodes every treelet block exactly once.
 fn cold_scan_secs(dir: &std::path::Path) -> f64 {
     let ds = Dataset::open(dir, "c").expect("open bench dataset");
-    ds.set_backend(ReadBackend::Owned);
+    ds.set_backend(ReadBackend::Mmap);
     ds.set_cache(None);
     let t0 = std::time::Instant::now();
     ds.query(&Query::new(), |_| {}).expect("full scan succeeds");
@@ -212,7 +212,6 @@ fn run_smoke() {
     type BackendFactory = Box<dyn Fn() -> ReadBackend>;
     let backends: Vec<(&str, BackendFactory)> = vec![
         ("mmap", Box::new(|| ReadBackend::Mmap)),
-        ("owned", Box::new(|| ReadBackend::Owned)),
         ("range-file", Box::new(|| ReadBackend::RangeFile)),
         (
             "range-sim",

@@ -13,7 +13,7 @@
 //! most treelets empty. The gate asserts the index-strategy run fetches
 //! **≤ 0.5×** the bitmap run's bytes from the simulated store. It then
 //! replays the query mix under every forced strategy (scan / bitmap /
-//! index) on every reader backend (mmap, owned, positioned file reads,
+//! index) on every reader backend (mmap, positioned file reads,
 //! simulated store), asserting every result stream is FNV-identical to
 //! the mmap auto-strategy reference. Results land in `BENCH_index.json`
 //! at the repository root.
@@ -169,7 +169,6 @@ fn identity_matrix(dir: &std::path::Path, reference: &[u64]) -> usize {
     type BackendFactory = Box<dyn Fn() -> ReadBackend>;
     let backends: Vec<(&str, BackendFactory)> = vec![
         ("mmap", Box::new(|| ReadBackend::Mmap)),
-        ("owned", Box::new(|| ReadBackend::Owned)),
         ("range-file", Box::new(|| ReadBackend::RangeFile)),
         (
             "range-sim",

@@ -11,7 +11,7 @@
 //! prefetch/coalescing disabled (naive: one GET per treelet) and once with
 //! the planner-driven coalesced prefetch — and asserts the coalesced run
 //! issues **≤ 0.5×** the naive run's requests. It then replays the mix on
-//! every reader backend (owned buffer, positioned file reads, simulated
+//! every reader backend (mmap, positioned file reads, simulated
 //! store) across the cache matrix (off / 8 MiB / one page) and on a served
 //! 4-worker vs 1-worker range-sim stream, asserting every result is
 //! FNV-identical to the local mmap reference. Results land in
@@ -125,7 +125,7 @@ type CacheFactory = Option<fn() -> Arc<PageCache>>;
 
 fn identity_matrix(dir: &std::path::Path, reference: &[u64]) -> usize {
     let backends: Vec<(&str, BackendFactory)> = vec![
-        ("owned", Box::new(|| ReadBackend::Owned)),
+        ("mmap", Box::new(|| ReadBackend::Mmap)),
         ("range-file", Box::new(|| ReadBackend::RangeFile)),
         (
             "range-sim",

@@ -2,13 +2,15 @@
 //!
 //! [`Dataset::open`] loads the top-level metadata and lazily memory-maps
 //! the leaf files. Queries run against the whole timestep as if it were a
-//! single file: the metadata tree culls leaf files by bounds and by the
-//! global root bitmaps, then each surviving file resolves the query with
-//! its own shallow tree, treelets, and exact checks. Progressive
+//! single file ([`crate::plan::QueryPlan`]): the metadata tree culls leaf
+//! files by bounds and by the global root bitmaps, then each surviving
+//! file resolves the query with its own shallow tree, treelets, and exact
+//! checks. Progressive
 //! multiresolution reads (quality in `[0, 1]`, with an optional previous
 //! quality) work across all files, which is how the paper's prototype web
 //! viewer streams data (Fig. 4).
 
+use crate::plan::QueryPlan;
 use bat_aggregation::meta::MetaTree;
 use bat_iosim::ObjectStore;
 use bat_layout::reader::QueryStats;
@@ -37,14 +39,12 @@ enum CachePolicy {
 ///
 /// Every backend returns byte-identical query results; they differ only in
 /// the I/O they issue. The default comes from `BAT_READ_BACKEND`
-/// (`mmap` | `owned` | `range-file` | `range-sim`), falling back to mmap.
+/// (`mmap` | `range-file` | `range-sim`), falling back to mmap.
 #[derive(Clone, Default)]
 pub enum ReadBackend {
     /// Memory-map each leaf file (the paper's local read path).
     #[default]
     Mmap,
-    /// Read each leaf file into an owned buffer up front.
-    Owned,
     /// Range requests (positioned reads) against the local file — remote
     /// semantics over local bytes, for request/byte accounting.
     RangeFile,
@@ -58,7 +58,6 @@ impl ReadBackend {
     /// `range-sim` uses the process-global [`ObjectStore::global`].
     pub fn from_env() -> ReadBackend {
         match std::env::var("BAT_READ_BACKEND").as_deref() {
-            Ok("owned") => ReadBackend::Owned,
             Ok("range-file") => ReadBackend::RangeFile,
             Ok("range-sim") => ReadBackend::RangeSim(ObjectStore::global()),
             _ => ReadBackend::Mmap,
@@ -69,7 +68,6 @@ impl ReadBackend {
     pub fn name(&self) -> &'static str {
         match self {
             ReadBackend::Mmap => "mmap",
-            ReadBackend::Owned => "owned",
             ReadBackend::RangeFile => "range-file",
             ReadBackend::RangeSim(_) => "range-sim",
         }
@@ -117,7 +115,7 @@ impl Dataset {
         self.files.lock().clear();
     }
 
-    /// The active read backend's name (`mmap`, `owned`, …).
+    /// The active read backend's name (`mmap`, `range-file`, …).
     pub fn backend_name(&self) -> &'static str {
         self.backend.lock().name()
     }
@@ -196,9 +194,6 @@ impl Dataset {
         let backend = self.backend.lock().clone();
         let opened = match &backend {
             ReadBackend::Mmap => BatFile::open(&path)?,
-            ReadBackend::Owned => BatFile::from_bytes(std::fs::read(&path)?)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-                .with_cache(cache::global()),
             ReadBackend::RangeFile => BatFile::from_source(Arc::new(FileSource::open(&path)?))
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
                 .with_cache(cache::global()),
@@ -226,38 +221,10 @@ impl Dataset {
     /// Run a query across the whole dataset, invoking `cb` per matching
     /// point. Quality/progressive parameters apply per leaf file, so a
     /// progressive sweep over the dataset refines every region uniformly.
-    pub fn query(&self, q: &Query, mut cb: impl FnMut(PointRecord<'_>)) -> io::Result<QueryStats> {
-        let q = &q
-            .clone()
-            .validated(self.meta.descs.len())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let candidates = self
-            .meta
-            .candidate_leaves(q)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let mut stats = QueryStats::default();
-        for leaf in candidates {
-            if self.excluded.binary_search(&leaf).is_ok() {
-                bat_obs::counter_add("read.degraded_skips", 1);
-                continue;
-            }
-            let file = self.file(leaf)?;
-            let s = file
-                .query(q, &mut cb)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            stats.nodes_visited += s.nodes_visited;
-            stats.treelets_visited += s.treelets_visited;
-            stats.points_tested += s.points_tested;
-            stats.points_returned += s.points_returned;
-            stats.pages_touched += s.pages_touched;
-            stats.bitmap_hits += s.bitmap_hits;
-            stats.bitmap_skips += s.bitmap_skips;
-            stats.cache_hits += s.cache_hits;
-            stats.cache_misses += s.cache_misses;
-            stats.filter_hits += s.filter_hits;
-            stats.filter_false_positives += s.filter_false_positives;
-        }
-        Ok(stats)
+    /// Files are visited in plan order: most query coverage first, leaf id
+    /// on ties (so unbounded queries stream in leaf order).
+    pub fn query(&self, q: &Query, cb: impl FnMut(PointRecord<'_>)) -> io::Result<QueryStats> {
+        Ok(QueryPlan::new(self, q)?.execute(None, cb)?)
     }
 
     /// Count matching points.

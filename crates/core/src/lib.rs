@@ -18,7 +18,8 @@
 //!   data.
 //! - [`dataset::Dataset`] — postprocess **visualization reads**
 //!   (paper §V): open a written timestep as a single logical file and run
-//!   progressive multiresolution, spatial, and attribute-filtered queries.
+//!   progressive multiresolution, spatial, and attribute-filtered queries,
+//!   each planned and executed through [`plan::QueryPlan`].
 //! - [`modeled`] — the same write/read pipelines executed against the
 //!   `bat-iosim` performance model at supercomputer scale (up to the
 //!   paper's 43k ranks), using the *real* aggregation algorithms and
@@ -70,12 +71,14 @@
 
 pub mod dataset;
 pub mod modeled;
+pub mod plan;
 pub mod read;
 pub mod verify;
 pub mod write;
 
 pub use dataset::{Dataset, ReadBackend};
 pub use modeled::{model_read, model_write, ModeledOutcome};
+pub use plan::{PlanStats, QueryPlan, ServeError};
 pub use verify::{verify_dataset, CommitState, LeafCheck, LeafStatus, VerifyReport};
 pub use write::{Strategy, WriteConfig, WriteReport};
 

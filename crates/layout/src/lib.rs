@@ -85,7 +85,7 @@ pub use format::{write_bat_indexed, IndexDirEntry};
 pub use particles::ParticleSet;
 pub use quantize::{quantize_positions, QuantizeReport};
 pub use query::{quality_to_depth, PointRecord, Query, QueryError};
-pub use reader::{BatFile, FilePlan, PlanStrategy, QueryScratch};
+pub use reader::{BatFile, FilePlan, PlanStrategy};
 pub use source::{
     coalesce_ranges, ByteSource, FileSource, MemorySource, RangeConfig, RangeReader, RangeStats,
 };

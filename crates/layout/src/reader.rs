@@ -20,6 +20,7 @@ use bat_geom::{Aabb, Vec3};
 use bat_wire::{Block, WireError, WireResult};
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Counters describing how much work a query did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,6 +51,64 @@ pub struct QueryStats {
     /// Points that survived the bitmap pre-filter but failed the exact
     /// filters — the bins' measured false positives.
     pub filter_false_positives: u64,
+}
+
+impl std::ops::AddAssign for QueryStats {
+    fn add_assign(&mut self, rhs: QueryStats) {
+        // Destructured without `..` on purpose: a field added to the
+        // struct but not merged here fails to compile instead of silently
+        // dropping out of every per-file and per-dataset total.
+        let QueryStats {
+            nodes_visited,
+            treelets_visited,
+            points_tested,
+            points_returned,
+            pages_touched,
+            bitmap_hits,
+            bitmap_skips,
+            cache_hits,
+            cache_misses,
+            filter_hits,
+            filter_false_positives,
+        } = rhs;
+        self.nodes_visited += nodes_visited;
+        self.treelets_visited += treelets_visited;
+        self.points_tested += points_tested;
+        self.points_returned += points_returned;
+        self.pages_touched += pages_touched;
+        self.bitmap_hits += bitmap_hits;
+        self.bitmap_skips += bitmap_skips;
+        self.cache_hits += cache_hits;
+        self.cache_misses += cache_misses;
+        self.filter_hits += filter_hits;
+        self.filter_false_positives += filter_false_positives;
+    }
+}
+
+impl QueryStats {
+    /// Report one file's executed work through the `read.query.*` and
+    /// `bitmap.*` counters (a no-op while metrics are off).
+    fn emit_counters(&self) {
+        if !bat_obs::enabled() {
+            return;
+        }
+        bat_obs::counter_add("read.query.count", 1);
+        bat_obs::counter_add("read.query.treelets", self.treelets_visited);
+        bat_obs::counter_add("read.query.pages_4k", self.pages_touched);
+        bat_obs::counter_add("read.query.points_tested", self.points_tested);
+        bat_obs::counter_add("read.query.points_returned", self.points_returned);
+        bat_obs::counter_add("read.query.bitmap_hits", self.bitmap_hits);
+        bat_obs::counter_add("read.query.bitmap_skips", self.bitmap_skips);
+        bat_obs::counter_add("bitmap.hits", self.filter_hits);
+        bat_obs::counter_add("bitmap.false_positives", self.filter_false_positives);
+        let survived = self.filter_hits + self.filter_false_positives;
+        if survived > 0 {
+            bat_obs::gauge_set(
+                "bitmap.false_positive_rate",
+                self.filter_false_positives as f64 / survived as f64,
+            );
+        }
+    }
 }
 
 /// How [`BatFile::plan`] culled treelets for an attribute-filtered query
@@ -136,13 +195,6 @@ impl FilePlan {
     pub fn nodes_pruned(&self) -> u64 {
         self.pruned_bounds + self.pruned_bitmap
     }
-}
-
-/// Reusable per-query scratch for [`BatFile::execute_treelet`] so a
-/// treelet-at-a-time execution loop does not allocate per treelet.
-#[derive(Default)]
-pub struct QueryScratch {
-    attr_buf: Vec<f64>,
 }
 
 /// Where an opened file's bytes come from.
@@ -324,30 +376,6 @@ impl BatFile {
     /// Run a query, invoking `cb` for every matching point, and return work
     /// counters. See [`Query`] for the knobs.
     pub fn query(&self, q: &Query, cb: impl FnMut(PointRecord<'_>)) -> WireResult<QueryStats> {
-        let _span = bat_obs::span("read.query_ns");
-        let result = self.query_impl(q, cb);
-        if let (Ok(stats), true) = (&result, bat_obs::enabled()) {
-            bat_obs::counter_add("read.query.count", 1);
-            bat_obs::counter_add("read.query.treelets", stats.treelets_visited);
-            bat_obs::counter_add("read.query.pages_4k", stats.pages_touched);
-            bat_obs::counter_add("read.query.points_tested", stats.points_tested);
-            bat_obs::counter_add("read.query.points_returned", stats.points_returned);
-            bat_obs::counter_add("read.query.bitmap_hits", stats.bitmap_hits);
-            bat_obs::counter_add("read.query.bitmap_skips", stats.bitmap_skips);
-            bat_obs::counter_add("bitmap.hits", stats.filter_hits);
-            bat_obs::counter_add("bitmap.false_positives", stats.filter_false_positives);
-            let survived = stats.filter_hits + stats.filter_false_positives;
-            if survived > 0 {
-                bat_obs::gauge_set(
-                    "bitmap.false_positive_rate",
-                    stats.filter_false_positives as f64 / survived as f64,
-                );
-            }
-        }
-        result
-    }
-
-    fn query_impl(&self, q: &Query, cb: impl FnMut(PointRecord<'_>)) -> WireResult<QueryStats> {
         let plan = self.plan(q)?;
         self.execute_plan(q, &plan, cb)
     }
@@ -355,9 +383,8 @@ impl BatFile {
     /// Plan a query against this file **without materializing any treelet
     /// block**: walk the shallow tree, prune subtrees by node AABBs and by
     /// bitmap-index pre-filtering, and return the surviving treelets in
-    /// deterministic traversal order. `execute_plan` (or a serving layer
-    /// driving [`BatFile::execute_treelet`]) then does the page-touching
-    /// work.
+    /// deterministic traversal order. [`BatFile::execute_plan_until`] then
+    /// does the page-touching work.
     pub fn plan(&self, q: &Query) -> WireResult<FilePlan> {
         let forced = strategy_override();
         let mut plan = FilePlan {
@@ -588,42 +615,77 @@ impl BatFile {
         Ok(())
     }
 
-    /// Execute a plan produced by [`BatFile::plan`] for the same query,
-    /// folding the plan's shallow-traversal counters into the returned
-    /// stats (so `plan` + `execute_plan` report exactly what
+    /// Execute a plan produced by [`BatFile::plan`] for the same query to
+    /// completion; the returned stats include the plan's shallow-traversal
+    /// counters (so `plan` + `execute_plan` report exactly what
     /// [`BatFile::query`] would).
     pub fn execute_plan(
         &self,
         q: &Query,
         plan: &FilePlan,
-        mut cb: impl FnMut(PointRecord<'_>),
+        cb: impl FnMut(PointRecord<'_>),
     ) -> WireResult<QueryStats> {
-        let mut stats = QueryStats {
+        let mut stats = QueryStats::default();
+        self.execute_plan_until(q, plan, None, &mut stats, cb)?;
+        Ok(stats)
+    }
+
+    /// The per-file execute loop every read path runs: coalesced prefetch,
+    /// parallel warm-up, then the plan's treelets in order. This file's
+    /// work (shallow-traversal counters included) is added to `stats` and
+    /// reported through the `read.query.*` / `bitmap.*` counters.
+    ///
+    /// `deadline` is checked before the prefetch and between treelets —
+    /// the unit of page-touching work — so an expired query fetches and
+    /// decodes nothing further and stops within one treelet's effort.
+    /// Returns `false` when the deadline fired before the plan finished;
+    /// `stats.treelets_visited` then says how far execution got.
+    pub fn execute_plan_until(
+        &self,
+        q: &Query,
+        plan: &FilePlan,
+        deadline: Option<Instant>,
+        stats: &mut QueryStats,
+        mut cb: impl FnMut(PointRecord<'_>),
+    ) -> WireResult<bool> {
+        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+        if expired() {
+            return Ok(false);
+        }
+        let _span = bat_obs::span("read.query_ns");
+        let mut file_stats = QueryStats {
             nodes_visited: plan.shallow_nodes_visited,
             bitmap_hits: plan.shallow_bitmap_hits,
             bitmap_skips: plan.pruned_bitmap,
             ..QueryStats::default()
         };
-        let mut scratch = QueryScratch::default();
         self.prefetch(plan);
-        self.decode_planned(plan);
+        self.warm_up(plan);
+        let mut attr_buf = vec![0.0; self.head.descs.len()];
+        let mut finished = true;
         for &t in &plan.treelets {
-            self.execute_treelet(q, plan, t, &mut scratch, &mut stats, &mut cb)?;
+            if expired() {
+                finished = false;
+                break;
+            }
+            self.query_treelet(t, q, &plan.masks, &mut attr_buf, &mut file_stats, &mut cb)?;
         }
-        Ok(stats)
+        file_stats.emit_counters();
+        *stats += file_stats;
+        Ok(finished)
     }
 
-    /// v2 + cache: decode the plan's not-yet-resident blocks in parallel
-    /// through the rayon pool, populating the cache ahead of the (still
-    /// sequential, deterministic) scan. Each block decodes independently to
-    /// the same bytes regardless of pool size, so results are byte-identical
-    /// with this warm-up disabled. Best-effort: any fetch/decode error is
-    /// dropped here and surfaced as the typed error on the demand path.
-    fn decode_planned(&self, plan: &FilePlan) {
-        let Some(codecs) = &self.head.codecs else {
+    /// v2 + cache: materialize the plan's not-yet-resident blocks in
+    /// parallel through the rayon pool, populating the cache ahead of the
+    /// (still sequential, deterministic) scan. Each block decodes
+    /// independently to the same bytes regardless of pool size, so results
+    /// are byte-identical with this warm-up disabled. Best-effort: any
+    /// fetch/decode error is dropped here and resurfaces as the typed error
+    /// on the demand path.
+    fn warm_up(&self, plan: &FilePlan) {
+        let (true, Some(cache)) = (self.head.is_v2(), &self.cache) else {
             return;
         };
-        let Some(cache) = &self.cache else { return };
         let pending: Vec<u32> = plan
             .treelets
             .iter()
@@ -640,48 +702,11 @@ impl BatFile {
         let _: Vec<()> = pending
             .par_iter()
             .map(|&t| {
-                let (Some(leaf), Some(rec)) =
-                    (self.head.leaves.get(t as usize), codecs.get(t as usize))
-                else {
-                    return;
-                };
-                let layout = TreeletLayout::compute(
-                    leaf.num_nodes as usize,
-                    leaf.num_particles as usize,
-                    &self.head.descs,
-                );
-                let start = leaf.offset as usize;
-                let stored = rec.stored_size();
-                if start + stored > self.backing.len() {
-                    return;
-                }
-                let decoded = match &self.backing {
-                    Backing::Block(data) => format::decode_block(
-                        &data[start..start + stored],
-                        rec,
-                        &layout,
-                        &self.head.descs,
-                        leaf.num_particles as usize,
-                    ),
-                    Backing::Range(reader) => {
-                        let comp = match reader.take_staged(t) {
-                            Some(arc) if arc.len() == stored => arc,
-                            _ => match reader.fetch(start as u64, stored) {
-                                Ok(bytes) => Arc::new(bytes),
-                                Err(_) => return,
-                            },
-                        };
-                        format::decode_block(
-                            &comp,
-                            rec,
-                            &layout,
-                            &self.head.descs,
-                            leaf.num_particles as usize,
-                        )
-                    }
-                };
-                if let Ok(block) = decoded {
-                    cache.insert(self.file_id, t, Arc::new(block), priority);
+                let _prio = cache::set_thread_priority(priority);
+                if let Some(leaf) = self.head.leaves.get(t as usize) {
+                    let layout = self.treelet_layout(leaf);
+                    let _ =
+                        self.treelet_block(leaf, t, &layout, &mut None, &mut QueryStats::default());
                 }
             })
             .collect();
@@ -689,14 +714,13 @@ impl BatFile {
 
     /// Speculatively fetch the plan's treelet blocks in coalesced range
     /// requests (a no-op for block-backed files, where the bytes are
-    /// already addressable). Serving layers call this once per planned
-    /// file before the treelet-at-a-time execution loop, so a remote
-    /// backend sees a handful of merged GETs instead of one per treelet.
+    /// already addressable), so a remote backend sees a handful of merged
+    /// GETs per planned file instead of one per treelet.
     ///
     /// Best-effort: blocks already resident in the attached cache or the
     /// staging area are skipped, and fetch failures are deferred to the
     /// demand path (which retries and returns the typed error).
-    pub fn prefetch(&self, plan: &FilePlan) {
+    fn prefetch(&self, plan: &FilePlan) {
         let Backing::Range(reader) = &self.backing else {
             return;
         };
@@ -726,25 +750,6 @@ impl BatFile {
             }
         }
         reader.prefetch_blocks(&wanted);
-    }
-
-    /// Materialize and scan one planned treelet, accumulating into
-    /// `stats`. This is the unit a serving layer interleaves with deadline
-    /// checks: each call touches at most one treelet block.
-    pub fn execute_treelet(
-        &self,
-        q: &Query,
-        plan: &FilePlan,
-        treelet: u32,
-        scratch: &mut QueryScratch,
-        stats: &mut QueryStats,
-        cb: &mut impl FnMut(PointRecord<'_>),
-    ) -> WireResult<()> {
-        scratch.attr_buf.resize(self.head.descs.len(), 0.0);
-        let mut attr_buf = std::mem::take(&mut scratch.attr_buf);
-        let result = self.query_treelet(treelet, q, &plan.masks, &mut attr_buf, stats, cb);
-        scratch.attr_buf = attr_buf;
-        result
     }
 
     /// Count matching points without materializing them.
@@ -876,13 +881,9 @@ impl BatFile {
         Ok(())
     }
 
-    /// Interpret a treelet block in place, or from the page cache when one
-    /// is attached. For v1 files, cached blocks are verbatim copies of the
-    /// on-disk bytes; for v2 files the cache holds *decoded* blocks (the
-    /// backing and any range fetch move only compressed bytes), and the
-    /// decoded image is a verbatim v1-layout block — so every path is
-    /// byte-identical by construction. `storage` keeps the materialized
-    /// `Arc` alive for the borrow the returned view holds.
+    /// Interpret a treelet block as a [`TreeletView`]. `storage` keeps a
+    /// materialized (cached, fetched or decoded) block alive for the borrow
+    /// the returned view holds.
     fn treelet_view<'a>(
         &'a self,
         leaf: &LeafRec,
@@ -890,17 +891,59 @@ impl BatFile {
         storage: &'a mut Option<Arc<Vec<u8>>>,
         stats: &mut QueryStats,
     ) -> WireResult<TreeletView<'a>> {
-        let layout = TreeletLayout::compute(
+        let layout = self.treelet_layout(leaf);
+        let (block, stored) = self.treelet_block(leaf, treelet, &layout, storage, stats)?;
+        let start = leaf.offset as usize;
+        // The view pre-slices the block's sections once: every per-point
+        // access is then a cheap in-bounds index (section lengths are exact
+        // by construction, and node-supplied indices are range-checked
+        // against `num_points`/`num_nodes` before use, so corrupt files
+        // surface as errors, never panics).
+        TreeletView::over(block, leaf, &layout, &self.head, start, start + stored)
+    }
+
+    fn treelet_layout(&self, leaf: &LeafRec) -> TreeletLayout {
+        TreeletLayout::compute(
             leaf.num_nodes as usize,
             leaf.num_particles as usize,
             &self.head.descs,
-        );
+        )
+    }
+
+    /// Materialize one treelet's v1-layout block image and report its
+    /// stored (on-disk) size. The one place a block comes into being, for
+    /// the demand path and the parallel warm-up alike:
+    ///
+    /// 1. the attached cache — verbatim on-disk bytes for v1 files,
+    ///    *decoded* blocks (charged at decoded size) for v2;
+    /// 2. the stored bytes — a slice of the block backing, or over a range
+    ///    backing the prefetch staging area, else a demand range request
+    ///    (verified-length, so a torn response is a typed error, never a
+    ///    short block);
+    /// 3. the v2 decode, whose output is a verbatim v1-layout image — so
+    ///    every path is byte-identical by construction;
+    /// 4. the cache insert, at the calling thread's admission priority.
+    ///
+    /// An uncached v1 block over a block backing is returned as a borrow
+    /// of the mapping: no copy, no allocation.
+    fn treelet_block<'a>(
+        &'a self,
+        leaf: &LeafRec,
+        treelet: u32,
+        layout: &TreeletLayout,
+        storage: &'a mut Option<Arc<Vec<u8>>>,
+        stats: &mut QueryStats,
+    ) -> WireResult<(&'a [u8], usize)> {
+        let codec = match &self.head.codecs {
+            Some(table) => Some(table.get(treelet as usize).ok_or(WireError::BadTag {
+                what: "treelet codec table index",
+                tag: treelet as u64,
+            })?),
+            None => None,
+        };
+        let stored = codec.map_or(layout.size, |rec| rec.stored_size());
         let start = leaf.offset as usize;
-        let stored_size = self
-            .head
-            .stored_block_size(treelet as usize)
-            .unwrap_or(layout.size);
-        let end = start + stored_size;
+        let end = start + stored;
         if end > self.backing.len() {
             return Err(WireError::Truncated {
                 what: "treelet block",
@@ -908,154 +951,54 @@ impl BatFile {
                 remaining: self.backing.len(),
             });
         }
-        if self.head.is_v2() {
-            let arc = self.decoded_block(leaf, treelet, &layout, start, stored_size, stats)?;
-            let block: &'a [u8] = storage.insert(arc).as_slice();
-            return TreeletView::over(block, leaf, &layout, &self.head, start, end);
-        }
-        // Pre-slice the block's sections once: every per-point access below
-        // is then a cheap in-bounds index (section lengths are exact by
-        // construction, and node-supplied indices are range-checked against
-        // `num_points`/`num_nodes` before use, so corrupt files surface as
-        // errors, never panics).
-        let block: &'a [u8] = match &self.backing {
-            Backing::Block(data) => match &self.cache {
-                Some(cache) => {
-                    if let Some(arc) = cache.get(self.file_id, treelet) {
-                        // A stale entry can only disagree in length if the file
-                        // was rewritten under a reused id, which `FileId` makes
-                        // impossible; the check still guards cache corruption.
-                        if arc.len() == layout.size {
-                            stats.cache_hits += 1;
-                            storage.insert(arc).as_slice()
-                        } else {
-                            stats.cache_misses += 1;
-                            let copy = Arc::new(data[start..end].to_vec());
-                            cache.insert(
-                                self.file_id,
-                                treelet,
-                                copy.clone(),
-                                cache::thread_priority(),
-                            );
-                            storage.insert(copy).as_slice()
-                        }
-                    } else {
-                        stats.cache_misses += 1;
-                        let copy = Arc::new(data[start..end].to_vec());
-                        cache.insert(
-                            self.file_id,
-                            treelet,
-                            copy.clone(),
-                            cache::thread_priority(),
-                        );
-                        storage.insert(copy).as_slice()
-                    }
-                }
-                None => &data[start..end],
-            },
-            Backing::Range(reader) => {
-                let arc = self.range_block(reader, treelet, start, layout.size, stats)?;
-                storage.insert(arc).as_slice()
-            }
-        };
-        TreeletView::over(block, leaf, &layout, &self.head, start, end)
-    }
-
-    /// Materialize one *decoded* v2 treelet block: attached cache first
-    /// (which stores decoded blocks and charges their decoded size), then
-    /// decode from the backing — a compressed slice of the block backing,
-    /// or staged/fetched compressed bytes over a range backing.
-    fn decoded_block(
-        &self,
-        leaf: &LeafRec,
-        treelet: u32,
-        layout: &TreeletLayout,
-        start: usize,
-        stored_size: usize,
-        stats: &mut QueryStats,
-    ) -> WireResult<Arc<Vec<u8>>> {
         if let Some(cache) = &self.cache {
             if let Some(arc) = cache.get(self.file_id, treelet) {
+                // A stale entry can only disagree in length if the file
+                // was rewritten under a reused id, which `FileId` makes
+                // impossible; the check still guards cache corruption.
                 if arc.len() == layout.size {
                     stats.cache_hits += 1;
-                    return Ok(arc);
+                    return Ok((storage.insert(arc).as_slice(), stored));
                 }
             }
         }
-        let rec = self
-            .head
-            .codec_rec(treelet as usize)
-            .ok_or(WireError::BadTag {
-                what: "treelet codec table index",
-                tag: treelet as u64,
-            })?;
-        let num_points = leaf.num_particles as usize;
-        let decoded = match &self.backing {
-            Backing::Block(data) => format::decode_block(
-                &data[start..start + stored_size],
-                rec,
-                layout,
-                &self.head.descs,
-                num_points,
-            )?,
+        let decode = |bytes: &[u8], rec| {
+            let points = leaf.num_particles as usize;
+            format::decode_block(bytes, rec, layout, &self.head.descs, points).map(Arc::new)
+        };
+        let image = match &self.backing {
+            Backing::Block(data) => match codec {
+                Some(rec) => decode(&data[start..end], rec)?,
+                None if self.cache.is_none() => return Ok((&data[start..end], stored)),
+                None => Arc::new(data[start..end].to_vec()),
+            },
             Backing::Range(reader) => {
-                let comp = match reader.take_staged(treelet) {
-                    Some(arc) if arc.len() == stored_size => arc,
-                    _ => Arc::new(reader.fetch(start as u64, stored_size).map_err(|e| {
-                        WireError::Io {
+                let fetched = match reader.take_staged(treelet) {
+                    Some(arc) if arc.len() == stored => arc,
+                    _ => {
+                        let bytes = reader.fetch(start as u64, stored);
+                        Arc::new(bytes.map_err(|e| WireError::Io {
                             what: "treelet block",
                             message: e.to_string(),
-                        }
-                    })?),
+                        })?)
+                    }
                 };
-                format::decode_block(&comp, rec, layout, &self.head.descs, num_points)?
-            }
-        };
-        let arc = Arc::new(decoded);
-        if let Some(cache) = &self.cache {
-            stats.cache_misses += 1;
-            cache.insert(self.file_id, treelet, arc.clone(), cache::thread_priority());
-        }
-        Ok(arc)
-    }
-
-    /// Materialize one treelet block over a range backing: attached cache
-    /// first, then the prefetch staging area (promoting the block into the
-    /// cache), then a demand range request. The verified-length fetch
-    /// guarantees the returned block is exactly `size` bytes — a torn
-    /// response becomes a typed error, never a short block.
-    fn range_block(
-        &self,
-        reader: &RangeReader,
-        treelet: u32,
-        start: usize,
-        size: usize,
-        stats: &mut QueryStats,
-    ) -> WireResult<Arc<Vec<u8>>> {
-        if let Some(cache) = &self.cache {
-            if let Some(arc) = cache.get(self.file_id, treelet) {
-                if arc.len() == size {
-                    stats.cache_hits += 1;
-                    return Ok(arc);
+                match codec {
+                    Some(rec) => decode(&fetched, rec)?,
+                    None => fetched,
                 }
             }
-        }
-        let arc = match reader.take_staged(treelet) {
-            Some(arc) if arc.len() == size => arc,
-            _ => Arc::new(
-                reader
-                    .fetch(start as u64, size)
-                    .map_err(|e| WireError::Io {
-                        what: "treelet block",
-                        message: e.to_string(),
-                    })?,
-            ),
         };
         if let Some(cache) = &self.cache {
             stats.cache_misses += 1;
-            cache.insert(self.file_id, treelet, arc.clone(), cache::thread_priority());
+            cache.insert(
+                self.file_id,
+                treelet,
+                image.clone(),
+                cache::thread_priority(),
+            );
         }
-        Ok(arc)
+        Ok((storage.insert(image).as_slice(), stored))
     }
 }
 
@@ -1757,6 +1700,76 @@ mod tests {
         let (_, file) = build(100, 13);
         let q = Query::new().with_filter(99, 0.0, 1.0);
         assert!(file.query(&q, |_| {}).is_err());
+    }
+
+    #[test]
+    fn stats_merge_is_the_field_wise_sum() {
+        // Distinct primes per field, so a swapped or dropped field shows.
+        let a = QueryStats {
+            nodes_visited: 2,
+            treelets_visited: 3,
+            points_tested: 5,
+            points_returned: 7,
+            pages_touched: 11,
+            bitmap_hits: 13,
+            bitmap_skips: 17,
+            cache_hits: 19,
+            cache_misses: 23,
+            filter_hits: 29,
+            filter_false_positives: 31,
+        };
+        let b = QueryStats {
+            nodes_visited: 100,
+            treelets_visited: 200,
+            points_tested: 300,
+            points_returned: 400,
+            pages_touched: 500,
+            bitmap_hits: 600,
+            bitmap_skips: 700,
+            cache_hits: 800,
+            cache_misses: 900,
+            filter_hits: 1000,
+            filter_false_positives: 1100,
+        };
+        let mut sum = a;
+        sum += b;
+        assert_eq!(
+            sum,
+            QueryStats {
+                nodes_visited: 102,
+                treelets_visited: 203,
+                points_tested: 305,
+                points_returned: 407,
+                pages_touched: 511,
+                bitmap_hits: 613,
+                bitmap_skips: 717,
+                cache_hits: 819,
+                cache_misses: 923,
+                filter_hits: 1029,
+                filter_false_positives: 1131,
+            }
+        );
+    }
+
+    #[test]
+    fn expired_deadline_stops_before_any_treelet() {
+        let (_, file) = build(5_000, 15);
+        let q = Query::new();
+        let plan = file.plan(&q).unwrap();
+        let mut stats = QueryStats::default();
+        let finished = file
+            .execute_plan_until(&q, &plan, Some(Instant::now()), &mut stats, |_| {
+                panic!("an expired deadline must not emit points")
+            })
+            .unwrap();
+        assert!(!finished);
+        assert_eq!(stats, QueryStats::default());
+        // Without a deadline the same plan runs to completion.
+        assert!(file
+            .execute_plan_until(&q, &plan, None, &mut stats, |_| {})
+            .unwrap());
+        assert_eq!(stats.points_returned, 5_000);
+        assert_eq!(stats.treelets_visited, plan.num_treelets() as u64);
     }
 
     #[test]

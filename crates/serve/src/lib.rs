@@ -10,15 +10,18 @@
 //!    `BatFile` can consult it without a dependency cycle); this crate owns
 //!    the *policy*: sizing from `BAT_CACHE_BYTES`, admission priority
 //!    derived from query class ([`query_priority`]), and installation.
-//! 2. **Query planner** — [`QueryPlan`] culls and orders leaf files by
-//!    aggregation-tree bounds overlap and prunes shallow subtrees via node
-//!    AABBs + bitmap pre-filtering before any treelet is materialized.
+//! 2. **Shard placement** — [`shard_of`] / [`owned_leaves`] /
+//!    [`replica_owners`]: which shard process serves which leaf files.
+//!    The planner itself ([`QueryPlan`], re-exported from `libbat`) is
+//!    the one `Dataset::query` runs, so a served query and a library call
+//!    plan, order and execute identically.
 //! 3. **Bounded front-end** — [`ServePool`], a fixed worker pool with a
-//!    bounded queue, reject-with-retry-after backpressure, per-query
-//!    deadlines (checked between treelets), and graceful drain.
+//!    bounded queue, reject-with-retry-after backpressure, and graceful
+//!    drain; the per-query deadline it carries is checked by the reader's
+//!    per-file loop, between treelets.
 //!
-//! The stream server (`bat-stream`) builds its session handling on top of
-//! these pieces; `batcli serve` exposes them on the command line.
+//! The stream front-end (`bat-stream`) builds its session handling on top
+//! of these pieces; `batcli serve` exposes them on the command line.
 
 pub mod plan;
 pub mod pool;

@@ -1,20 +1,24 @@
-//! The streaming server: serves a dataset to concurrent viewer clients
-//! through the bounded bat-serve front-end (DESIGN.md §12).
+//! The stream front-end: one accept loop, one session loop and one reply
+//! relay for every TCP client, whatever executes its requests
+//! (DESIGN.md §12).
 //!
-//! Sessions no longer *execute* queries — they submit them to a shared
+//! Sessions do not *execute* queries — they submit them to a shared
 //! [`ServePool`] and relay the resulting chunks, so total query
 //! concurrency is the pool's worker count no matter how many clients
 //! connect. A full queue surfaces to the client as `Busy { retry_after }`,
 //! a deadline or execution failure as a typed `Error`; both leave the
-//! session open.
+//! session open. What runs on the pool worker is an [`Executor`]: the
+//! in-process planner behind [`StreamServer`], or a shard fan-out behind
+//! [`crate::ShardFront`].
 
 use crate::protocol::{
     read_frame, write_frame, Chunk, Request, Schema, ServerMsg, CHUNK_POINTS, ERR_BAD_QUERY,
     ERR_DEADLINE, ERR_INTERNAL,
 };
+use bat_layout::{PointRecord, Query};
 use bat_serve::{cache, query_priority, QueryPlan, ServeError, ServeOptions, ServePool};
 use libbat::Dataset;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -28,19 +32,11 @@ pub struct StreamServer {
     options: ServeOptions,
 }
 
-/// Control handle for a running server.
+/// Control handle for a running front-end.
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     addr: SocketAddr,
     thread: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Shared serving context: the dataset, the worker pool, and the deadline
-/// policy every session applies.
-struct ServeCtx {
-    dataset: Arc<Dataset>,
-    pool: ServePool,
-    deadline: Option<Duration>,
 }
 
 impl StreamServer {
@@ -78,63 +74,11 @@ impl StreamServer {
     /// query execution happens on the shared bounded pool. Session
     /// threads are tracked and joined on shutdown.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let addr = self.local_addr()?;
-        let stop2 = stop.clone();
-        let ctx = Arc::new(ServeCtx {
-            dataset: self.dataset,
-            pool: ServePool::new(self.options.pool_config()),
-            deadline: self.options.deadline,
-        });
-        let listener = self.listener;
-        let thread = std::thread::spawn(move || {
-            let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
-            // Blocking accept: the loop sleeps in the kernel until a
-            // connection arrives. Shutdown wakes it with a self-connect
-            // (see ServerHandle::stop_and_join), observed via the stop
-            // flag before the connection is served.
-            while let Ok((stream, _)) = listener.accept() {
-                if stop2.load(Ordering::Acquire) {
-                    break;
-                }
-                let ctx = ctx.clone();
-                sessions.push(std::thread::spawn(move || {
-                    // A failed session only affects that client.
-                    let _ = serve_connection(stream, &ctx);
-                }));
-                // Opportunistically reap finished sessions so a
-                // long-lived server doesn't accumulate handles.
-                sessions.retain(|s| !s.is_finished());
-            }
-            // Join every live session: their in-flight pool jobs finish
-            // because the pool drains only after this (ctx drop).
-            for s in sessions {
-                s.join().ok();
-            }
-        });
-        Ok(ServerHandle {
-            stop,
-            addr,
-            thread: Some(thread),
-        })
+        spawn_front(self.listener, self.dataset, &self.options)
     }
 }
 
 impl ServerHandle {
-    /// Wrap an accept-loop thread (shared with the shard front, which
-    /// reuses the self-connect shutdown wakeup).
-    pub(crate) fn new(
-        stop: Arc<AtomicBool>,
-        addr: SocketAddr,
-        thread: std::thread::JoinHandle<()>,
-    ) -> ServerHandle {
-        ServerHandle {
-            stop,
-            addr,
-            thread: Some(thread),
-        }
-    }
-
     /// The server's bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -164,28 +108,175 @@ impl Drop for ServerHandle {
     }
 }
 
-/// What a worker sends back to the session thread for one request.
-enum Reply {
-    Chunk(Chunk),
-    Done { points: u64 },
-    Failed(ServeError),
+/// What executes a request behind the front-end, on a pool worker.
+pub(crate) trait Executor: Send + Sync + 'static {
+    /// The dataset served (for the session's schema preamble).
+    fn dataset(&self) -> &Dataset;
+
+    /// Run `query` against `deadline`, handing every chunk to `sink`, and
+    /// return the frame that ends the request: `Done`, `Partial` or a
+    /// typed `Error`.
+    fn execute(
+        &self,
+        query: &Query,
+        deadline: Option<Instant>,
+        sink: &mut dyn FnMut(Chunk),
+    ) -> ServerMsg;
+}
+
+/// The `ERR_*` code a [`ServeError`] travels under.
+pub(crate) fn error_code(e: &ServeError) -> u32 {
+    match e {
+        ServeError::DeadlineExpired { .. } => ERR_DEADLINE,
+        ServeError::Query(_) => ERR_BAD_QUERY,
+        ServeError::Io(_) | ServeError::Wire(_) => ERR_INTERNAL,
+    }
+}
+
+/// Fill-and-flush accumulator turning a point stream into bounded
+/// [`Chunk`]s: a chunk is emitted the moment it holds [`CHUNK_POINTS`]
+/// points, and [`ChunkBuilder::flush`] emits the partial remainder.
+pub(crate) struct ChunkBuilder {
+    chunk: Chunk,
+}
+
+impl ChunkBuilder {
+    pub(crate) fn new(num_attrs: usize) -> ChunkBuilder {
+        ChunkBuilder {
+            chunk: Chunk {
+                positions: Vec::with_capacity(CHUNK_POINTS),
+                attrs: Vec::with_capacity(CHUNK_POINTS * num_attrs),
+                num_attrs,
+            },
+        }
+    }
+
+    pub(crate) fn push(&mut self, p: &PointRecord<'_>, emit: &mut dyn FnMut(Chunk)) {
+        self.chunk.positions.push(p.position);
+        self.chunk.attrs.extend_from_slice(p.attrs);
+        if self.chunk.len() == CHUNK_POINTS {
+            self.flush(emit);
+            self.chunk.positions.reserve(CHUNK_POINTS);
+        }
+    }
+
+    pub(crate) fn flush(&mut self, emit: &mut dyn FnMut(Chunk)) {
+        if !self.chunk.is_empty() {
+            let num_attrs = self.chunk.num_attrs;
+            emit(std::mem::take(&mut self.chunk));
+            self.chunk.num_attrs = num_attrs;
+        }
+    }
+}
+
+/// The single-process executor: plan and run on this process's dataset.
+impl Executor for Dataset {
+    fn dataset(&self) -> &Dataset {
+        self
+    }
+
+    fn execute(
+        &self,
+        query: &Query,
+        deadline: Option<Instant>,
+        sink: &mut dyn FnMut(Chunk),
+    ) -> ServerMsg {
+        // Cache admission follows the query class: interactive reads may
+        // evict bulk pages, never the other way around.
+        let _prio = cache::set_thread_priority(query_priority(query));
+        let mut chunks = ChunkBuilder::new(self.descs().len());
+        // The `serve.exec` failpoint: `delay:MS` stalls execution on the
+        // worker — after the deadline clock started — which is how the
+        // fault suite proves deadlines fire.
+        let result = bat_faults::fire_io("serve.exec")
+            .map_err(ServeError::Io)
+            .and_then(|()| QueryPlan::new(self, query))
+            .and_then(|plan| plan.execute(deadline, |p| chunks.push(&p, sink)));
+        match result {
+            Ok(stats) => {
+                chunks.flush(sink);
+                ServerMsg::Done {
+                    points: stats.points_returned,
+                }
+            }
+            Err(e) => ServerMsg::Error {
+                code: error_code(&e),
+                message: e.to_string(),
+            },
+        }
+    }
+}
+
+/// Shared serving context: the executor, the worker pool, and the
+/// deadline policy every session applies.
+struct FrontCtx {
+    exec: Arc<dyn Executor>,
+    pool: ServePool,
+    deadline: Option<Duration>,
+}
+
+/// Start the front-end on `listener`: an accept thread handing each
+/// connection to a [`session`] thread, all sharing one bounded pool that
+/// runs requests through `exec`.
+pub(crate) fn spawn_front(
+    listener: TcpListener,
+    exec: Arc<dyn Executor>,
+    options: &ServeOptions,
+) -> std::io::Result<ServerHandle> {
+    let stop = Arc::new(AtomicBool::new(false));
+    let addr = listener.local_addr()?;
+    let stop2 = stop.clone();
+    let ctx = Arc::new(FrontCtx {
+        exec,
+        pool: ServePool::new(options.pool_config()),
+        deadline: options.deadline,
+    });
+    let thread = std::thread::spawn(move || {
+        let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        // Blocking accept: the loop sleeps in the kernel until a
+        // connection arrives. Shutdown wakes it with a self-connect
+        // (see ServerHandle::stop_and_join), observed via the stop
+        // flag before the connection is served.
+        while let Ok((stream, _)) = listener.accept() {
+            if stop2.load(Ordering::Acquire) {
+                break;
+            }
+            let ctx = ctx.clone();
+            sessions.push(std::thread::spawn(move || {
+                // A failed session only affects that client.
+                let _ = session(stream, &ctx);
+            }));
+            // Opportunistically reap finished sessions so a
+            // long-lived server doesn't accumulate handles.
+            sessions.retain(|s| !s.is_finished());
+        }
+        // Join every live session: their in-flight pool jobs finish
+        // because the pool drains only after this (ctx drop).
+        for s in sessions {
+            s.join().ok();
+        }
+    });
+    Ok(ServerHandle {
+        stop,
+        addr,
+        thread: Some(thread),
+    })
 }
 
 /// Serve one client session: schema first, then request/stream cycles until
 /// the client disconnects.
-fn serve_connection(stream: TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
+fn session(stream: TcpStream, ctx: &FrontCtx) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
     let mut reader = stream.try_clone()?;
     let mut writer = BufWriter::new(stream);
 
     // Session preamble: the schema.
-    let ds = &ctx.dataset;
+    let ds = ctx.exec.dataset();
     let schema = ServerMsg::Schema(Schema {
         descs: ds.descs().to_vec(),
         total_particles: ds.num_particles(),
     });
     write_frame(&mut writer, &schema.encode())?;
-    use std::io::Write;
     writer.flush()?;
 
     while let Some(payload) = read_frame(&mut reader)? {
@@ -194,19 +285,25 @@ fn serve_connection(stream: TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
         // fails the session — the client observes a clean disconnect
         // mid-request, never a torn frame parsed as data.
         bat_faults::fire_io("stream.serve")?;
-        let req_span = bat_obs::span("stream.request_ns");
-        let mut bytes_out = 0u64;
+        let _req_span = bat_obs::span("stream.request_ns");
         let request = Request::decode(&payload)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
 
         // The deadline covers queue wait + execution: it starts when the
         // request is submitted, not when a worker picks it up.
         let deadline = ctx.deadline.map(|d| Instant::now() + d);
-        let (tx, rx) = mpsc::sync_channel::<Reply>(4);
-        let job_ds = ctx.dataset.clone();
-        let query = request.query.clone();
+        let (tx, rx) = mpsc::sync_channel::<ServerMsg>(4);
+        let exec = ctx.exec.clone();
         let submitted = ctx.pool.submit(move || {
-            run_query(&job_ds, &query, deadline, &tx);
+            // Sends fail only when the session died; the executor still
+            // runs to its end, but there is nobody left to tell.
+            let mut session_gone = false;
+            let end = exec.execute(&request.query, deadline, &mut |c| {
+                session_gone = session_gone || tx.send(ServerMsg::Chunk(c)).is_err();
+            });
+            if !session_gone {
+                let _ = tx.send(end);
+            }
         });
         if let Err(rejected) = submitted {
             let retry_after_ms = rejected.retry_after.as_millis() as u64;
@@ -214,111 +311,24 @@ fn serve_connection(stream: TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
             write_frame(&mut writer, &busy)?;
             writer.flush()?;
             bat_obs::counter_add("stream.bytes_sent", busy.len() as u64);
-            req_span.end();
             continue;
         }
 
         // Relay worker replies to the socket. The channel closes when the
         // worker is done with the request, whatever the outcome.
-        let mut sent = 0u64;
+        let (mut bytes_out, mut points) = (0u64, 0u64);
         for reply in rx {
-            let encoded = match reply {
-                Reply::Chunk(c) => {
-                    sent += c.len() as u64;
-                    ServerMsg::Chunk(c).encode()
-                }
-                Reply::Done { points } => ServerMsg::Done { points }.encode(),
-                Reply::Failed(e) => {
-                    let code = match &e {
-                        ServeError::DeadlineExpired { .. } => ERR_DEADLINE,
-                        ServeError::Query(_) => ERR_BAD_QUERY,
-                        _ => ERR_INTERNAL,
-                    };
-                    ServerMsg::Error {
-                        code,
-                        message: e.to_string(),
-                    }
-                    .encode()
-                }
-            };
+            if let ServerMsg::Chunk(c) = &reply {
+                points += c.len() as u64;
+            }
+            let encoded = reply.encode();
             bytes_out += encoded.len() as u64;
             write_frame(&mut writer, &encoded)?;
         }
         writer.flush()?;
         bat_obs::counter_add("stream.requests", 1);
         bat_obs::counter_add("stream.bytes_sent", bytes_out);
-        bat_obs::counter_add("stream.points_sent", sent);
-        req_span.end();
+        bat_obs::counter_add("stream.points_sent", points);
     }
     Ok(())
-}
-
-/// Execute one request on a pool worker: plan, run with the deadline, and
-/// stream bounded chunks back through `tx`. Channel sends fail only when
-/// the session died; execution then stops silently — there is nobody left
-/// to tell.
-fn run_query(
-    ds: &Dataset,
-    query: &bat_layout::Query,
-    deadline: Option<Instant>,
-    tx: &mpsc::SyncSender<Reply>,
-) {
-    // Cache admission follows the query class: interactive reads may
-    // evict bulk pages, never the other way around.
-    let _prio = cache::set_thread_priority(query_priority(query));
-    // The `serve.exec` failpoint: `delay:MS` stalls execution on the
-    // worker — after the deadline clock started — which is how the fault
-    // suite proves deadlines fire.
-    if let Err(e) = bat_faults::fire_io("serve.exec") {
-        let _ = tx.send(Reply::Failed(ServeError::Io(e)));
-        return;
-    }
-    let plan = match QueryPlan::new(ds, query) {
-        Ok(p) => p,
-        Err(e) => {
-            let _ = tx.send(Reply::Failed(e));
-            return;
-        }
-    };
-    let num_attrs = ds.descs().len();
-    let mut chunk = Chunk {
-        positions: Vec::with_capacity(CHUNK_POINTS),
-        attrs: Vec::with_capacity(CHUNK_POINTS * num_attrs),
-        num_attrs,
-    };
-    let mut receiver_gone = false;
-    let result = plan.execute(deadline, |p| {
-        if receiver_gone {
-            return;
-        }
-        chunk.positions.push(p.position);
-        chunk.attrs.extend_from_slice(p.attrs);
-        if chunk.len() == CHUNK_POINTS {
-            let full = std::mem::take(&mut chunk);
-            chunk.num_attrs = num_attrs;
-            chunk.positions.reserve(CHUNK_POINTS);
-            if tx.send(Reply::Chunk(full)).is_err() {
-                receiver_gone = true;
-            }
-        }
-    });
-    if receiver_gone {
-        return;
-    }
-    match result {
-        Ok(stats) => {
-            if !chunk.is_empty() {
-                let last = std::mem::take(&mut chunk);
-                if tx.send(Reply::Chunk(last)).is_err() {
-                    return;
-                }
-            }
-            let _ = tx.send(Reply::Done {
-                points: stats.points_returned,
-            });
-        }
-        Err(e) => {
-            let _ = tx.send(Reply::Failed(e));
-        }
-    }
 }

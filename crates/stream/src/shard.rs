@@ -55,10 +55,16 @@
 //! killed mid-query surfaces as a typed [`ShardQueryError`] within the
 //! wait budget — never a hang, and never partial bytes presented as a
 //! complete result (the client sees `Error` or `Partial`, not `Done`).
+//!
+//! Clients reach the fabric through [`ShardFront`], which is the stream
+//! front-end of [`crate::server`] with the router as its executor: the
+//! accept loop, sessions, `Busy` backpressure, deadline clock, failpoints
+//! and `stream.*` counters are the single-process server's own. Shard
+//! workers build their chunks and map their errors with that module's
+//! accumulator and `ERR_*` table too.
 
-use crate::protocol::{
-    decode_chunk, encode_chunk, Chunk, CHUNK_POINTS, ERR_BAD_QUERY, ERR_DEADLINE, ERR_INTERNAL,
-};
+use crate::protocol::{decode_chunk, encode_chunk, Chunk, ServerMsg, ERR_INTERNAL, ERR_SHARD};
+use crate::server::{error_code, spawn_front, ChunkBuilder, Executor, ServerHandle};
 use bat_comm::{Comm, CommError, MAX_USER_TAG};
 use bat_layout::Query;
 pub use bat_serve::{owned_leaves, replica_owners, shard_of};
@@ -538,16 +544,11 @@ fn serve_one(
 ) {
     let deadline = (budget_ms > 0).then(|| Instant::now() + Duration::from_millis(budget_ms));
     let fail = |e: &ServeError| {
-        let code = match e {
-            ServeError::DeadlineExpired { .. } => ERR_DEADLINE,
-            ServeError::Query(_) => ERR_BAD_QUERY,
-            _ => ERR_INTERNAL,
-        };
         comm.isend(
             ROUTER_RANK,
             req_tag,
             ShardMsg::Failed {
-                code,
+                code: error_code(e),
                 message: e.to_string(),
             }
             .encode(),
@@ -559,12 +560,11 @@ fn serve_one(
         Ok(p) => p,
         Err(e) => return fail(&e),
     };
-    let num_attrs = ds.descs().len();
     let mut points = 0u64;
-    let mut chunk = Chunk {
-        positions: Vec::with_capacity(CHUNK_POINTS),
-        attrs: Vec::with_capacity(CHUNK_POINTS * num_attrs),
-        num_attrs,
+    let mut chunks = ChunkBuilder::new(ds.descs().len());
+    let mut send = |c: Chunk| {
+        points += c.len() as u64;
+        comm.isend(ROUTER_RANK, req_tag, ShardMsg::Chunk(c).encode());
     };
     for &leaf in leaves {
         // Leaf boundaries are the cancellation / liveness granularity: a
@@ -583,28 +583,13 @@ fn serve_one(
             comm.mark_dead();
             return;
         }
-        let res = plan.execute_leaf(leaf, deadline, |p| {
-            chunk.positions.push(p.position);
-            chunk.attrs.extend_from_slice(p.attrs);
-            if chunk.len() == CHUNK_POINTS {
-                let full = std::mem::take(&mut chunk);
-                chunk.num_attrs = num_attrs;
-                points += full.len() as u64;
-                comm.isend(ROUTER_RANK, req_tag, ShardMsg::Chunk(full).encode());
-            }
-        });
-        if let Err(e) = res {
+        if let Err(e) = plan.execute_leaf(leaf, deadline, |p| chunks.push(&p, &mut send)) {
             return fail(&e);
         }
         // Flush the partial chunk at the leaf boundary: the router needs
         // every point of a leaf before the LeafDone marker so the merged
         // stream is leaf-contiguous in global plan order.
-        if !chunk.is_empty() {
-            let last = std::mem::take(&mut chunk);
-            chunk.num_attrs = num_attrs;
-            points += last.len() as u64;
-            comm.isend(ROUTER_RANK, req_tag, ShardMsg::Chunk(last).encode());
-        }
+        chunks.flush(&mut send);
         comm.isend(ROUTER_RANK, req_tag, ShardMsg::LeafDone { leaf }.encode());
     }
     comm.isend(ROUTER_RANK, req_tag, ShardMsg::Done { points }.encode());
@@ -801,11 +786,6 @@ impl ShardRouter {
     /// supervised respawn rejoins the mesh.
     pub fn shard_alive(&self, shard: usize) -> bool {
         !self.comm.is_dead(1 + shard)
-    }
-
-    /// The dataset served (for session schema preambles).
-    pub fn dataset(&self) -> &Arc<Dataset> {
-        &self.ds
     }
 
     /// Tell every shard to exit its serve loop, then tear down the
@@ -1424,42 +1404,20 @@ impl RouterRun<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Client-facing TCP front (the router's stream-protocol face)
+// Client-facing TCP front (the router as the stream front-end's executor)
 // ---------------------------------------------------------------------------
 
-/// A bound-but-not-running router front: speaks the same stream protocol
-/// as [`crate::StreamServer`] to clients, but executes every request as a
-/// shard fan-out. The bounded [`bat_serve::ServePool`] caps concurrent
-/// fan-outs; a full queue surfaces as `Busy { retry_after }` exactly like
-/// the single-process server. Degraded fan-outs (opted in via
+/// A bound-but-not-running router front: the stream front-end of
+/// [`crate::StreamServer`] (same sessions, same bounded
+/// [`bat_serve::ServePool`], same `Busy { retry_after }` backpressure and
+/// submission-time deadline clock) with the router as its executor, so
+/// every request runs as a shard fan-out. Degraded fan-outs (opted in via
 /// [`Query::allow_partial`]) terminate with a `Partial` frame carrying
 /// served/total leaf counts.
 pub struct ShardFront {
     listener: std::net::TcpListener,
     router: Arc<ShardRouter>,
     options: bat_serve::ServeOptions,
-}
-
-struct FrontCtx {
-    router: Arc<ShardRouter>,
-    pool: bat_serve::ServePool,
-    deadline: Option<Duration>,
-}
-
-enum FrontReply {
-    Chunk(Chunk),
-    Done {
-        points: u64,
-    },
-    Partial {
-        points: u64,
-        served_leaves: u64,
-        total_leaves: u64,
-    },
-    Failed {
-        code: u32,
-        message: String,
-    },
 }
 
 impl ShardFront {
@@ -1484,121 +1442,44 @@ impl ShardFront {
     /// Start accepting clients on a background thread; same lifecycle as
     /// [`crate::StreamServer::spawn`] (shutdown joins sessions and drains
     /// the pool, letting in-flight fan-outs finish).
-    pub fn spawn(self) -> std::io::Result<crate::server::ServerHandle> {
-        use std::sync::atomic::{AtomicBool, Ordering as AOrd};
-        let stop = Arc::new(AtomicBool::new(false));
-        let addr = self.local_addr()?;
-        let stop2 = stop.clone();
-        let ctx = Arc::new(FrontCtx {
-            router: self.router,
-            pool: bat_serve::ServePool::new(self.options.pool_config()),
-            deadline: self.options.deadline,
-        });
-        let listener = self.listener;
-        let thread = std::thread::spawn(move || {
-            let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
-            while let Ok((stream, _)) = listener.accept() {
-                if stop2.load(AOrd::Acquire) {
-                    break;
-                }
-                let ctx = ctx.clone();
-                sessions.push(std::thread::spawn(move || {
-                    let _ = front_session(stream, &ctx);
-                }));
-                sessions.retain(|s| !s.is_finished());
-            }
-            for s in sessions {
-                s.join().ok();
-            }
-        });
-        Ok(crate::server::ServerHandle::new(stop, addr, thread))
+    pub fn spawn(self) -> std::io::Result<ServerHandle> {
+        spawn_front(self.listener, self.router, &self.options)
     }
 }
 
-/// Serve one client session on the router: schema preamble, then
-/// request → fan-out → merged stream cycles until disconnect.
-fn front_session(stream: std::net::TcpStream, ctx: &FrontCtx) -> std::io::Result<()> {
-    use crate::protocol::{read_frame, write_frame, Request, Schema, ServerMsg, ERR_SHARD};
-    use std::io::Write;
-
-    stream.set_nodelay(true).ok();
-    let mut reader = stream.try_clone()?;
-    let mut writer = std::io::BufWriter::new(stream);
-
-    let ds = ctx.router.dataset();
-    let schema = ServerMsg::Schema(Schema {
-        descs: ds.descs().to_vec(),
-        total_particles: ds.num_particles(),
-    });
-    write_frame(&mut writer, &schema.encode())?;
-    writer.flush()?;
-
-    while let Some(payload) = read_frame(&mut reader)? {
-        let request = Request::decode(&payload)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        // The deadline covers queue wait + fan-out, like the
-        // single-process server: the clock starts at submission.
-        let expires = ctx.deadline.map(|d| Instant::now() + d);
-        let (tx, rx) = std::sync::mpsc::sync_channel::<FrontReply>(4);
-        let router = ctx.router.clone();
-        let query = request.query.clone();
-        let submitted = ctx.pool.submit(move || {
-            let budget = expires.map(|e| e.saturating_duration_since(Instant::now()));
-            let result = router.query(&query, budget, |c| {
-                let _ = tx.send(FrontReply::Chunk(c));
-            });
-            let _ = match result {
-                Ok(outcome) if outcome.is_partial() => tx.send(FrontReply::Partial {
-                    points: outcome.points,
-                    served_leaves: outcome.served_leaves,
-                    total_leaves: outcome.total_leaves,
-                }),
-                Ok(outcome) => tx.send(FrontReply::Done {
-                    points: outcome.points,
-                }),
-                Err(e) => {
-                    let code = match &e {
-                        ShardQueryError::Plan(ServeError::Query(_)) => ERR_BAD_QUERY,
-                        ShardQueryError::Plan(ServeError::DeadlineExpired { .. }) => ERR_DEADLINE,
-                        ShardQueryError::Plan(_) => ERR_INTERNAL,
-                        ShardQueryError::Shard { code, .. } => *code,
-                        ShardQueryError::Comm { .. } => ERR_SHARD,
-                    };
-                    tx.send(FrontReply::Failed {
-                        code,
-                        message: e.to_string(),
-                    })
-                }
-            };
-        });
-        if let Err(rejected) = submitted {
-            let retry_after_ms = rejected.retry_after.as_millis() as u64;
-            write_frame(&mut writer, &ServerMsg::Busy { retry_after_ms }.encode())?;
-            writer.flush()?;
-            continue;
-        }
-        for reply in rx {
-            let encoded = match reply {
-                FrontReply::Chunk(c) => ServerMsg::Chunk(c).encode(),
-                FrontReply::Done { points } => ServerMsg::Done { points }.encode(),
-                FrontReply::Partial {
-                    points,
-                    served_leaves,
-                    total_leaves,
-                } => ServerMsg::Partial {
-                    points,
-                    served_leaves,
-                    total_leaves,
-                }
-                .encode(),
-                FrontReply::Failed { code, message } => ServerMsg::Error { code, message }.encode(),
-            };
-            write_frame(&mut writer, &encoded)?;
-        }
-        writer.flush()?;
-        bat_obs::counter_add("router.sessions_requests", 1);
+/// The sharded executor: every request is a fan-out merged back in global
+/// plan order.
+impl Executor for ShardRouter {
+    fn dataset(&self) -> &Dataset {
+        &self.ds
     }
-    Ok(())
+
+    fn execute(
+        &self,
+        query: &Query,
+        deadline: Option<Instant>,
+        sink: &mut dyn FnMut(Chunk),
+    ) -> ServerMsg {
+        let budget = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        match self.query(query, budget, sink) {
+            Ok(outcome) if outcome.is_partial() => ServerMsg::Partial {
+                points: outcome.points,
+                served_leaves: outcome.served_leaves,
+                total_leaves: outcome.total_leaves,
+            },
+            Ok(outcome) => ServerMsg::Done {
+                points: outcome.points,
+            },
+            Err(e) => ServerMsg::Error {
+                code: match &e {
+                    ShardQueryError::Plan(e) => error_code(e),
+                    ShardQueryError::Shard { code, .. } => *code,
+                    ShardQueryError::Comm { .. } => ERR_SHARD,
+                },
+                message: e.to_string(),
+            },
+        }
+    }
 }
 
 #[cfg(test)]

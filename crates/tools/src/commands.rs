@@ -558,7 +558,6 @@ pub fn serve(args: &[String]) -> Result<()> {
                 let raw = it.next().ok_or("--backend needs a name")?;
                 backend = Some(match raw.as_str() {
                     "mmap" => libbat::ReadBackend::Mmap,
-                    "owned" => libbat::ReadBackend::Owned,
                     "range-file" => libbat::ReadBackend::RangeFile,
                     "range-sim" => {
                         libbat::ReadBackend::RangeSim(libbat::iosim::ObjectStore::global())
@@ -566,7 +565,7 @@ pub fn serve(args: &[String]) -> Result<()> {
                     other => {
                         return Err(format!(
                             "--backend: unknown backend '{other}' \
-                             (mmap | owned | range-file | range-sim)"
+                             (mmap | range-file | range-sim)"
                         ))
                     }
                 });
@@ -900,7 +899,7 @@ pub const ENV_KNOBS: &[(&str, &str, &str)] = &[
     (
         "BAT_READ_BACKEND",
         "mmap",
-        "reader backend: mmap | owned | range-file | range-sim",
+        "reader backend: mmap | range-file | range-sim",
     ),
     (
         "BAT_RANGE_GAP_BYTES",
@@ -1098,6 +1097,19 @@ mod tests {
         let bogus = vec!["/nonexistent".to_string(), "x".to_string()];
         assert!(info(&bogus).is_err());
         assert!(verify(&bogus).is_err());
+    }
+
+    #[test]
+    fn retired_owned_backend_is_a_typed_error() {
+        // Arguments are parsed before the dataset is opened.
+        let bogus = |backend: &str| {
+            let argv = ["/nonexistent", "x", "--backend", backend];
+            serve(&argv.map(String::from)).unwrap_err()
+        };
+        let err = bogus("owned");
+        assert!(err.contains("unknown backend 'owned'"), "{err}");
+        assert!(err.contains("mmap | range-file | range-sim"), "{err}");
+        assert!(!bogus("mmap").contains("unknown backend"));
     }
 
     /// Every `"BAT_*"` string literal anywhere in the workspace sources must

@@ -75,7 +75,7 @@ USAGE:
                                        prints the per-phase metrics breakdown)
     batcli serve  <dir> <basename> [--addr HOST:PORT] [--workers N] [--queue N]
                                    [--deadline-ms MS] [--cache-bytes N[k|m|g]]
-                                   [--backend mmap|owned|range-file|range-sim]
+                                   [--backend mmap|range-file|range-sim]
                                    [--smoke]
     batcli shard-serve <dir> <basename> [--shards N] [--addr HOST:PORT]
                                    [--workers N] [--queue N] [--deadline-ms MS]

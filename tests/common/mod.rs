@@ -63,6 +63,9 @@ pub struct BuildOpts {
     pub target_file_bytes: u64,
     /// Dataset basename.
     pub basename: &'static str,
+    /// Treelet codec to write with (a `BAT_TREELET_CODEC` spelling, set
+    /// for the duration of the write); `None` keeps the environment's.
+    pub codec: Option<&'static str>,
 }
 
 impl Default for BuildOpts {
@@ -72,6 +75,7 @@ impl Default for BuildOpts {
             ranks: 4,
             target_file_bytes: 80_000,
             basename: "s",
+            codec: None,
         }
     }
 }
@@ -94,6 +98,10 @@ pub fn write_dataset_into(dir: &Path, workload: &Workload, opts: &BuildOpts) {
     let dir = dir.to_path_buf();
     let basename = opts.basename;
     let target = opts.target_file_bytes;
+    let ambient_codec = std::env::var("BAT_TREELET_CODEC").ok();
+    if let Some(codec) = opts.codec {
+        std::env::set_var("BAT_TREELET_CODEC", codec);
+    }
     match *workload {
         Workload::Uniform { per_rank, seed } => {
             let grid = RankGrid::new_3d(opts.ranks, Aabb::unit());
@@ -133,6 +141,60 @@ pub fn write_dataset_into(dir: &Path, workload: &Workload, opts: &BuildOpts) {
             });
         }
     }
+    if opts.codec.is_some() {
+        match ambient_codec {
+            Some(v) => std::env::set_var("BAT_TREELET_CODEC", v),
+            None => std::env::remove_var("BAT_TREELET_CODEC"),
+        }
+    }
+}
+
+/// The query mix the serving tests run: a bulk full read, a
+/// spatial+attribute filtered read, and a low-quality interactive read —
+/// one per cache admission class.
+#[allow(dead_code)] // not every test binary that includes this module uses it
+pub fn query_mix() -> Vec<bat_layout::Query> {
+    use bat_geom::Vec3;
+    use bat_layout::Query;
+    vec![
+        Query::new(),
+        Query::new()
+            .with_bounds(Aabb::new(Vec3::ZERO, Vec3::splat(0.5)))
+            .with_filter(0, 0.6, 1.4),
+        Query::new().with_quality(0.3),
+    ]
+}
+
+/// Serve dataset `basename` in `dir` through a [`bat_stream::ShardFront`]
+/// over `shards` in-process shard workers (channel transport), run `body`
+/// against the front's address on the router rank, then drain everything.
+#[allow(dead_code)] // not every test binary that includes this module uses it
+pub fn with_shard_front<R: Send>(
+    dir: &Path,
+    basename: &'static str,
+    shards: usize,
+    options: bat_serve::ServeOptions,
+    body: impl FnOnce(std::net::SocketAddr) -> R + Send,
+) -> R {
+    use bat_stream::{run_shard, ShardFront, ShardRouter, ROUTER_RANK};
+    let body = std::sync::Mutex::new(Some((body, options)));
+    let mut per_rank = Cluster::run_with(bat_comm::TransportKind::Channel, 1 + shards, |comm| {
+        let ds = libbat::Dataset::open(dir, basename).expect("open dataset");
+        if comm.rank() != ROUTER_RANK {
+            run_shard(&*comm, &ds).expect("shard serve loop");
+            return None;
+        }
+        let (body, options) = body.lock().unwrap().take().expect("one router rank");
+        let router = std::sync::Arc::new(ShardRouter::new(comm, std::sync::Arc::new(ds)));
+        let handle = ShardFront::bind("127.0.0.1:0", router.clone(), options)
+            .and_then(ShardFront::spawn)
+            .expect("start shard front");
+        let out = body(handle.addr());
+        handle.shutdown();
+        router.shutdown();
+        Some(out)
+    });
+    per_rank.swap_remove(ROUTER_RANK).expect("router result")
 }
 
 /// 64-bit FNV-1a over a byte stream — the fingerprint the identity matrix

@@ -9,7 +9,7 @@ use bat_geom::Aabb;
 use bat_layout::ParticleSet;
 use bat_workloads::{uniform, RankGrid};
 use common::{fingerprint, ScratchDir};
-use libbat::read::read_particles;
+use libbat::read::{query_distributed, read_particles};
 use libbat::write::{write_particles, WriteConfig};
 
 /// Write the uniform workload on `n` ranks and return per-rank fingerprints.
@@ -97,6 +97,74 @@ fn restart_on_fewer_ranks() {
     assert_eq!(
         total_read, total_written,
         "3-rank restart must recover every particle"
+    );
+}
+
+/// Every particle of `set` inside `bounds` as sortable bit rows.
+fn bit_rows(set: &ParticleSet, bounds: &Aabb) -> Vec<Vec<u64>> {
+    let mut rows: Vec<Vec<u64>> = (0..set.len())
+        .filter(|&i| bounds.contains_point(set.positions[i]))
+        .map(|i| {
+            let p = set.positions[i];
+            let mut row = vec![
+                p.x.to_bits() as u64,
+                p.y.to_bits() as u64,
+                p.z.to_bits() as u64,
+            ];
+            row.extend((0..set.num_attrs()).map(|a| set.value(a, i).to_bits()));
+            row
+        })
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
+#[test]
+fn checkpoint_read_equals_bounds_query_equals_brute_force() {
+    // A checkpoint read is the bounds-only case of a distributed query:
+    // on a reader count that differs from the writer count, both entry
+    // points must return, on every rank, exactly the generator's
+    // particles inside that rank's bounds.
+    let scratch = ScratchDir::new("collective-equiv");
+    let (writers, readers, per_rank) = (4, 6, 2500);
+    write_uniform(&scratch.path, writers, per_rank, 120_000, false);
+    let write_grid = RankGrid::new_3d(writers, Aabb::unit());
+    let written: Vec<ParticleSet> = (0..writers)
+        .map(|r| uniform::generate_rank(&write_grid, r, per_rank, 42))
+        .collect();
+
+    let grid = RankGrid::new_3d(readers, Aabb::unit());
+    let dir = scratch.path.clone();
+    let per_reader = Cluster::run(readers, move |comm| {
+        let bounds = grid.bounds_of(comm.rank());
+        let read = read_particles(&comm, bounds, &dir, "u").expect("checkpoint read");
+        let q = bat_layout::Query::new().with_bounds(bounds);
+        let queried = query_distributed(&comm, &q, &dir, "u").expect("distributed query");
+        (
+            bounds,
+            bit_rows(&read, &bounds),
+            bit_rows(&queried, &bounds),
+            read.len(),
+            queried.len(),
+        )
+    });
+    let mut total = 0;
+    for (rank, (bounds, read, queried, read_len, queried_len)) in per_reader.iter().enumerate() {
+        let mut want: Vec<Vec<u64>> = written.iter().flat_map(|s| bit_rows(s, bounds)).collect();
+        want.sort_unstable();
+        assert!(!want.is_empty(), "rank {rank}: bounds hold no particles");
+        // Nothing outside the bounds came back, so the rows are the result.
+        assert_eq!((read.len(), queried.len()), (*read_len, *queried_len));
+        assert_eq!(read, &want, "rank {rank}: read_particles vs brute force");
+        assert_eq!(
+            queried, &want,
+            "rank {rank}: query_distributed vs brute force"
+        );
+        total += want.len();
+    }
+    assert!(
+        total >= writers * per_rank as usize,
+        "readers cover the domain"
     );
 }
 

@@ -49,7 +49,6 @@ fn query_fnv(ds: &Dataset, q: &Query) -> u64 {
 fn backends() -> Vec<(&'static str, ReadBackend)> {
     vec![
         ("mmap", ReadBackend::Mmap),
-        ("owned", ReadBackend::Owned),
         ("range-file", ReadBackend::RangeFile),
         (
             "range-sim",

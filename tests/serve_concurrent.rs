@@ -9,7 +9,7 @@ use bat_geom::{Aabb, Vec3};
 use bat_layout::Query;
 use bat_serve::{PageCache, ServeOptions};
 use bat_stream::{RequestError, StreamClient, StreamServer, ERR_BAD_QUERY, ERR_DEADLINE};
-use common::{BuildOpts, ScratchDir, Workload};
+use common::{query_mix, BuildOpts, ScratchDir, Workload};
 use libbat::Dataset;
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,19 +29,6 @@ fn write_sample(dir: &std::path::Path) {
             ..BuildOpts::default()
         },
     );
-}
-
-/// The query mix every client runs: a bulk full read, a spatial+attribute
-/// filtered read, and a low-quality interactive read — one per cache
-/// admission class.
-fn query_mix() -> Vec<Query> {
-    vec![
-        Query::new(),
-        Query::new()
-            .with_bounds(Aabb::new(Vec3::ZERO, Vec3::splat(0.5)))
-            .with_filter(0, 0.6, 1.4),
-        Query::new().with_quality(0.3),
-    ]
 }
 
 /// The exact bit stream a served query produced: every position and
@@ -125,15 +112,31 @@ fn serve_and_collect(
     reference
 }
 
+/// The exact bit stream `Dataset::query` hands its callback, in the
+/// layout of [`stream_bits`].
+fn direct_bits(ds: &Dataset, q: &Query) -> Vec<u64> {
+    let mut bits = Vec::new();
+    ds.query(q, |p| {
+        bits.push(p.position.x.to_bits() as u64);
+        bits.push(p.position.y.to_bits() as u64);
+        bits.push(p.position.z.to_bits() as u64);
+        bits.extend(p.attrs.iter().map(|a| a.to_bits()));
+    })
+    .expect("direct query succeeds");
+    bits
+}
+
 #[test]
 fn byte_identical_across_cache_and_pool_configs() {
     let scratch = ScratchDir::new("serve-ident");
     write_sample(&scratch.path);
 
     // Reference: direct (serverless) execution with the cache disabled.
+    // Every served stream must equal it bit for bit, in order — bounded
+    // and filtered queries included, since every path runs one plan.
     let ds = Dataset::open(&scratch.path, "s").unwrap();
     ds.set_cache(None);
-    let direct_counts: Vec<u64> = query_mix().iter().map(|q| ds.count(q).unwrap()).collect();
+    let direct: Vec<Vec<u64>> = query_mix().iter().map(|q| direct_bits(&ds, q)).collect();
     drop(ds);
 
     let configs: Vec<(&str, Option<Arc<PageCache>>, usize)> = vec![
@@ -144,25 +147,56 @@ fn byte_identical_across_cache_and_pool_configs() {
         // One page: every treelet thrashes through eviction.
         ("cache-1page/4w", Some(PageCache::new(4096)), 4),
     ];
-    let mut reference: Option<Vec<Vec<u64>>> = None;
     for (name, cache, workers) in configs {
         let streams = serve_and_collect(&scratch.path, cache, workers, 3);
-        for (qi, s) in streams.iter().enumerate() {
-            let attrs = 14; // uniform workload schema width
-            assert_eq!(
-                s.len() as u64 / (3 + attrs),
-                direct_counts[qi],
-                "{name}: query {qi} point count diverged from direct execution"
-            );
-        }
-        match &reference {
-            None => reference = Some(streams),
-            Some(r) => assert_eq!(
-                r, &streams,
-                "{name}: served bytes diverged from the first configuration"
-            ),
-        }
+        assert_eq!(
+            streams, direct,
+            "{name}: served bits diverged from Dataset::query"
+        );
     }
+
+    // The sharded front merges per-leaf shard streams back into the same
+    // plan order, so it too reproduces the direct stream exactly.
+    let options = ServeOptions {
+        workers: Some(2),
+        queue_depth: Some(64),
+        deadline: None,
+        cache: None,
+    };
+    let sharded = common::with_shard_front(&scratch.path, "s", 2, options.clone(), |addr| {
+        let mut client = StreamClient::connect(addr).unwrap();
+        query_mix()
+            .iter()
+            .map(|q| stream_bits(&mut client, q))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(sharded, direct, "sharded bits diverged from Dataset::query");
+
+    // The mix's box sits inside leaf 0, where plan order and leaf order
+    // agree. An off-centre box is covered most by the *last* leaf, so the
+    // plan visits files out of leaf order — and every path must follow it.
+    let skewed = Query::new().with_bounds(Aabb::new(Vec3::splat(0.3), Vec3::ONE));
+    let ds = Dataset::open(&scratch.path, "s").unwrap();
+    ds.set_cache(None);
+    let order: Vec<u32> = bat_serve::QueryPlan::new(&ds, &skewed)
+        .unwrap()
+        .file_order()
+        .collect();
+    assert!(
+        order.windows(2).any(|w| w[0] > w[1]),
+        "fixture must reorder files, got {order:?}"
+    );
+    let direct = direct_bits(&ds, &skewed);
+    assert!(!direct.is_empty());
+    let ask = |addr| stream_bits(&mut StreamClient::connect(addr).unwrap(), &skewed);
+    let handle = StreamServer::bind_with("127.0.0.1:0", ds, options.clone())
+        .unwrap()
+        .spawn()
+        .unwrap();
+    assert_eq!(ask(handle.addr()), direct, "served plan order");
+    handle.shutdown();
+    let sharded = common::with_shard_front(&scratch.path, "s", 2, options, ask);
+    assert_eq!(sharded, direct, "sharded plan order");
 }
 
 #[test]
