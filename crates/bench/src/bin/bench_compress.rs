@@ -26,6 +26,7 @@ use bat_geom::{Aabb, Vec3};
 use bat_iosim::{ObjectStore, ObjectStoreConfig};
 use bat_layout::format::read_head;
 use bat_layout::{PageCache, Query};
+use bat_obs::knobs::{self, EnvGuard};
 use bat_workloads::Cosmology;
 use libbat::write::{leaf_file_name, write_particles, WriteConfig};
 use libbat::{Dataset, ReadBackend};
@@ -38,13 +39,15 @@ const HALOS: usize = 24;
 /// CI gate: stored position bytes over raw position bytes.
 const GATE_POSITION_RATIO: f64 = 0.7;
 
-fn write_dataset(tag: &str, codec: Option<&str>) -> std::path::PathBuf {
+/// Write the bench dataset with `BAT_TREELET_CODEC` / `BAT_CODEC_ERROR_BOUND`
+/// forced to the given values (`None` = unset) for the duration.
+fn write_dataset(tag: &str, codec: Option<&str>, bound: Option<&str>) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("bat-bench-compress-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench dir");
-    match codec {
-        Some(c) => std::env::set_var("BAT_TREELET_CODEC", c),
-        None => std::env::remove_var("BAT_TREELET_CODEC"),
-    }
+    let _env = EnvGuard::set(&[
+        (&knobs::TREELET_CODEC, codec),
+        (&knobs::CODEC_ERROR_BOUND, bound),
+    ]);
     let cosmo = Cosmology::new(PARTICLES, HALOS, 7);
     let grid = cosmo.grid(RANKS);
     let d = dir.clone();
@@ -53,7 +56,6 @@ fn write_dataset(tag: &str, codec: Option<&str>) -> std::path::PathBuf {
         let cfg = WriteConfig::with_target_size(64 << 10, set.bytes_per_particle() as u64);
         write_particles(&comm, set, grid.bounds_of(comm.rank()), &cfg, &d, "c").unwrap();
     });
-    std::env::remove_var("BAT_TREELET_CODEC");
     dir
 }
 
@@ -181,8 +183,8 @@ fn run_smoke() {
     println!(
         "bench_compress --smoke: {PARTICLES} cosmology particles ({HALOS} halos) over {RANKS} ranks"
     );
-    let v1_dir = write_dataset("v1", None);
-    let v2_dir = write_dataset("v2", Some("v2-lossless"));
+    let v1_dir = write_dataset("v1", None, None);
+    let v2_dir = write_dataset("v2", Some("v2-lossless"), None);
 
     // Section accounting + the position-ratio gate.
     let v1 = measure_sections(&v1_dir);
@@ -281,7 +283,7 @@ fn run_smoke() {
 fn run_full() {
     use bat_bench::report::Table;
     println!("bench_compress: error-bound sweep, {PARTICLES} cosmology particles");
-    let v1_dir = write_dataset("v1", None);
+    let v1_dir = write_dataset("v1", None, None);
     let v1 = measure_sections(&v1_dir);
     let mut table = Table::new(
         "v2 stored/raw bytes vs codec (cosmology)".to_string(),
@@ -300,11 +302,7 @@ fn run_full() {
         cases.push(("v2-lossy".to_string(), Some(bound.to_string())));
     }
     for (codec, bound) in cases {
-        match &bound {
-            Some(b) => std::env::set_var("BAT_CODEC_ERROR_BOUND", b),
-            None => std::env::remove_var("BAT_CODEC_ERROR_BOUND"),
-        }
-        let dir = write_dataset("sweep", Some(&codec));
+        let dir = write_dataset("sweep", Some(&codec), bound.as_deref());
         let s = measure_sections(&dir);
         table.row(vec![
             codec,
@@ -315,7 +313,6 @@ fn run_full() {
         ]);
         std::fs::remove_dir_all(&dir).ok();
     }
-    std::env::remove_var("BAT_CODEC_ERROR_BOUND");
     table.print();
     let csv = table.save_csv("bench_compress").expect("write csv");
     println!("saved {}", csv.display());

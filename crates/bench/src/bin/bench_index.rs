@@ -26,6 +26,7 @@ use bat_geom::rng::Xoshiro256;
 use bat_geom::{Aabb, Vec3};
 use bat_iosim::{ObjectStore, ObjectStoreConfig};
 use bat_layout::{AttributeDesc, ParticleSet, Query};
+use bat_obs::knobs::{self, EnvGuard};
 use bat_workloads::RankGrid;
 use libbat::write::{write_particles, WriteConfig};
 use libbat::{Dataset, ReadBackend};
@@ -90,13 +91,12 @@ fn write_dataset(tag: &str) -> std::path::PathBuf {
     let d = dir.clone();
     // Index every attribute at write time; small leaf files give the
     // planner many treelets to cull.
-    std::env::set_var("BAT_INDEX_ATTRS", "all");
+    let _env = EnvGuard::set(&[(&knobs::INDEX_ATTRS, Some("all"))]);
     Cluster::run(RANKS, move |comm| {
         let set = generate_rank(&grid, comm.rank());
         let cfg = WriteConfig::with_target_size(128 << 10, set.bytes_per_particle() as u64);
         write_particles(&comm, set, grid.bounds_of(comm.rank()), &cfg, &d, "r").unwrap();
     });
-    std::env::remove_var("BAT_INDEX_ATTRS");
     dir
 }
 
@@ -150,7 +150,8 @@ fn mix_fnv(ds: &Dataset) -> Vec<u64> {
 /// Run the rare-band query against a fresh simulated store under one
 /// forced plan strategy; returns the store's request/byte stats.
 fn measure_store(dir: &std::path::Path, strategy: &str) -> bat_iosim::StoreStats {
-    std::env::set_var("BAT_PLAN_STRATEGY", strategy);
+    // Files snapshot the strategy when the dataset opens them.
+    let _env = EnvGuard::set(&[(&knobs::PLAN_STRATEGY, Some(strategy))]);
     let store = ObjectStore::new(ObjectStoreConfig::default());
     let ds = Dataset::open(dir, "r").expect("open bench dataset");
     ds.set_backend(ReadBackend::RangeSim(store.clone()));
@@ -158,7 +159,6 @@ fn measure_store(dir: &std::path::Path, strategy: &str) -> bat_iosim::StoreStats
     let q = Query::new().with_filter(0, BAND.0, BAND.1);
     let mut hits = 0u64;
     ds.query(&q, |_| hits += 1).expect("store-backed query");
-    std::env::remove_var("BAT_PLAN_STRATEGY");
     assert!(hits > 0, "planted band must match particles ({strategy})");
     store.stats()
 }
@@ -177,7 +177,7 @@ fn identity_matrix(dir: &std::path::Path, reference: &[u64]) -> usize {
     ];
     let mut configs = 0;
     for strategy in ["scan", "bitmap", "index"] {
-        std::env::set_var("BAT_PLAN_STRATEGY", strategy);
+        let _env = EnvGuard::set(&[(&knobs::PLAN_STRATEGY, Some(strategy))]);
         for (bname, mk_backend) in &backends {
             let ds = Dataset::open(dir, "r").expect("open bench dataset");
             ds.set_backend(mk_backend());
@@ -189,7 +189,6 @@ fn identity_matrix(dir: &std::path::Path, reference: &[u64]) -> usize {
             );
             configs += 1;
         }
-        std::env::remove_var("BAT_PLAN_STRATEGY");
     }
     configs
 }

@@ -24,6 +24,7 @@ use bat_comm::Cluster;
 use bat_geom::{Aabb, Vec3};
 use bat_iosim::{ObjectStore, ObjectStoreConfig};
 use bat_layout::{PageCache, Query};
+use bat_obs::knobs::{self, EnvGuard};
 use bat_serve::ServeOptions;
 use bat_stream::{StreamClient, StreamServer};
 use bat_workloads::Cosmology;
@@ -101,11 +102,14 @@ fn mix_fnv(ds: &Dataset) -> Vec<u64> {
 fn measure_store(dir: &std::path::Path, prefetch: bool, gap: Option<u64>) -> bat_iosim::StoreStats {
     // The reader snapshots `BAT_RANGE_*` at file-open time, so toggling the
     // env between runs (each with a fresh Dataset) selects the mode.
-    std::env::set_var("BAT_RANGE_PREFETCH", if prefetch { "1" } else { "0" });
-    match gap {
-        Some(g) => std::env::set_var("BAT_RANGE_GAP_BYTES", g.to_string()),
-        None => std::env::remove_var("BAT_RANGE_GAP_BYTES"),
-    }
+    let gap = gap.map(|g| g.to_string());
+    let _env = EnvGuard::set(&[
+        (
+            &knobs::RANGE_PREFETCH,
+            Some(if prefetch { "1" } else { "0" }),
+        ),
+        (&knobs::RANGE_GAP_BYTES, gap.as_deref()),
+    ]);
     let store = ObjectStore::new(ObjectStoreConfig::default());
     let ds = Dataset::open(dir, "r").expect("open bench dataset");
     ds.set_backend(ReadBackend::RangeSim(store.clone()));
@@ -113,8 +117,6 @@ fn measure_store(dir: &std::path::Path, prefetch: bool, gap: Option<u64>) -> bat
     for q in query_mix() {
         ds.query(&q, |_| {}).expect("store-backed query succeeds");
     }
-    std::env::remove_var("BAT_RANGE_PREFETCH");
-    std::env::remove_var("BAT_RANGE_GAP_BYTES");
     store.stats()
 }
 

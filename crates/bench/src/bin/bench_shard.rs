@@ -27,6 +27,7 @@
 use bat_comm::{Cluster, ClusterConfig};
 use bat_geom::{Aabb, Vec3};
 use bat_layout::Query;
+use bat_obs::knobs::{self, EnvGuard};
 use bat_serve::{QueryPlan, ServeOptions};
 use bat_stream::{RequestError, ShardFront, ShardRouter, StreamClient, ERR_SHARD};
 use bat_workloads::{uniform, RankGrid};
@@ -178,7 +179,7 @@ impl Fabric {
                 cmd.arg("--shard-worker")
                     .arg(&dir)
                     .arg("shard")
-                    .env("BAT_CLUSTER", cfg.with_rank(1 + s).to_spec());
+                    .env(knobs::CLUSTER.name, cfg.with_rank(1 + s).to_spec());
                 for (k, v) in &envs {
                     cmd.env(k, v);
                 }
@@ -250,37 +251,6 @@ impl Fabric {
             }
         }
         std::fs::remove_dir_all(&self.sock_dir).ok();
-    }
-}
-
-/// Scoped env overrides for the router-side policy knobs (single-threaded
-/// bench setup; restored on drop).
-struct EnvGuard {
-    saved: Vec<(&'static str, Option<String>)>,
-}
-
-impl EnvGuard {
-    fn set(vars: &[(&'static str, &str)]) -> EnvGuard {
-        let saved = vars
-            .iter()
-            .map(|&(k, v)| {
-                let old = std::env::var(k).ok();
-                std::env::set_var(k, v);
-                (k, old)
-            })
-            .collect();
-        EnvGuard { saved }
-    }
-}
-
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        for (k, old) in self.saved.drain(..) {
-            match old {
-                Some(v) => std::env::set_var(k, v),
-                None => std::env::remove_var(k),
-            }
-        }
     }
 }
 
@@ -411,10 +381,10 @@ fn failover_demo(dataset_dir: &std::path::Path, expected: &[Digest]) -> Failover
     const HEARTBEAT_MS: u64 = 250;
     const MISSED_BEATS: u64 = 2;
     let _env = EnvGuard::set(&[
-        ("BAT_SHARD_REPLICAS", "2"),
-        ("BAT_SHARD_HEDGE_MS", "off"),
-        ("BAT_SHARD_HEARTBEAT_MS", "250"),
-        ("BAT_SHARD_MISSED_BEATS", "2"),
+        (&knobs::SHARD_REPLICAS, Some("2")),
+        (&knobs::SHARD_HEDGE_MS, Some("off")),
+        (&knobs::SHARD_HEARTBEAT_MS, Some("250")),
+        (&knobs::SHARD_MISSED_BEATS, Some("2")),
     ]);
     let _on = bat_obs::enable();
     let respawns = bat_obs::Registry::global().counter("shard.respawn");
@@ -524,7 +494,10 @@ fn hedge_demo(dataset_dir: &std::path::Path, expected: &[Digest]) -> HedgeResult
     )];
     let mix: Vec<Query> = query_mix().into_iter().take(2).collect();
     let run_phase = |hedge: &str| -> (f64, Vec<Digest>) {
-        let _env = EnvGuard::set(&[("BAT_SHARD_REPLICAS", "2"), ("BAT_SHARD_HEDGE_MS", hedge)]);
+        let _env = EnvGuard::set(&[
+            (&knobs::SHARD_REPLICAS, Some("2")),
+            (&knobs::SHARD_HEDGE_MS, Some(hedge)),
+        ]);
         let fabric = Fabric::spawn_opts(
             dataset_dir,
             "hedge",

@@ -155,7 +155,7 @@ impl ClusterConfig {
 
     /// The topology from the `BAT_CLUSTER` env var, if set.
     pub fn from_env() -> Option<Result<ClusterConfig, String>> {
-        std::env::var("BAT_CLUSTER").ok().map(|s| Self::parse(&s))
+        bat_obs::knobs::CLUSTER.get().map(|s| Self::parse(&s))
     }
 
     /// Serialize back into the spec format (for spawning worker
@@ -218,12 +218,7 @@ impl ClusterConfig {
 /// Cap on thread-hosted socket cluster sizes: a full mesh needs
 /// O(n²) file descriptors in one process, so big rank counts (the 64-rank
 /// stress tests) fall back to the channel transport.
-fn socket_max_ranks() -> usize {
-    std::env::var("BAT_SOCKET_MAX_RANKS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(12)
-}
+const SOCKET_MAX_RANKS: usize = 12;
 
 /// A virtual cluster. Stateless; [`Cluster::run`] is the entry point.
 pub struct Cluster;
@@ -249,17 +244,15 @@ impl Cluster {
 
     /// The transport `run` would pick for an `n`-rank cluster.
     pub fn transport_from_env(n: usize) -> TransportKind {
-        match std::env::var("BAT_TRANSPORT").as_deref() {
-            Ok(s) => match TransportKind::parse(s) {
-                Ok(TransportKind::Socket) if n > socket_max_ranks() => {
-                    // O(n²) sockets in one process would exhaust fd limits.
-                    bat_obs::counter_add("comm.transport_fallback", 1);
-                    TransportKind::Channel
-                }
-                Ok(kind) => kind,
-                Err(_) => TransportKind::Channel,
-            },
-            Err(_) => TransportKind::Channel,
+        let word = bat_obs::knobs::TRANSPORT.get();
+        match word.as_deref().map(TransportKind::parse) {
+            Some(Ok(TransportKind::Socket)) if n > SOCKET_MAX_RANKS => {
+                // O(n²) sockets in one process would exhaust fd limits.
+                bat_obs::counter_add("comm.transport_fallback", 1);
+                TransportKind::Channel
+            }
+            Some(Ok(kind)) => kind,
+            _ => TransportKind::Channel,
         }
     }
 
@@ -279,7 +272,7 @@ impl Cluster {
             }
             TransportKind::Sim => {
                 let comms = Mutex::new(
-                    SimComm::cluster(n, SimParams::from_env())
+                    SimComm::cluster(n, SimParams::default())
                         .into_iter()
                         .map(Some)
                         .collect::<Vec<_>>(),

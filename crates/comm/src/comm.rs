@@ -47,18 +47,14 @@ pub struct ProbeInfo {
     pub len: usize,
 }
 
-/// The cluster-wide default receive deadline, read once from
-/// `BAT_RECV_TIMEOUT_MS` (unset or unparsable = no deadline: the classic
-/// block-forever MPI semantics).
+/// The default receive deadline a rank handle starts with, from
+/// `BAT_RECV_TIMEOUT_MS` when the handle is built (unset or `0` = no
+/// deadline: the classic block-forever MPI semantics).
 pub(crate) fn default_timeout() -> Option<Duration> {
-    static DEFAULT: std::sync::OnceLock<Option<Duration>> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("BAT_RECV_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
-    })
+    bat_obs::knobs::RECV_TIMEOUT_MS
+        .uint()
+        .filter(|&ms| ms > 0)
+        .map(Duration::from_millis)
 }
 
 pub(crate) fn check_user_tag(tag: u32) {

@@ -42,29 +42,10 @@ impl SimParams {
             bytes_per_sec: profile.network.nic_bw / profile.network.oversubscription,
         }
     }
-
-    /// Defaults (the iosim Stampede2 profile), overridable with
-    /// `BAT_SIM_LATENCY_US` / `BAT_SIM_GBPS`.
-    pub fn from_env() -> SimParams {
-        let mut p = SimParams::from_profile(&bat_iosim::SystemProfile::stampede2());
-        if let Some(us) = std::env::var("BAT_SIM_LATENCY_US")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            p.latency = Duration::from_micros(us);
-        }
-        if let Some(gbps) = std::env::var("BAT_SIM_GBPS")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|g| *g > 0.0)
-        {
-            p.bytes_per_sec = gbps * 1e9;
-        }
-        p
-    }
 }
 
 impl Default for SimParams {
+    /// The iosim Stampede2 profile.
     fn default() -> SimParams {
         SimParams::from_profile(&bat_iosim::SystemProfile::stampede2())
     }

@@ -7,7 +7,7 @@
 //! connection starts with a HELLO handshake exchanging a magic number,
 //! protocol version, rank, and cluster size, so a misconfigured peer
 //! fails fast instead of corrupting a mailbox. Connect *and* handshake
-//! are retried with bounded backoff inside `BAT_CONNECT_TIMEOUT_MS`, so
+//! are retried with bounded backoff inside a fixed 10 s budget, so
 //! a worker that dials before a peer is listening (or gets reset by a
 //! restarting peer's backlog) heals instead of failing the mesh build.
 //!
@@ -71,15 +71,8 @@ const WIRE_VERSION: u16 = 1;
 /// MAX_FRAME guard; shuffle payloads are far smaller).
 const MAX_FRAME: u32 = 1 << 30;
 
-/// How long connection establishment (bind retry + handshake) may take,
-/// from `BAT_CONNECT_TIMEOUT_MS` (default 10 s).
-pub(crate) fn connect_timeout() -> Duration {
-    std::env::var("BAT_CONNECT_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(Duration::from_secs(10))
-}
+/// How long connection establishment (bind retry + handshake) may take.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A parsed peer endpoint: `host:port` for TCP, an absolute path or
 /// `unix:<path>` for Unix-domain sockets.
@@ -550,7 +543,7 @@ fn rejoin_loop(listener: Listener, state: Arc<SocketState>) {
             Err(_) => continue,
         };
         let hello = (|| -> io::Result<u32> {
-            c.set_read_timeout(Some(connect_timeout()))?;
+            c.set_read_timeout(Some(CONNECT_TIMEOUT))?;
             let (r, s) = read_hello(&mut c)?;
             if r as usize == 0 || r as usize >= state.size || s as usize != state.size {
                 return Err(io::Error::new(
@@ -604,8 +597,8 @@ impl SocketComm {
             ));
         }
         let star = cfg.topology == crate::cluster::Topology::Star;
-        let deadline = Instant::now() + connect_timeout();
-        let handshake_timeout = Some(connect_timeout());
+        let deadline = Instant::now() + CONNECT_TIMEOUT;
+        let handshake_timeout = Some(CONNECT_TIMEOUT);
         let mut conns: Vec<Option<Conn>> = (0..n).map(|_| None).collect();
 
         // Connect to every lower rank (star spokes dial only the hub)…

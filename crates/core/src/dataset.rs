@@ -57,9 +57,9 @@ impl ReadBackend {
     /// The backend selected by `BAT_READ_BACKEND`, defaulting to mmap.
     /// `range-sim` uses the process-global [`ObjectStore::global`].
     pub fn from_env() -> ReadBackend {
-        match std::env::var("BAT_READ_BACKEND").as_deref() {
-            Ok("range-file") => ReadBackend::RangeFile,
-            Ok("range-sim") => ReadBackend::RangeSim(ObjectStore::global()),
+        match bat_obs::knobs::READ_BACKEND.get().as_deref() {
+            Some("range-file") => ReadBackend::RangeFile,
+            Some("range-sim") => ReadBackend::RangeSim(ObjectStore::global()),
             _ => ReadBackend::Mmap,
         }
     }

@@ -267,7 +267,7 @@ mod imp {
     pub fn init_from_env() {
         static INIT: OnceLock<()> = OnceLock::new();
         INIT.get_or_init(|| {
-            if let Ok(spec) = std::env::var("BAT_FAULTS") {
+            if let Some(spec) = bat_obs::knobs::FAULTS.get() {
                 if let Err(e) = configure(&spec) {
                     eprintln!("warning: ignoring BAT_FAULTS: {e}");
                 }

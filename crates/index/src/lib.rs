@@ -51,9 +51,6 @@ pub const LEAF_ENTRIES: u32 = 256;
 /// Keys per inner node (= children per inner node).
 pub const FANOUT: u32 = 256;
 
-/// Environment knob naming the attributes to index at write time.
-pub const ENV_INDEX_ATTRS: &str = "BAT_INDEX_ATTRS";
-
 /// Typed index failure; the reader treats any of these as "no index" and
 /// falls back to the bitmap path — they must never panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,16 +133,8 @@ pub enum IndexSpec {
 }
 
 impl IndexSpec {
-    /// Parse `BAT_INDEX_ATTRS`: unset/empty → `None`, `all` → `All`,
-    /// otherwise a comma-separated attribute-name list.
-    pub fn from_env() -> IndexSpec {
-        match std::env::var(ENV_INDEX_ATTRS) {
-            Ok(v) => IndexSpec::parse(&v),
-            Err(_) => IndexSpec::None,
-        }
-    }
-
-    /// Parse the `BAT_INDEX_ATTRS` value syntax from a string.
+    /// Parse the `BAT_INDEX_ATTRS` value syntax: empty or `none` → `None`,
+    /// `all` → `All`, otherwise a comma-separated attribute-name list.
     pub fn parse(v: &str) -> IndexSpec {
         let v = v.trim();
         if v.is_empty() || v.eq_ignore_ascii_case("none") {

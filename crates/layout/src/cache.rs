@@ -438,11 +438,8 @@ pub fn install_global(cache: Option<Arc<PageCache>>) {
 pub fn global() -> Option<Arc<PageCache>> {
     let mut slot = global_slot().lock().unwrap_or_else(|e| e.into_inner());
     if let GlobalState::Unset = *slot {
-        *slot = match std::env::var("BAT_CACHE_BYTES")
-            .ok()
-            .and_then(|v| parse_bytes(&v))
-        {
-            Some(budget) if budget > 0 => GlobalState::Installed(PageCache::new(budget)),
+        *slot = match bat_obs::knobs::CACHE_BYTES.uint() {
+            Some(budget) if budget > 0 => GlobalState::Installed(PageCache::new(budget as usize)),
             _ => GlobalState::Disabled,
         };
     }
@@ -450,22 +447,6 @@ pub fn global() -> Option<Arc<PageCache>> {
         GlobalState::Installed(c) => Some(c.clone()),
         _ => None,
     }
-}
-
-/// Parse `"4096"`, `"64k"`, `"256m"`, `"2g"` (case-insensitive).
-pub fn parse_bytes(s: &str) -> Option<usize> {
-    let t = s.trim().to_ascii_lowercase();
-    let (digits, mult) = match t.as_bytes().last()? {
-        b'k' => (&t[..t.len() - 1], 1usize << 10),
-        b'm' => (&t[..t.len() - 1], 1 << 20),
-        b'g' => (&t[..t.len() - 1], 1 << 30),
-        _ => (t.as_str(), 1),
-    };
-    digits
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .and_then(|n| n.checked_mul(mult))
 }
 
 #[cfg(test)]
@@ -549,15 +530,6 @@ mod tests {
             assert_eq!(thread_priority(), PRIORITY_INTERACTIVE);
         }
         assert_eq!(thread_priority(), PRIORITY_NORMAL);
-    }
-
-    #[test]
-    fn parse_bytes_suffixes() {
-        assert_eq!(parse_bytes("4096"), Some(4096));
-        assert_eq!(parse_bytes("64k"), Some(64 << 10));
-        assert_eq!(parse_bytes("2M"), Some(2 << 20));
-        assert_eq!(parse_bytes("1g"), Some(1 << 30));
-        assert_eq!(parse_bytes("nope"), None);
     }
 
     #[test]

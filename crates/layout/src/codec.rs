@@ -34,6 +34,7 @@
 //! decode allocation happens.
 
 use crate::attr::AttributeType;
+use bat_obs::knobs;
 use bat_wire::{WireError, WireResult};
 
 /// Hard ceiling on a single decoded treelet block. Parsed (untrusted)
@@ -71,16 +72,14 @@ pub enum Codec {
 
 impl Codec {
     /// Codec from `BAT_TREELET_CODEC` (`v1` | `v2-lossless` | `v2-lossy`;
-    /// unset or unrecognized → `v1`) and `BAT_CODEC_ERROR_BOUND` (absolute
-    /// bound for the lossy path, default `1e-3`).
+    /// unset → `v1`) and `BAT_CODEC_ERROR_BOUND` (absolute bound for the
+    /// lossy path, default `1e-3`), read when a writer is built.
     pub fn from_env() -> Codec {
-        match std::env::var("BAT_TREELET_CODEC").as_deref() {
-            Ok("v2-lossless") => Codec::V2Lossless,
-            Ok("v2-lossy") => Codec::V2Lossy {
-                error_bound: std::env::var("BAT_CODEC_ERROR_BOUND")
-                    .ok()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .filter(|b| b.is_finite() && *b > 0.0)
+        match knobs::TREELET_CODEC.get().as_deref() {
+            Some("v2-lossless") => Codec::V2Lossless,
+            Some("v2-lossy") => Codec::V2Lossy {
+                error_bound: knobs::CODEC_ERROR_BOUND
+                    .float()
                     .unwrap_or(DEFAULT_ERROR_BOUND),
             },
             _ => Codec::V1,

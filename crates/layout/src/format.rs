@@ -351,10 +351,11 @@ pub struct BatWriter<'a> {
 
 impl<'a> BatWriter<'a> {
     /// Precompute the dictionary and the full section table for `bat`,
-    /// with the codec and index spec taken from the environment
-    /// (`BAT_TREELET_CODEC`, `BAT_INDEX_ATTRS`).
+    /// with the codec and index spec taken from the environment as it
+    /// stands now (`BAT_TREELET_CODEC`, `BAT_INDEX_ATTRS`).
     pub fn new(bat: &'a Bat) -> BatWriter<'a> {
-        BatWriter::with_options(bat, Codec::from_env(), &IndexSpec::from_env())
+        let index_attrs = bat_obs::knobs::INDEX_ATTRS.get().unwrap_or_default();
+        BatWriter::with_options(bat, Codec::from_env(), &IndexSpec::parse(&index_attrs))
     }
 
     /// As [`BatWriter::new`] with an explicit codec and *no* attribute

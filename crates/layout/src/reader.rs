@@ -112,7 +112,8 @@ impl QueryStats {
 }
 
 /// How [`BatFile::plan`] culled treelets for an attribute-filtered query
-/// (`BAT_PLAN_STRATEGY` forces a choice; `auto` picks by selectivity).
+/// (`BAT_PLAN_STRATEGY`, read when the file is opened, forces a choice;
+/// `auto` picks by selectivity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanStrategy {
     /// No attribute-based culling: every bounds-surviving treelet is
@@ -132,19 +133,16 @@ impl PlanStrategy {
             PlanStrategy::Index => "index",
         }
     }
-}
 
-/// `BAT_PLAN_STRATEGY` override: `scan`, `bitmap`, or `index`; anything
-/// else (including the default `auto`) lets the planner choose.
-fn strategy_override() -> Option<PlanStrategy> {
-    match std::env::var("BAT_PLAN_STRATEGY") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
+    /// The `BAT_PLAN_STRATEGY` override in the environment right now:
+    /// `scan`, `bitmap` or `index`; unset or `auto` lets the planner choose.
+    fn forced_by_env() -> Option<PlanStrategy> {
+        match bat_obs::knobs::PLAN_STRATEGY.get()?.as_str() {
             "scan" => Some(PlanStrategy::Scan),
             "bitmap" => Some(PlanStrategy::Bitmap),
             "index" => Some(PlanStrategy::Index),
             _ => None,
-        },
-        Err(_) => None,
+        }
     }
 }
 
@@ -233,6 +231,9 @@ pub struct BatFile {
     cache: Option<Arc<PageCache>>,
     /// Process-unique id keying this open file's cache entries.
     file_id: cache::FileId,
+    /// `BAT_PLAN_STRATEGY` as it stood when the file was opened; `None`
+    /// lets [`BatFile::plan`] choose by selectivity.
+    forced: Option<PlanStrategy>,
 }
 
 impl BatFile {
@@ -251,11 +252,12 @@ impl BatFile {
             head,
             cache: None,
             file_id: cache::next_file_id(),
+            forced: PlanStrategy::forced_by_env(),
         })
     }
 
     /// Open from a remote-style [`ByteSource`] with config from the
-    /// environment (`BAT_RANGE_*`; see [`RangeConfig::from_env`]).
+    /// environment (see [`RangeConfig::from_env`]).
     ///
     /// Only the file head is fetched here — typically one request for the
     /// first page plus one for the rest of the head. Treelet blocks are
@@ -297,6 +299,7 @@ impl BatFile {
             head,
             cache: None,
             file_id: cache::next_file_id(),
+            forced: PlanStrategy::forced_by_env(),
         })
     }
 
@@ -386,7 +389,7 @@ impl BatFile {
     /// deterministic traversal order. [`BatFile::execute_plan_until`] then
     /// does the page-touching work.
     pub fn plan(&self, q: &Query) -> WireResult<FilePlan> {
-        let forced = strategy_override();
+        let forced = self.forced;
         let mut plan = FilePlan {
             treelets: Vec::new(),
             masks: Vec::with_capacity(q.filters.len()),

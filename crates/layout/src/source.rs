@@ -21,6 +21,7 @@
 //! Counters (all through `bat-obs`): `range.requests`, `range.bytes_fetched`,
 //! `range.retries`, `range.coalesced`, `range.prefetch_hits`.
 
+use bat_obs::knobs;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,8 +120,10 @@ impl ByteSource for FileSource {
     }
 }
 
-/// Knobs for the range read path. Every field has an environment override
-/// so deployments can tune without code changes (README "Knobs").
+/// Knobs for the range read path. The coalescing gap and the prefetch
+/// switch have environment overrides ([`RangeConfig::from_env`]); the
+/// retry policy is fixed at its default unless a caller builds the struct
+/// itself (the range fault tests do).
 #[derive(Debug, Clone)]
 pub struct RangeConfig {
     /// Maximum gap (bytes) between two planned ranges that still get merged
@@ -128,13 +131,13 @@ pub struct RangeConfig {
     /// Env: `BAT_RANGE_GAP_BYTES`.
     pub gap_bytes: u64,
     /// Retries after a failed or torn range request (total attempts =
-    /// `retries + 1`). Env: `BAT_RANGE_RETRIES`.
+    /// `retries + 1`).
     pub retries: u32,
     /// Base backoff between retries; doubles per attempt. `0` disables
-    /// sleeping (tests). Env: `BAT_RANGE_BACKOFF_MS`.
+    /// sleeping (tests).
     pub backoff_ms: u64,
     /// Prefetch planned treelets with coalesced requests before execution.
-    /// Env: `BAT_RANGE_PREFETCH` (`0`/`off`/`false` disables).
+    /// Env: `BAT_RANGE_PREFETCH` (`0`/`off`/`false`/`no` disables).
     pub prefetch: bool,
 }
 
@@ -154,28 +157,18 @@ impl Default for RangeConfig {
 }
 
 impl RangeConfig {
-    /// Defaults overridden by `BAT_RANGE_*` environment variables.
+    /// Defaults overridden by `BAT_RANGE_GAP_BYTES` / `BAT_RANGE_PREFETCH`,
+    /// read when a range-backed file is opened.
     pub fn from_env() -> RangeConfig {
-        let mut cfg = RangeConfig::default();
-        if let Ok(v) = std::env::var("BAT_RANGE_GAP_BYTES") {
-            if let Some(n) = crate::cache::parse_bytes(&v) {
-                cfg.gap_bytes = n as u64;
-            }
+        let default = RangeConfig::default();
+        RangeConfig {
+            gap_bytes: knobs::RANGE_GAP_BYTES.uint().unwrap_or(default.gap_bytes),
+            prefetch: !matches!(
+                knobs::RANGE_PREFETCH.get().as_deref(),
+                Some("0" | "off" | "false" | "no")
+            ),
+            ..default
         }
-        if let Ok(v) = std::env::var("BAT_RANGE_RETRIES") {
-            if let Ok(n) = v.trim().parse() {
-                cfg.retries = n;
-            }
-        }
-        if let Ok(v) = std::env::var("BAT_RANGE_BACKOFF_MS") {
-            if let Ok(n) = v.trim().parse() {
-                cfg.backoff_ms = n;
-            }
-        }
-        if let Ok(v) = std::env::var("BAT_RANGE_PREFETCH") {
-            cfg.prefetch = !matches!(v.trim(), "0" | "off" | "false" | "no");
-        }
-        cfg
     }
 }
 

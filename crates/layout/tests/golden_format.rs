@@ -81,7 +81,8 @@ fn default_codec_is_v1_when_env_unset() {
     if !matches!(Codec::from_env(), Codec::V1) {
         return; // codec-matrix CI run — v2 bytes are covered elsewhere
     }
-    if !bat_layout::IndexSpec::from_env().is_none() {
+    let index_attrs = bat_obs::knobs::INDEX_ATTRS.get().unwrap_or_default();
+    if !bat_layout::IndexSpec::parse(&index_attrs).is_none() {
         return; // index-matrix CI run — indexed bytes are covered elsewhere
     }
     let (n, seed, len, fnv) = GOLDEN[2];

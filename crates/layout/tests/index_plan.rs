@@ -12,14 +12,14 @@ use bat_layout::source::MemorySource;
 use bat_layout::{
     AttributeDesc, BatBuilder, BatConfig, BatFile, IndexSpec, ParticleSet, PlanStrategy, Query,
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use bat_obs::knobs::{self, EnvGuard};
+use std::sync::Arc;
 
-/// `BAT_PLAN_STRATEGY` is process-global and these tests both set it and
-/// assert on the strategy a plan picked, so they must not interleave.
-static STRATEGY_ENV: Mutex<()> = Mutex::new(());
-
-fn strategy_lock() -> MutexGuard<'static, ()> {
-    STRATEGY_ENV.lock().unwrap_or_else(|e| e.into_inner())
+/// Force `BAT_PLAN_STRATEGY` until the guard drops. A file snapshots the
+/// knob when it is opened, so open files *under* the guard; holders are
+/// serialized, so tests asserting on the chosen strategy cannot interleave.
+fn force_strategy(strategy: &str) -> EnvGuard {
+    EnvGuard::set(&[(&knobs::PLAN_STRATEGY, Some(strategy))])
 }
 
 /// Clustered cloud with a planted rare value: attribute `energy` is
@@ -136,14 +136,13 @@ fn strategies_and_backings_are_result_identical() {
     let reference = result_fnv(&open_block(&plain), &q);
     assert_ne!(reference, fnv1a(&[]), "query must match something");
 
-    let _env = strategy_lock();
     for codec in [Codec::V1, Codec::V2Lossless] {
         let bytes = write_bat_indexed(&bat, codec, &IndexSpec::All);
         for strategy in ["scan", "bitmap", "index", "auto"] {
-            std::env::set_var("BAT_PLAN_STRATEGY", strategy);
+            let env = force_strategy(strategy);
             let block = result_fnv(&open_block(&bytes), &q);
             let range = result_fnv(&open_range(&bytes), &q);
-            std::env::remove_var("BAT_PLAN_STRATEGY");
+            drop(env);
             assert_eq!(block, reference, "block backing, {codec:?}, {strategy}");
             assert_eq!(range, reference, "range backing, {codec:?}, {strategy}");
         }
@@ -154,15 +153,16 @@ fn strategies_and_backings_are_result_identical() {
 fn index_plan_culls_treelets_the_bitmap_keeps() {
     let bat = build(30_000, 11);
     let bytes = write_bat_indexed(&bat, Codec::V1, &IndexSpec::All);
-    let file = open_block(&bytes);
     let q = rare_query();
 
-    let _env = strategy_lock();
-    std::env::set_var("BAT_PLAN_STRATEGY", "bitmap");
-    let bitmap_plan = file.plan(&q).unwrap();
-    std::env::set_var("BAT_PLAN_STRATEGY", "index");
+    // The same bytes opened once per strategy.
+    let open_forced = |strategy: &str| {
+        let _env = force_strategy(strategy);
+        open_block(&bytes)
+    };
+    let bitmap_plan = open_forced("bitmap").plan(&q).unwrap();
+    let file = open_forced("index");
     let index_plan = file.plan(&q).unwrap();
-    std::env::remove_var("BAT_PLAN_STRATEGY");
 
     assert_eq!(bitmap_plan.strategy, PlanStrategy::Bitmap);
     assert_eq!(index_plan.strategy, PlanStrategy::Index);
@@ -182,9 +182,7 @@ fn index_plan_culls_treelets_the_bitmap_keeps() {
         lo: 1.0e6,
         hi: 2.0e6,
     });
-    std::env::set_var("BAT_PLAN_STRATEGY", "index");
     let empty = file.plan(&none).unwrap();
-    std::env::remove_var("BAT_PLAN_STRATEGY");
     assert!(empty.is_empty());
 }
 
@@ -192,7 +190,6 @@ fn index_plan_culls_treelets_the_bitmap_keeps() {
 fn auto_strategy_stays_on_bitmap_for_dense_predicates() {
     let bat = build(20_000, 3);
     let bytes = write_bat_indexed(&bat, Codec::V1, &IndexSpec::All);
-    let file = open_block(&bytes);
     // Matches essentially every particle: auto must not pay the payload
     // pull for this. Pin `auto` explicitly — CI matrix runs force `index`
     // process-wide.
@@ -202,10 +199,10 @@ fn auto_strategy_stays_on_bitmap_for_dense_predicates() {
         lo: -1.0,
         hi: 1.0e9,
     });
-    let _env = strategy_lock();
-    std::env::set_var("BAT_PLAN_STRATEGY", "auto");
+    let env = force_strategy("auto");
+    let file = open_block(&bytes);
+    drop(env);
     let plan = file.plan(&q).unwrap();
-    std::env::remove_var("BAT_PLAN_STRATEGY");
     assert_eq!(plan.strategy, PlanStrategy::Bitmap);
     assert!(plan.index_selectivity.expect("rank search ran") > 0.5);
 }
@@ -229,8 +226,7 @@ fn truncation_sweep_never_panics_and_keeps_serving() {
         cuts.push(e.offset as usize);
         cuts.push((e.offset + e.len) as usize - 1);
     }
-    let _env = strategy_lock();
-    std::env::set_var("BAT_PLAN_STRATEGY", "index");
+    let _env = force_strategy("index");
     for cut in cuts {
         let truncated = bytes[..cut].to_vec();
         match BatFile::from_bytes(truncated) {
@@ -240,7 +236,6 @@ fn truncation_sweep_never_panics_and_keeps_serving() {
             Err(_) => {} // typed rejection is fine; panic is not
         }
     }
-    std::env::remove_var("BAT_PLAN_STRATEGY");
 }
 
 /// Bit flips in the directory must reject it wholesale (file still serves,
@@ -255,8 +250,7 @@ fn flipped_directory_and_node_counts_degrade_typed() {
     let reference = result_fnv(&open_block(&bytes), &q);
     let dir_start = head.head_end as usize - (8 + head.indexes.len() * 28);
 
-    let _env = strategy_lock();
-    std::env::set_var("BAT_PLAN_STRATEGY", "index");
+    let _env = force_strategy("index");
     // Flip every byte of the directory, one at a time.
     for pos in dir_start..head.head_end as usize {
         let mut corrupt = bytes.clone();
@@ -280,7 +274,6 @@ fn flipped_directory_and_node_counts_degrade_typed() {
         }
         assert_eq!(result_fnv(&file, &q), reference);
     }
-    std::env::remove_var("BAT_PLAN_STRATEGY");
 }
 
 /// A stored payload at or above the particle count is a typed corruption:
@@ -302,11 +295,10 @@ fn out_of_range_payload_degrades_typed() {
         let off = e.offset as usize + geo.leaf_offset() as usize + rank * 12 + 8;
         corrupt[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     }
-    let _env = strategy_lock();
-    std::env::set_var("BAT_PLAN_STRATEGY", "index");
+    let env = force_strategy("index");
     let file = BatFile::from_bytes(corrupt).expect("head is intact");
+    drop(env);
     let plan = file.plan(&q).unwrap();
-    std::env::remove_var("BAT_PLAN_STRATEGY");
     assert_eq!(
         plan.strategy,
         PlanStrategy::Bitmap,

@@ -22,6 +22,11 @@
 //! 3. **Dependency-free.** Std only, like `bat-wire`; snapshots
 //!    serialize themselves to an aligned table or JSON by hand.
 //!
+//! The crate also hosts [`knobs`], the workspace's one table and reader
+//! of `BAT_*` environment knobs: every crate that reads a knob already
+//! depends on `bat-obs`, and a rejected value is itself an observation
+//! (`config.invalid`).
+//!
 //! # Naming scheme
 //!
 //! Metric names are dotted paths, `<subsystem>.<operation>[.<detail>]`,
@@ -50,6 +55,7 @@
 //! ```
 
 pub mod hist;
+pub mod knobs;
 pub mod snapshot;
 
 pub use hist::{AtomicHistogram, HistData};

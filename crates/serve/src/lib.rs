@@ -7,9 +7,11 @@
 //!
 //! 1. **Treelet page cache** — the sharded, memory-bounded LRU lives in
 //!    [`bat_layout::cache`] (the mechanism must sit below the reader so
-//!    `BatFile` can consult it without a dependency cycle); this crate owns
-//!    the *policy*: sizing from `BAT_CACHE_BYTES`, admission priority
-//!    derived from query class ([`query_priority`]), and installation.
+//!    `BatFile` can consult it without a dependency cycle, and it is
+//!    `bat_layout::cache::global` that sizes the process-wide cache from
+//!    `BAT_CACHE_BYTES`); this crate owns the *policy*: admission priority
+//!    derived from query class ([`query_priority`]) and a server-private
+//!    cache ([`ServeOptions::cache`]).
 //! 2. **Shard placement** — [`shard_of`] / [`owned_leaves`] /
 //!    [`replica_owners`]: which shard process serves which leaf files.
 //!    The planner itself ([`QueryPlan`], re-exported from `libbat`) is
@@ -50,10 +52,10 @@ pub fn query_priority(q: &Query) -> u8 {
     }
 }
 
-/// Serving configuration resolved from the environment:
-/// `BAT_SERVE_WORKERS` (default: the rayon shim's thread sizing),
-/// `BAT_SERVE_QUEUE` (queue depth, default 64), and
-/// `BAT_SERVE_DEADLINE_MS` (per-query deadline, default none).
+/// Serving configuration. The default is the pool's own sizing
+/// ([`ServePoolConfig::default`]: workers from the rayon shim's thread
+/// count, queue depth 64) and no deadline; `batcli serve` sets the fields
+/// from `--workers` / `--queue` / `--deadline-ms`.
 #[derive(Clone, Default)]
 pub struct ServeOptions {
     /// Worker threads; `None` uses [`ServePoolConfig::default`].
@@ -68,21 +70,6 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Read `BAT_SERVE_WORKERS` / `BAT_SERVE_QUEUE` / `BAT_SERVE_DEADLINE_MS`.
-    pub fn from_env() -> ServeOptions {
-        let num = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        };
-        ServeOptions {
-            workers: num("BAT_SERVE_WORKERS").map(|n| n.max(1) as usize),
-            queue_depth: num("BAT_SERVE_QUEUE").map(|n| n.max(1) as usize),
-            deadline: num("BAT_SERVE_DEADLINE_MS").map(Duration::from_millis),
-            cache: None,
-        }
-    }
-
     /// The pool configuration these options resolve to.
     pub fn pool_config(&self) -> ServePoolConfig {
         let mut cfg = ServePoolConfig::default();

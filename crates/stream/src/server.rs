@@ -41,9 +41,9 @@ pub struct ServerHandle {
 
 impl StreamServer {
     /// Bind to `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) serving
-    /// `dataset` with environment-resolved serving options.
+    /// `dataset` with the default serving options.
     pub fn bind(addr: &str, dataset: Dataset) -> std::io::Result<StreamServer> {
-        StreamServer::bind_with(addr, dataset, ServeOptions::from_env())
+        StreamServer::bind_with(addr, dataset, ServeOptions::default())
     }
 
     /// Bind with explicit serving options (worker count, queue depth,

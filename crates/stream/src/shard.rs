@@ -31,16 +31,16 @@
 //!
 //! * **Failover** — a failed or silent sub-query is re-dispatched from the
 //!   current merge position to the next untried replica, with bounded
-//!   backoff (`BAT_SHARD_RETRY_MS`), instead of surfacing `ERR_SHARD`.
+//!   backoff, instead of surfacing `ERR_SHARD`.
 //! * **Hedged reads** — when the current leaf has been pending longer than
 //!   a latency budget (fixed `BAT_SHARD_HEDGE_MS`, or 3× the streaming
 //!   per-leaf p99 once warmed), the remaining slice is speculatively
 //!   issued to a replica and the merge takes whichever stream completes
 //!   each leaf first. Chunk boundaries are deterministic per leaf, so the
 //!   winning stream is byte-identical either way.
-//! * **Circuit breaker** — per-shard closed/open/half-open state
-//!   (`BAT_SHARD_BREAKER_*`) steers initial placement and hedges away
-//!   from recently failing shards; a half-open shard admits one probe.
+//! * **Circuit breaker** — per-shard closed/open/half-open state steers
+//!   initial placement and hedges away from recently failing shards; a
+//!   half-open shard admits one probe.
 //! * **Degraded mode** — when a slice's chain is exhausted and the query
 //!   opted in (`Query::allow_partial`), its remaining leaves are skipped
 //!   and the outcome reports `served_leaves < total_leaves`; partial data
@@ -67,6 +67,7 @@ use crate::protocol::{decode_chunk, encode_chunk, Chunk, ServerMsg, ERR_INTERNAL
 use crate::server::{error_code, spawn_front, ChunkBuilder, Executor, ServerHandle};
 use bat_comm::{Comm, CommError, MAX_USER_TAG};
 use bat_layout::Query;
+use bat_obs::knobs;
 pub use bat_serve::{owned_leaves, replica_owners, shard_of};
 use bat_serve::{QueryPlan, ServeError};
 use bat_wire::{Decoder, Encoder, WireError, WireResult};
@@ -98,22 +99,13 @@ const FIRST_REQ_TAG: u32 = 64;
 /// `DeadlineExpired` beats the router's transport timeout.
 const DEADLINE_GRACE: Duration = Duration::from_secs(2);
 
-/// How long the router waits on a silent shard when the query has no
-/// deadline of its own (`BAT_SHARD_WAIT_MS`, default 30 s).
-fn shard_wait() -> Duration {
-    std::env::var("BAT_SHARD_WAIT_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(Duration::from_secs(30))
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(default)
-}
+/// Base backoff before a failed sub-query is retried on a replica;
+/// doubled per retry.
+const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+/// Consecutive failures that open a shard's circuit breaker.
+const BREAKER_FAILS: u32 = 3;
+/// How long an open breaker rejects before admitting a half-open probe.
+const BREAKER_COOLDOWN: Duration = Duration::from_secs(1);
 
 // ---------------------------------------------------------------------------
 // Routing policy (read once per router, so tests can scope env changes)
@@ -134,14 +126,13 @@ enum Hedge {
 impl Hedge {
     /// `BAT_SHARD_HEDGE_MS`: unset or `auto` → [`Hedge::Auto`]; `0` or
     /// `off` → [`Hedge::Off`]; a number → fixed budget in ms.
-    fn parse(v: Option<&str>) -> Hedge {
-        match v.map(str::trim) {
-            None | Some("") | Some("auto") => Hedge::Auto,
-            Some("0") | Some("off") => Hedge::Off,
-            Some(s) => s
-                .parse::<u64>()
-                .map(|ms| Hedge::Fixed(Duration::from_millis(ms)))
-                .unwrap_or(Hedge::Auto),
+    fn from_knob(v: Option<&str>) -> Hedge {
+        match v {
+            None | Some("auto") => Hedge::Auto,
+            Some("0" | "off") => Hedge::Off,
+            Some(ms) => ms
+                .parse()
+                .map_or(Hedge::Auto, |ms| Hedge::Fixed(Duration::from_millis(ms))),
         }
     }
 }
@@ -153,24 +144,17 @@ struct RouterPolicy {
     /// original primary-only fabric).
     replicas: usize,
     hedge: Hedge,
-    /// Base failover backoff (`BAT_SHARD_RETRY_MS`), doubled per retry.
-    retry_backoff: Duration,
-    /// Consecutive failures that open a shard's breaker
-    /// (`BAT_SHARD_BREAKER_FAILS`).
-    breaker_fails: u32,
-    /// How long an open breaker rejects before half-opening
-    /// (`BAT_SHARD_BREAKER_COOLDOWN_MS`).
-    breaker_cooldown: Duration,
+    /// How long the router waits on a silent shard when the query has no
+    /// deadline of its own (`BAT_SHARD_WAIT_MS`, default 30 s).
+    wait: Duration,
 }
 
 impl RouterPolicy {
     fn from_env() -> RouterPolicy {
         RouterPolicy {
-            replicas: env_u64("BAT_SHARD_REPLICAS", 1).max(1) as usize,
-            hedge: Hedge::parse(std::env::var("BAT_SHARD_HEDGE_MS").ok().as_deref()),
-            retry_backoff: Duration::from_millis(env_u64("BAT_SHARD_RETRY_MS", 10).max(1)),
-            breaker_fails: env_u64("BAT_SHARD_BREAKER_FAILS", 3).max(1) as u32,
-            breaker_cooldown: Duration::from_millis(env_u64("BAT_SHARD_BREAKER_COOLDOWN_MS", 1000)),
+            replicas: knobs::SHARD_REPLICAS.uint().unwrap_or(1) as usize,
+            hedge: Hedge::from_knob(knobs::SHARD_HEDGE_MS.get().as_deref()),
+            wait: Duration::from_millis(knobs::SHARD_WAIT_MS.uint().unwrap_or(30_000)),
         }
     }
 }
@@ -760,7 +744,7 @@ impl ShardRouter {
     /// Wrap the router rank's communicator (`comm.rank()` must be
     /// [`ROUTER_RANK`]; shards are the other `comm.size() - 1` ranks).
     /// Routing knobs (`BAT_SHARD_REPLICAS`, `BAT_SHARD_HEDGE_MS`,
-    /// `BAT_SHARD_RETRY_MS`, `BAT_SHARD_BREAKER_*`) are snapshotted here.
+    /// `BAT_SHARD_WAIT_MS`) are snapshotted here.
     pub fn new(comm: Box<dyn Comm>, ds: Arc<Dataset>) -> ShardRouter {
         assert_eq!(comm.rank(), ROUTER_RANK, "the router must be rank 0");
         assert!(comm.size() >= 2, "a shard cluster needs at least one shard");
@@ -805,7 +789,7 @@ impl ShardRouter {
     }
 
     fn admit(&self, shard: usize) -> bool {
-        let ok = self.breakers[shard].admit(self.policy.breaker_cooldown);
+        let ok = self.breakers[shard].admit(BREAKER_COOLDOWN);
         bat_obs::gauge_set(
             &format!("shard.breaker.state.{shard}"),
             self.breakers[shard].gauge(),
@@ -814,7 +798,7 @@ impl ShardRouter {
     }
 
     fn breaker_failure(&self, shard: usize) {
-        if self.breakers[shard].failure(self.policy.breaker_fails) {
+        if self.breakers[shard].failure(BREAKER_FAILS) {
             bat_obs::counter_add("shard.breaker.opened", 1);
         }
         bat_obs::gauge_set(
@@ -972,7 +956,10 @@ impl RouterRun<'_> {
             // Grace on top of the shard's own budget, so the shard's
             // typed DeadlineExpired beats the router's Timeout.
             Some(e) => (e + DEADLINE_GRACE).saturating_duration_since(Instant::now()),
-            None => shard_wait().saturating_sub(self.last_progress.get().elapsed()),
+            None => {
+                let wait = self.router.policy.wait;
+                wait.saturating_sub(self.last_progress.get().elapsed())
+            }
         }
     }
 
@@ -1148,7 +1135,7 @@ impl RouterRun<'_> {
                     return None;
                 }
                 let p99 = Duration::from_micros(self.router.leaf_latency.quantile(0.99));
-                Some((p99 * 3).clamp(Duration::from_millis(25), shard_wait()))
+                Some((p99 * 3).clamp(Duration::from_millis(25), self.router.policy.wait))
             }
         }
     }
@@ -1217,10 +1204,7 @@ impl RouterRun<'_> {
             if sub.streams.is_empty() {
                 match self.failover_candidate(sub) {
                     Some(shard) => {
-                        let backoff = self
-                            .router
-                            .policy
-                            .retry_backoff
+                        let backoff = RETRY_BACKOFF
                             .saturating_mul(1 << sub.attempts.min(4))
                             .min(Duration::from_millis(200))
                             .min(self.remaining_silence());
@@ -1365,7 +1349,7 @@ impl RouterRun<'_> {
                     let (shard, tag) = (sub.streams[0].shard, sub.streams[0].tag);
                     let wait = match self.expires {
                         Some(e) => (e + DEADLINE_GRACE).saturating_duration_since(Instant::now()),
-                        None => shard_wait(),
+                        None => self.router.policy.wait,
                     };
                     let msg = self
                         .router
@@ -1625,16 +1609,14 @@ mod tests {
 
     #[test]
     fn hedge_knob_parses() {
-        assert_eq!(Hedge::parse(None), Hedge::Auto);
-        assert_eq!(Hedge::parse(Some("auto")), Hedge::Auto);
-        assert_eq!(Hedge::parse(Some("")), Hedge::Auto);
-        assert_eq!(Hedge::parse(Some("off")), Hedge::Off);
-        assert_eq!(Hedge::parse(Some("0")), Hedge::Off);
-        assert_eq!(
-            Hedge::parse(Some("25")),
-            Hedge::Fixed(Duration::from_millis(25))
-        );
-        assert_eq!(Hedge::parse(Some("bogus")), Hedge::Auto);
+        let parse = |raw: &str| Hedge::from_knob(knobs::SHARD_HEDGE_MS.parse(raw).as_deref());
+        assert_eq!(Hedge::from_knob(None), Hedge::Auto);
+        assert_eq!(parse("auto"), Hedge::Auto);
+        assert_eq!(parse(""), Hedge::Auto);
+        assert_eq!(parse("off"), Hedge::Off);
+        assert_eq!(parse("0"), Hedge::Off);
+        assert_eq!(parse("25"), Hedge::Fixed(Duration::from_millis(25)));
+        assert_eq!(parse("bogus"), Hedge::Auto);
     }
 
     #[test]

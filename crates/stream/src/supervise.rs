@@ -18,6 +18,7 @@
 
 use crate::shard::{decode_heartbeat, encode_heartbeat, HB_PING, HB_PONG, TAG_HEARTBEAT};
 use bat_comm::Comm;
+use bat_obs::knobs;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,19 +35,11 @@ pub struct SupervisorConfig {
 
 impl SupervisorConfig {
     pub fn from_env() -> SupervisorConfig {
-        let ms = std::env::var("BAT_SHARD_HEARTBEAT_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .unwrap_or(500);
-        let beats = std::env::var("BAT_SHARD_MISSED_BEATS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&b| b > 0)
-            .unwrap_or(4);
+        let ms = knobs::SHARD_HEARTBEAT_MS.uint().unwrap_or(500);
+        let beats = knobs::SHARD_MISSED_BEATS.uint().unwrap_or(4);
         SupervisorConfig {
             interval: Duration::from_millis(ms),
-            missed_beats: beats,
+            missed_beats: beats.min(u32::MAX as u64) as u32,
         }
     }
 }

@@ -2,6 +2,7 @@
 
 use bat_layout::stats::LayoutStats;
 use bat_layout::{BatFile, Query};
+use bat_obs::knobs::{self, ENV_KNOBS};
 use libbat::{verify_dataset, CommitState, Dataset};
 use std::fmt::Write as _;
 
@@ -526,8 +527,7 @@ pub fn serve(args: &[String]) -> Result<()> {
     };
     let rest = &args[2..];
     let mut addr = "127.0.0.1:4927".to_string();
-    let mut options = bat_serve::ServeOptions::from_env();
-    let mut cache_bytes: Option<usize> = None;
+    let mut options = bat_serve::ServeOptions::default();
     let mut smoke = false;
     let mut backend: Option<libbat::ReadBackend> = None;
     let mut it = rest.iter().peekable();
@@ -548,10 +548,11 @@ pub fn serve(args: &[String]) -> Result<()> {
             }
             "--cache-bytes" => {
                 let raw = it.next().ok_or("--cache-bytes needs a size")?;
-                cache_bytes = Some(
-                    bat_serve::cache::parse_bytes(raw)
-                        .ok_or_else(|| format!("--cache-bytes: bad size '{raw}'"))?,
-                );
+                // Same grammar as the BAT_CACHE_BYTES knob.
+                let bytes = knobs::parse_bytes(raw)
+                    .ok_or_else(|| format!("--cache-bytes: bad size '{raw}'"))?
+                    as usize;
+                options.cache = (bytes > 0).then(|| bat_serve::PageCache::new(bytes));
             }
             "--smoke" => smoke = true,
             "--backend" => {
@@ -573,9 +574,13 @@ pub fn serve(args: &[String]) -> Result<()> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    if let Some(bytes) = cache_bytes {
-        options.cache = (bytes > 0).then(|| bat_serve::PageCache::new(bytes));
-    }
+    // The budget actually in effect: the flag's private cache, else the
+    // process-global one (BAT_CACHE_BYTES), else none.
+    let cache_budget = options
+        .cache
+        .clone()
+        .or_else(bat_serve::cache::global)
+        .map_or(0, |c| c.budget());
 
     let ds = Dataset::open(&dir, &basename).map_err(|e| format!("open dataset: {e}"))?;
     if let Some(b) = backend {
@@ -601,10 +606,10 @@ pub fn serve(args: &[String]) -> Result<()> {
         options
             .deadline
             .map_or("none".to_string(), |d| format!("{d:?}")),
-        cache_bytes.map_or_else(
-            || std::env::var("BAT_CACHE_BYTES").unwrap_or_else(|_| "off".into()),
-            |b| format!("{b} B")
-        ),
+        match cache_budget {
+            0 => "off".to_string(),
+            b => format!("{b} B"),
+        },
     );
     if smoke {
         // Smoke mode: prove the serving loop end to end with one local
@@ -660,7 +665,7 @@ pub fn shard_serve(args: &[String]) -> Result<()> {
     let mut addr = "127.0.0.1:4928".to_string();
     let mut shards = 2usize;
     let mut smoke = false;
-    let mut options = bat_serve::ServeOptions::from_env();
+    let mut options = bat_serve::ServeOptions::default();
     let mut it = rest.iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -699,7 +704,7 @@ pub fn shard_serve(args: &[String]) -> Result<()> {
         move |s: usize| -> std::io::Result<std::process::Child> {
             std::process::Command::new(&exe)
                 .args(["shard-worker", &dir, &basename])
-                .env("BAT_CLUSTER", cfg.with_rank(1 + s).to_spec())
+                .env(knobs::CLUSTER.name, cfg.with_rank(1 + s).to_spec())
                 .spawn()
         }
     };
@@ -799,170 +804,37 @@ pub fn shard_worker(args: &[String]) -> Result<()> {
     result.map_err(|e| format!("shard serve loop: {e}"))
 }
 
-/// One row of the `bat env` table: knob name, default shown when unset,
-/// one-line meaning. Kept as data so tests can assert the table covers
-/// every `BAT_*` literal the workspace reads.
-pub const ENV_KNOBS: &[(&str, &str, &str)] = &[
-    (
-        "BAT_THREADS",
-        "(available cores)",
-        "work-stealing pool size for builds/queries",
-    ),
-    (
-        "BAT_TRANSPORT",
-        "channel",
-        "cluster transport: channel | socket | sim",
-    ),
-    (
-        "BAT_CLUSTER",
-        "(thread-hosted)",
-        "multi-process topology spec (transport=;rank=;size=;peers=)",
-    ),
-    (
-        "BAT_RECV_TIMEOUT_MS",
-        "(unbounded)",
-        "default deadline for bounded receives",
-    ),
-    (
-        "BAT_CONNECT_TIMEOUT_MS",
-        "10000",
-        "socket-transport mesh connect/handshake budget",
-    ),
-    (
-        "BAT_SOCKET_MAX_RANKS",
-        "12",
-        "thread-hosted socket cap before channel fallback",
-    ),
-    ("BAT_SIM_LATENCY_US", "2", "sim transport one-way latency"),
-    (
-        "BAT_SIM_GBPS",
-        "7.14",
-        "sim transport per-NIC bandwidth (stampede2/oversub)",
-    ),
-    (
-        "BAT_SHARD_WAIT_MS",
-        "30000",
-        "router wait on a silent shard (no query deadline)",
-    ),
-    (
-        "BAT_SHARD_REPLICAS",
-        "1",
-        "replicas per leaf slice (primary + N-1 failover targets)",
-    ),
-    (
-        "BAT_SHARD_HEDGE_MS",
-        "auto",
-        "hedged-read trigger: auto (3x streaming p99) | off | fixed ms",
-    ),
-    (
-        "BAT_SHARD_RETRY_MS",
-        "10",
-        "base backoff before retrying a sub-query on a replica",
-    ),
-    (
-        "BAT_SHARD_BREAKER_FAILS",
-        "3",
-        "consecutive failures that open a shard's circuit breaker",
-    ),
-    (
-        "BAT_SHARD_BREAKER_COOLDOWN_MS",
-        "1000",
-        "breaker open time before a half-open probe",
-    ),
-    (
-        "BAT_SHARD_HEARTBEAT_MS",
-        "500",
-        "supervisor ping interval for shard workers",
-    ),
-    (
-        "BAT_SHARD_MISSED_BEATS",
-        "4",
-        "missed pongs before the supervisor respawns a worker",
-    ),
-    (
-        "BAT_CHAOS_SEED",
-        "(fixed)",
-        "seed for the randomized shard chaos test schedule",
-    ),
-    ("BAT_SERVE_WORKERS", "(auto)", "serve pool worker threads"),
-    ("BAT_SERVE_QUEUE", "64", "serve pool bounded queue depth"),
-    (
-        "BAT_SERVE_DEADLINE_MS",
-        "(none)",
-        "per-query serving deadline",
-    ),
-    (
-        "BAT_CACHE_BYTES",
-        "(off)",
-        "treelet page cache budget (accepts k/m/g suffixes)",
-    ),
-    (
-        "BAT_READ_BACKEND",
-        "mmap",
-        "reader backend: mmap | range-file | range-sim",
-    ),
-    (
-        "BAT_RANGE_GAP_BYTES",
-        "16k",
-        "max gap merged into one coalesced range request",
-    ),
-    (
-        "BAT_RANGE_RETRIES",
-        "3",
-        "retries per failed/torn range request",
-    ),
-    (
-        "BAT_RANGE_BACKOFF_MS",
-        "1",
-        "base retry backoff (doubles per attempt)",
-    ),
-    (
-        "BAT_RANGE_PREFETCH",
-        "on",
-        "coalesced prefetch of planned treelets",
-    ),
-    (
-        "BAT_TREELET_CODEC",
-        "v1",
-        "treelet write codec: v1 | v2-lossless | v2-lossy",
-    ),
-    (
-        "BAT_INDEX_ATTRS",
-        "(none)",
-        "attributes to B-tree index at write time: all | name,name,...",
-    ),
-    (
-        "BAT_PLAN_STRATEGY",
-        "auto",
-        "filter-plan strategy: auto | scan | bitmap | index",
-    ),
-    (
-        "BAT_CODEC_ERROR_BOUND",
-        "0.001",
-        "absolute error bound for the v2-lossy quantizer",
-    ),
-    (
-        "BAT_FAULTS",
-        "(none)",
-        "fault-injection spec (needs --features failpoints)",
-    ),
-];
-
-/// `bat env` — print every `BAT_*` knob the workspace reads, with the
-/// value in effect for this process (see the README's environment table).
+/// `bat env` — print every `BAT_*` knob the workspace reads with the
+/// parsed value in effect for this process (see the README's environment
+/// table). Fails when a knob is set outside its grammar (it is being
+/// ignored) or a `BAT_*` variable names no knob (probably a typo).
 pub fn env(_args: &[String]) -> Result<()> {
     println!(
         "{:<24} {:<28} {:<8} meaning",
         "knob", "effective value", "origin"
     );
-    for &(name, default, what) in ENV_KNOBS {
-        let (val, src) = match std::env::var(name) {
-            Ok(v) => (v, "set"),
-            Err(_) => (default.to_string(), "default"),
-        };
-        println!("{name:<24} {val:<28} {src:<8} {what}");
+    let mut invalid = Vec::new();
+    for knob in ENV_KNOBS {
+        let (val, origin) = knob.effective();
+        if origin == "invalid" {
+            invalid.push(knob.name);
+        }
+        println!("{:<24} {val:<28} {origin:<8} {}", knob.name, knob.meaning);
     }
-    Ok(())
+    let unknown = knobs::unknown_vars();
+    for name in &unknown {
+        println!(
+            "{name:<24} {:<28} {:<8} not a knob (ignored)",
+            "", "unknown"
+        );
+    }
+    if invalid.is_empty() && unknown.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "ignored settings — out of grammar: {invalid:?}, not in the knob table: {unknown:?}"
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -1110,76 +982,5 @@ mod tests {
         assert!(err.contains("unknown backend 'owned'"), "{err}");
         assert!(err.contains("mmap | range-file | range-sim"), "{err}");
         assert!(!bogus("mmap").contains("unknown backend"));
-    }
-
-    /// Every `"BAT_*"` string literal anywhere in the workspace sources must
-    /// have a row in `ENV_KNOBS`, so `bat env` (and the README table built
-    /// from it) can never silently drift when a knob is added.
-    #[test]
-    fn env_table_covers_every_workspace_knob() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut found = std::collections::BTreeSet::new();
-        let mut stack: Vec<std::path::PathBuf> = ["crates", "src", "shims", "tests", "examples"]
-            .iter()
-            .map(|d| root.join(d))
-            .filter(|d| d.is_dir())
-            .collect();
-        while let Some(dir) = stack.pop() {
-            for entry in std::fs::read_dir(&dir).unwrap() {
-                let path = entry.unwrap().path();
-                if path.is_dir() {
-                    if path.file_name().is_some_and(|n| n == "target") {
-                        continue;
-                    }
-                    stack.push(path);
-                } else if path.extension().is_some_and(|e| e == "rs") {
-                    let text = std::fs::read_to_string(&path).unwrap();
-                    let bytes = text.as_bytes();
-                    let mut i = 0;
-                    while let Some(hit) = text[i..].find("\"BAT_") {
-                        let start = i + hit + 1;
-                        let mut end = start;
-                        while end < bytes.len()
-                            && (bytes[end].is_ascii_uppercase()
-                                || bytes[end].is_ascii_digit()
-                                || bytes[end] == b'_')
-                        {
-                            end += 1;
-                        }
-                        // Only full literals: the next byte must close the string.
-                        if end < bytes.len() && bytes[end] == b'"' && end > start + 4 {
-                            found.insert(text[start..end].to_string());
-                        }
-                        i = end;
-                    }
-                }
-            }
-        }
-        assert!(
-            found.len() >= 20,
-            "workspace scan looks broken: only {} BAT_* literals found",
-            found.len()
-        );
-        let table: std::collections::BTreeSet<&str> =
-            ENV_KNOBS.iter().map(|&(name, _, _)| name).collect();
-        let missing: Vec<&String> = found
-            .iter()
-            .filter(|k| !table.contains(k.as_str()))
-            .collect();
-        assert!(
-            missing.is_empty(),
-            "BAT_* knobs read by the workspace but missing from `bat env` \
-             (add them to ENV_KNOBS and the README environment table): {missing:?}"
-        );
-        // And the reverse: the table must not advertise knobs nothing reads.
-        let stale: Vec<&str> = table
-            .iter()
-            .copied()
-            .filter(|&name| !found.contains(name))
-            .collect();
-        assert!(
-            stale.is_empty(),
-            "`bat env` advertises knobs no workspace source reads: {stale:?}"
-        );
     }
 }

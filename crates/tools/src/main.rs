@@ -80,6 +80,7 @@ USAGE:
     batcli shard-serve <dir> <basename> [--shards N] [--addr HOST:PORT]
                                    [--workers N] [--queue N] [--deadline-ms MS]
                                    [--smoke]   (spawns N shard worker processes)
-    batcli env                        (print every BAT_* knob and its value)
+    batcli env                        (print every BAT_* knob and its parsed value;
+                                       exit 1 if one is invalid or names no knob)
     batcli density <dir> <basename> [--quality Q]"
 }

@@ -2,6 +2,7 @@
 
 use bat_comm::Cluster;
 use bat_geom::Aabb;
+use bat_obs::knobs::{self, EnvGuard};
 use bat_workloads::{uniform, Cosmology, RankGrid};
 use libbat::write::{write_particles, WriteConfig};
 use std::path::{Path, PathBuf};
@@ -98,10 +99,9 @@ pub fn write_dataset_into(dir: &Path, workload: &Workload, opts: &BuildOpts) {
     let dir = dir.to_path_buf();
     let basename = opts.basename;
     let target = opts.target_file_bytes;
-    let ambient_codec = std::env::var("BAT_TREELET_CODEC").ok();
-    if let Some(codec) = opts.codec {
-        std::env::set_var("BAT_TREELET_CODEC", codec);
-    }
+    let _env = opts
+        .codec
+        .map(|codec| EnvGuard::set(&[(&knobs::TREELET_CODEC, Some(codec))]));
     match *workload {
         Workload::Uniform { per_rank, seed } => {
             let grid = RankGrid::new_3d(opts.ranks, Aabb::unit());
@@ -139,12 +139,6 @@ pub fn write_dataset_into(dir: &Path, workload: &Workload, opts: &BuildOpts) {
                 )
                 .expect("write succeeds");
             });
-        }
-    }
-    if opts.codec.is_some() {
-        match ambient_codec {
-            Some(v) => std::env::set_var("BAT_TREELET_CODEC", v),
-            None => std::env::remove_var("BAT_TREELET_CODEC"),
         }
     }
 }

@@ -15,6 +15,7 @@ mod chaos {
     use crate::common::{build_test_dataset, fnv1a, BuildOpts, Workload};
     use bat_comm::{Cluster, TransportKind};
     use bat_layout::Query;
+    use bat_obs::knobs::{self, EnvGuard};
     use bat_serve::QueryPlan;
     use bat_stream::{run_shard, ShardRouter};
     use libbat::Dataset;
@@ -44,10 +45,7 @@ mod chaos {
     }
 
     fn chaos_seed() -> u64 {
-        std::env::var("BAT_CHAOS_SEED")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0xBA7C_4A05)
+        knobs::CHAOS_SEED.uint().unwrap_or(0xBA7C_4A05)
     }
 
     fn queries() -> Vec<Query> {
@@ -73,35 +71,6 @@ mod chaos {
                 fnv1a(bytes)
             })
             .collect()
-    }
-
-    struct EnvGuard {
-        saved: Vec<(&'static str, Option<String>)>,
-    }
-
-    impl EnvGuard {
-        fn set(vars: &[(&'static str, String)]) -> EnvGuard {
-            let saved = vars
-                .iter()
-                .map(|(k, v)| {
-                    let old = std::env::var(k).ok();
-                    std::env::set_var(k, v);
-                    (*k, old)
-                })
-                .collect();
-            EnvGuard { saved }
-        }
-    }
-
-    impl Drop for EnvGuard {
-        fn drop(&mut self) {
-            for (k, old) in self.saved.drain(..) {
-                match old {
-                    Some(v) => std::env::set_var(k, v),
-                    None => std::env::remove_var(k),
-                }
-            }
-        }
     }
 
     #[test]
@@ -151,8 +120,8 @@ mod chaos {
                  hedge={hedge} fault={fault:?} allow_partial={allow_partial}"
             );
             let _env = EnvGuard::set(&[
-                ("BAT_SHARD_REPLICAS", replicas.to_string()),
-                ("BAT_SHARD_HEDGE_MS", hedge.to_string()),
+                (&knobs::SHARD_REPLICAS, Some(&replicas.to_string())),
+                (&knobs::SHARD_HEDGE_MS, Some(&hedge.to_string())),
             ]);
             bat_faults::reset();
             if let Some(spec) = &fault {

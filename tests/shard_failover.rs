@@ -9,6 +9,7 @@ mod common;
 use bat_comm::{Cluster, TransportKind};
 use bat_geom::{Aabb, Vec3};
 use bat_layout::Query;
+use bat_obs::knobs::{self, EnvGuard};
 use bat_serve::QueryPlan;
 use bat_stream::{run_shard, ShardRouter, SupervisorConfig};
 use common::{build_test_dataset, BuildOpts, Workload};
@@ -22,37 +23,6 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Scoped env overrides: set on construction, restored on drop (the
-/// SERIAL lock makes the process-global mutation safe).
-struct EnvGuard {
-    saved: Vec<(&'static str, Option<String>)>,
-}
-
-impl EnvGuard {
-    fn set(vars: &[(&'static str, &str)]) -> EnvGuard {
-        let saved = vars
-            .iter()
-            .map(|&(k, v)| {
-                let old = std::env::var(k).ok();
-                std::env::set_var(k, v);
-                (k, old)
-            })
-            .collect();
-        EnvGuard { saved }
-    }
-}
-
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        for (k, old) in self.saved.drain(..) {
-            match old {
-                Some(v) => std::env::set_var(k, v),
-                None => std::env::remove_var(k),
-            }
-        }
-    }
 }
 
 /// FNV-1a over the merged point stream plus the point count.
@@ -140,7 +110,10 @@ fn global_counter(name: &str) -> u64 {
 #[test]
 fn replica_failover_rides_out_a_dead_shard() {
     let _guard = lock();
-    let _env = EnvGuard::set(&[("BAT_SHARD_REPLICAS", "2"), ("BAT_SHARD_HEDGE_MS", "off")]);
+    let _env = EnvGuard::set(&[
+        (&knobs::SHARD_REPLICAS, Some("2")),
+        (&knobs::SHARD_HEDGE_MS, Some("off")),
+    ]);
     let scratch = build_test_dataset(
         &Workload::Uniform {
             per_rank: 3000,
@@ -207,7 +180,7 @@ fn replica_failover_rides_out_a_dead_shard() {
 #[test]
 fn degraded_mode_reports_explicit_partial() {
     let _guard = lock();
-    let _env = EnvGuard::set(&[("BAT_SHARD_HEDGE_MS", "off")]);
+    let _env = EnvGuard::set(&[(&knobs::SHARD_HEDGE_MS, Some("off"))]);
     let scratch = build_test_dataset(
         &Workload::Uniform {
             per_rank: 2000,
@@ -410,7 +383,10 @@ mod faults {
     #[test]
     fn hedged_reads_beat_a_slow_shard_and_stay_identical() {
         let _guard = lock();
-        let _env = EnvGuard::set(&[("BAT_SHARD_REPLICAS", "2"), ("BAT_SHARD_HEDGE_MS", "10")]);
+        let _env = EnvGuard::set(&[
+            (&knobs::SHARD_REPLICAS, Some("2")),
+            (&knobs::SHARD_HEDGE_MS, Some("10")),
+        ]);
         let scratch = build_test_dataset(
             &Workload::Uniform {
                 per_rank: 2500,
