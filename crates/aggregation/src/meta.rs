@@ -10,6 +10,7 @@
 //! and each surviving leaf file resolves the query exactly.
 
 use bat_geom::Aabb;
+use bat_layout::format::{get_aabb, put_aabb};
 use bat_layout::query::Query;
 use bat_layout::{AttributeDesc, Bitmap32};
 use bat_wire::{Decoder, Encoder, WireError, WireResult};
@@ -160,27 +161,6 @@ impl LeafReport {
             file_crc,
         })
     }
-}
-
-fn put_aabb(enc: &mut Encoder, b: &Aabb) {
-    for v in [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z] {
-        enc.put_f32(v);
-    }
-}
-
-fn get_aabb(dec: &mut Decoder) -> WireResult<Aabb> {
-    Ok(Aabb::new(
-        bat_geom::Vec3::new(
-            dec.get_f32("aabb")?,
-            dec.get_f32("aabb")?,
-            dec.get_f32("aabb")?,
-        ),
-        bat_geom::Vec3::new(
-            dec.get_f32("aabb")?,
-            dec.get_f32("aabb")?,
-            dec.get_f32("aabb")?,
-        ),
-    ))
 }
 
 impl MetaTree {

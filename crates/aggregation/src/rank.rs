@@ -1,6 +1,7 @@
 //! Per-rank information gathered at rank 0 before tree construction.
 
 use bat_geom::Aabb;
+use bat_layout::format::{get_aabb, put_aabb};
 use bat_wire::{Decoder, Encoder, WireResult};
 
 /// What rank 0 knows about each rank when building the aggregation tree:
@@ -34,30 +35,14 @@ impl RankInfo {
     /// Serialize for the gather at rank 0.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_u32(self.rank);
-        enc.put_f32(self.bounds.min.x);
-        enc.put_f32(self.bounds.min.y);
-        enc.put_f32(self.bounds.min.z);
-        enc.put_f32(self.bounds.max.x);
-        enc.put_f32(self.bounds.max.y);
-        enc.put_f32(self.bounds.max.z);
+        put_aabb(enc, &self.bounds);
         enc.put_u64(self.particles);
     }
 
     /// Inverse of [`RankInfo::encode`].
     pub fn decode(dec: &mut Decoder) -> WireResult<RankInfo> {
         let rank = dec.get_u32("rank id")?;
-        let bounds = Aabb::new(
-            bat_geom::Vec3::new(
-                dec.get_f32("rank bounds")?,
-                dec.get_f32("rank bounds")?,
-                dec.get_f32("rank bounds")?,
-            ),
-            bat_geom::Vec3::new(
-                dec.get_f32("rank bounds")?,
-                dec.get_f32("rank bounds")?,
-                dec.get_f32("rank bounds")?,
-            ),
-        );
+        let bounds = get_aabb(dec)?;
         let particles = dec.get_u64("rank particles")?;
         Ok(RankInfo {
             rank,

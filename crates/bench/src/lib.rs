@@ -1,4 +1,6 @@
-//! Shared infrastructure for the experiment harness.
+//! Shared infrastructure for the paper reproductions — and only those:
+//! performance is measured by `benchmark/` (`BENCHMARK.json`), correctness
+//! gates are tests under the tier-1 command.
 //!
 //! Every figure and table of the paper's evaluation (§VI) has a binary in
 //! `src/bin/` that regenerates it: the same workloads, parameter sweeps,

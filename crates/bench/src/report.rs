@@ -83,34 +83,6 @@ impl Table {
     }
 }
 
-/// Append one JSON object to a `BENCH_*.json` run-history file, so repeated
-/// bench runs accumulate a perf trajectory instead of overwriting the last
-/// result. The file is a JSON array of run objects; a missing file starts
-/// one, and a legacy single-object file is wrapped into an array first.
-pub fn append_run(path: &str, run_json: &str) -> std::io::Result<()> {
-    let run = run_json.trim();
-    assert!(
-        run.starts_with('{') && run.ends_with('}'),
-        "append_run expects one JSON object"
-    );
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let trimmed = existing.trim();
-    let out = if trimmed.is_empty() {
-        format!("[\n{run}\n]\n")
-    } else if let Some(body) = trimmed.strip_prefix('[') {
-        let body = body.strip_suffix(']').unwrap_or(body).trim_end();
-        if body.is_empty() {
-            format!("[\n{run}\n]\n")
-        } else {
-            format!("[{body},\n{run}\n]\n")
-        }
-    } else {
-        // Legacy layout: the file held a single run object.
-        format!("[\n{trimmed},\n{run}\n]\n")
-    };
-    std::fs::write(path, out)
-}
-
 /// Guard from [`bench_metrics`]: while alive, metrics record into a fresh
 /// registry; on [`MetricsSection::finish`] (or drop) the collected snapshot
 /// is printed as an appendix to the experiment's tables and optionally
@@ -198,32 +170,5 @@ mod tests {
     fn wrong_row_width_panics() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn append_run_accumulates_history() {
-        let path = experiments_dir().join("unittest_append.json");
-        let path = path.to_str().unwrap();
-        std::fs::remove_file(path).ok();
-        // Missing file: starts an array.
-        append_run(path, "{\"run\": 1}").unwrap();
-        assert_eq!(
-            std::fs::read_to_string(path).unwrap(),
-            "[\n{\"run\": 1}\n]\n"
-        );
-        // Existing array: appends.
-        append_run(path, "{\"run\": 2}").unwrap();
-        assert_eq!(
-            std::fs::read_to_string(path).unwrap(),
-            "[\n{\"run\": 1},\n{\"run\": 2}\n]\n"
-        );
-        // Legacy single-object file: wrapped, then appended to.
-        std::fs::write(path, "{\"legacy\": true}\n").unwrap();
-        append_run(path, "{\"run\": 3}").unwrap();
-        assert_eq!(
-            std::fs::read_to_string(path).unwrap(),
-            "[\n{\"legacy\": true},\n{\"run\": 3}\n]\n"
-        );
-        std::fs::remove_file(path).ok();
     }
 }

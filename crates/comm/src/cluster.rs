@@ -190,7 +190,7 @@ impl ClusterConfig {
     }
 
     /// A Unix-domain-socket topology with one socket path per rank under
-    /// `dir` (the shape `batcli shard-serve` and `bench_shard` use).
+    /// `dir` (the shape `batcli shard-serve` uses).
     pub fn unix_in_dir(dir: &std::path::Path, size: usize) -> ClusterConfig {
         ClusterConfig {
             size,

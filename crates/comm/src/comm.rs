@@ -110,6 +110,15 @@ pub trait Comm: Send + Sync {
     /// transport, its connection has failed).
     fn is_dead(&self, rank: usize) -> bool;
 
+    /// How many times `rank`'s connection has been replaced by a
+    /// re-admitted process (socket star topology; always 0 elsewhere). A
+    /// request sent before the count changed died with the old process:
+    /// its frames are purged and no answer will ever arrive, even though
+    /// [`Comm::is_dead`] reads `false` again.
+    fn incarnation(&self, _rank: usize) -> u64 {
+        0
+    }
+
     /// Poison the whole cluster after a local panic (in-process transports
     /// wake every blocked rank; the socket transport falls back to
     /// [`Comm::mark_dead`] so remote peers fail fast instead).
@@ -431,6 +440,9 @@ impl Comm for Box<dyn Comm> {
     }
     fn is_dead(&self, rank: usize) -> bool {
         (**self).is_dead(rank)
+    }
+    fn incarnation(&self, rank: usize) -> u64 {
+        (**self).incarnation(rank)
     }
     fn poison(&self) {
         (**self).poison()

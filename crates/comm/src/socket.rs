@@ -743,6 +743,10 @@ impl Comm for SocketComm {
         self.state.dead[rank].load(Ordering::Acquire)
     }
 
+    fn incarnation(&self, rank: usize) -> u64 {
+        self.state.epochs[rank].load(Ordering::Acquire)
+    }
+
     fn poison(&self) {
         // Thread-hosted: trip the shared cell so sibling ranks panic out
         // of their receives. Multi-process: the cell is private, so this

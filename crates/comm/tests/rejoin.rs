@@ -55,9 +55,13 @@ fn star_spoke_rejoins_after_death() {
         "receives from the dead incarnation must fail fast, got {r:?}"
     );
 
-    // Respawn: a fresh incarnation dials the hub and is re-admitted.
+    // Respawn: a fresh incarnation dials the hub and is re-admitted. The
+    // dead flag reads as before the crash; only the incarnation count
+    // tells a waiter that what it sent to spoke 1 earlier is lost.
+    assert_eq!((comm0.incarnation(1), comm0.incarnation(2)), (0, 0));
     let comm1b = Cluster::connect(&cfg.with_rank(1)).expect("spoke 1 rejoin");
     wait_until("hub to clear spoke 1 dead flag", || !comm0.is_dead(1));
+    assert_eq!((comm0.incarnation(1), comm0.incarnation(2)), (1, 0));
 
     comm1b.isend(0, 8, Bytes::copy_from_slice(b"second life"));
     let m = comm0

@@ -19,6 +19,7 @@ use bat_comm::{Comm, CommError};
 use bat_faults::Fault;
 use bat_geom::Aabb;
 use bat_iosim::{PhaseTimes, WritePhase};
+use bat_layout::format::{get_aabb, put_aabb};
 use bat_layout::{BatBuilder, BatConfig, ColumnarParticles, CrcSectionWriter, ParticleSet};
 use bat_wire::{Decoder, Encoder, WireError, WireResult};
 use bytes::Bytes;
@@ -108,27 +109,6 @@ struct Assignment {
     agg_of_me: Option<u32>,
     /// Set when this rank aggregates a leaf.
     duty: Option<LeafDuty>,
-}
-
-fn put_aabb(enc: &mut Encoder, b: &Aabb) {
-    for v in [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z] {
-        enc.put_f32(v);
-    }
-}
-
-fn get_aabb(dec: &mut Decoder) -> WireResult<Aabb> {
-    Ok(Aabb::new(
-        bat_geom::Vec3::new(
-            dec.get_f32("aabb")?,
-            dec.get_f32("aabb")?,
-            dec.get_f32("aabb")?,
-        ),
-        bat_geom::Vec3::new(
-            dec.get_f32("aabb")?,
-            dec.get_f32("aabb")?,
-            dec.get_f32("aabb")?,
-        ),
-    ))
 }
 
 impl Assignment {

@@ -286,27 +286,25 @@ impl LeafRec {
     }
 }
 
-fn put_aabb(enc: &mut Encoder, b: &Aabb) {
-    enc.put_f32(b.min.x);
-    enc.put_f32(b.min.y);
-    enc.put_f32(b.min.z);
-    enc.put_f32(b.max.x);
-    enc.put_f32(b.max.y);
-    enc.put_f32(b.max.z);
+/// The one wire form of an [`Aabb`]: `min` then `max`, three little-endian
+/// `f32`s each. Every file head, `.batmeta`, shuffle assignment, rank
+/// report and shipped [`Query`](crate::Query) encodes boxes through this
+/// pair.
+pub fn put_aabb(enc: &mut Encoder, b: &Aabb) {
+    for v in [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z] {
+        enc.put_f32(v);
+    }
 }
 
-fn get_aabb(dec: &mut Decoder) -> WireResult<Aabb> {
+/// Inverse of [`put_aabb`].
+pub fn get_aabb(dec: &mut Decoder) -> WireResult<Aabb> {
+    let mut v = [0.0f32; 6];
+    for x in &mut v {
+        *x = dec.get_f32("aabb")?;
+    }
     Ok(Aabb::new(
-        Vec3::new(
-            dec.get_f32("aabb")?,
-            dec.get_f32("aabb")?,
-            dec.get_f32("aabb")?,
-        ),
-        Vec3::new(
-            dec.get_f32("aabb")?,
-            dec.get_f32("aabb")?,
-            dec.get_f32("aabb")?,
-        ),
+        Vec3::new(v[0], v[1], v[2]),
+        Vec3::new(v[3], v[4], v[5]),
     ))
 }
 

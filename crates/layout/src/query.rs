@@ -338,9 +338,7 @@ impl Query {
         match &self.bounds {
             Some(b) => {
                 enc.put_bool(true);
-                for v in [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z] {
-                    enc.put_f32(v);
-                }
+                crate::format::put_aabb(enc, b);
             }
             None => enc.put_bool(false),
         }
@@ -358,14 +356,7 @@ impl Query {
     /// Inverse of [`Query::encode`].
     pub fn decode(dec: &mut bat_wire::Decoder) -> bat_wire::WireResult<Query> {
         let bounds = if dec.get_bool("query has bounds")? {
-            let mut v = [0.0f32; 6];
-            for x in &mut v {
-                *x = dec.get_f32("query bounds")?;
-            }
-            Some(Aabb::new(
-                Vec3::new(v[0], v[1], v[2]),
-                Vec3::new(v[3], v[4], v[5]),
-            ))
+            Some(crate::format::get_aabb(dec)?)
         } else {
             None
         };

@@ -256,15 +256,15 @@ impl BatFile {
         })
     }
 
-    /// Open from a remote-style [`ByteSource`] with config from the
-    /// environment (see [`RangeConfig::from_env`]).
+    /// Open from a remote-style [`ByteSource`] with the default
+    /// [`RangeConfig`].
     ///
     /// Only the file head is fetched here — typically one request for the
     /// first page plus one for the rest of the head. Treelet blocks are
     /// fetched on demand during execution, or ahead of it by
     /// [`BatFile::prefetch`] in coalesced range requests.
     pub fn from_source(source: Arc<dyn ByteSource>) -> WireResult<BatFile> {
-        BatFile::from_source_with(source, RangeConfig::from_env())
+        BatFile::from_source_with(source, RangeConfig::default())
     }
 
     /// As [`BatFile::from_source`] with an explicit [`RangeConfig`].
@@ -727,9 +727,6 @@ impl BatFile {
         let Backing::Range(reader) = &self.backing else {
             return;
         };
-        if !reader.config().prefetch {
-            return;
-        }
         let mut wanted: Vec<(u32, u64, usize)> = Vec::with_capacity(plan.treelets.len());
         for &t in &plan.treelets {
             if reader.is_staged(t) {

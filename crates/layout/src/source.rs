@@ -21,7 +21,6 @@
 //! Counters (all through `bat-obs`): `range.requests`, `range.bytes_fetched`,
 //! `range.retries`, `range.coalesced`, `range.prefetch_hits`.
 
-use bat_obs::knobs;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,15 +119,14 @@ impl ByteSource for FileSource {
     }
 }
 
-/// Knobs for the range read path. The coalescing gap and the prefetch
-/// switch have environment overrides ([`RangeConfig::from_env`]); the
-/// retry policy is fixed at its default unless a caller builds the struct
-/// itself (the range fault tests do).
+/// Configuration of the range read path. Nothing here is read from the
+/// environment: [`BatFile::from_source`](crate::BatFile::from_source) uses
+/// the default, and a caller that needs another retry policy builds the
+/// struct itself (the range fault tests do).
 #[derive(Debug, Clone)]
 pub struct RangeConfig {
     /// Maximum gap (bytes) between two planned ranges that still get merged
     /// into one request. `0` merges only exactly-adjacent ranges.
-    /// Env: `BAT_RANGE_GAP_BYTES`.
     pub gap_bytes: u64,
     /// Retries after a failed or torn range request (total attempts =
     /// `retries + 1`).
@@ -136,9 +134,6 @@ pub struct RangeConfig {
     /// Base backoff between retries; doubles per attempt. `0` disables
     /// sleeping (tests).
     pub backoff_ms: u64,
-    /// Prefetch planned treelets with coalesced requests before execution.
-    /// Env: `BAT_RANGE_PREFETCH` (`0`/`off`/`false`/`no` disables).
-    pub prefetch: bool,
 }
 
 impl Default for RangeConfig {
@@ -147,27 +142,10 @@ impl Default for RangeConfig {
             // One page of slack on each side of a 4 KiB-aligned treelet is
             // almost always cheaper than a second round trip; 16 KiB merges
             // runs of small neighbouring treelets without inflating bytes
-            // much (bench_range sweeps this knob).
+            // much (gap sweep recorded in DESIGN.md §13).
             gap_bytes: 16 * 1024,
             retries: 3,
             backoff_ms: 1,
-            prefetch: true,
-        }
-    }
-}
-
-impl RangeConfig {
-    /// Defaults overridden by `BAT_RANGE_GAP_BYTES` / `BAT_RANGE_PREFETCH`,
-    /// read when a range-backed file is opened.
-    pub fn from_env() -> RangeConfig {
-        let default = RangeConfig::default();
-        RangeConfig {
-            gap_bytes: knobs::RANGE_GAP_BYTES.uint().unwrap_or(default.gap_bytes),
-            prefetch: !matches!(
-                knobs::RANGE_PREFETCH.get().as_deref(),
-                Some("0" | "off" | "false" | "no")
-            ),
-            ..default
         }
     }
 }
@@ -227,11 +205,6 @@ impl RangeReader {
     /// True when the underlying object is empty.
     pub fn is_empty(&self) -> bool {
         self.source.is_empty()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &RangeConfig {
-        &self.cfg
     }
 
     /// Snapshot of this reader's cumulative counters.

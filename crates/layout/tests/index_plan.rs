@@ -23,9 +23,11 @@ fn force_strategy(strategy: &str) -> EnvGuard {
 }
 
 /// Clustered cloud with a planted rare value: attribute `energy` is
-/// uniform noise except in one spatial cluster, where every particle
+/// uniform noise except in one spatial cluster, where every other particle
 /// carries exactly 42.0 — a low-selectivity predicate the bitmap bins
-/// cannot isolate (42 shares its bin with plenty of noise).
+/// cannot isolate: noise that would land in [`rare_query`]'s band is
+/// nudged just past it, so 42 shares its bin with plenty of near misses
+/// in every treelet while only the cluster truly matches.
 fn planted(n: usize, seed: u64) -> (ParticleSet, Aabb) {
     let mut rng = Xoshiro256::new(seed);
     let mut set = ParticleSet::new(vec![
@@ -46,7 +48,12 @@ fn planted(n: usize, seed: u64) -> (ParticleSet, Aabb) {
         let energy = if i % centers.len() == 0 && i % 16 == 0 {
             42.0
         } else {
-            rng.next_f32() as f64 * 100.0
+            let e = rng.next_f32() as f64 * 100.0;
+            if e > 41.5 && e < 42.5 {
+                e + 1.0
+            } else {
+                e
+            }
         };
         set.push(p, &[energy, p.z as f64 * 10.0]);
     }
@@ -168,11 +175,20 @@ fn index_plan_culls_treelets_the_bitmap_keeps() {
     assert_eq!(index_plan.strategy, PlanStrategy::Index);
     let sel = index_plan.index_selectivity.expect("rank search ran");
     assert!(sel > 0.0 && sel < 0.1, "planted predicate is rare: {sel}");
+    // Exact culling must at least halve what the bins keep — in treelets
+    // planned and in bytes crossing the wire (index pages included).
+    let fetched = |strategy: &str| {
+        let _env = force_strategy(strategy);
+        let file = open_range(&bytes);
+        assert!(file.count(&q).unwrap() > 0, "planted band matches");
+        file.range_stats().expect("range-backed").bytes_fetched
+    };
+    let (index_bytes, bitmap_bytes) = (fetched("index"), fetched("bitmap"));
+    let (index_treelets, bitmap_treelets) = (index_plan.num_treelets(), bitmap_plan.num_treelets());
     assert!(
-        index_plan.num_treelets() < bitmap_plan.num_treelets(),
-        "exact culling must beat the bins: {} vs {}",
-        index_plan.num_treelets(),
-        bitmap_plan.num_treelets()
+        2 * index_treelets <= bitmap_treelets && 2 * index_bytes <= bitmap_bytes,
+        "index plan must be <= 0.5x the bitmap plan: treelets {index_treelets} vs \
+         {bitmap_treelets}, fetched bytes {index_bytes} vs {bitmap_bytes}"
     );
 
     // A predicate outside every stored key is proven empty by rank search.

@@ -96,11 +96,6 @@ knob_table! {
         "treelet page cache budget (accepts k/m/g suffixes; 0 = off)";
     READ_BACKEND = "BAT_READ_BACKEND", "mmap", Word(&["mmap", "range-file", "range-sim"]),
         "reader backend: mmap | range-file | range-sim";
-    RANGE_GAP_BYTES = "BAT_RANGE_GAP_BYTES", "16k", Bytes,
-        "max gap merged into one coalesced range request";
-    RANGE_PREFETCH = "BAT_RANGE_PREFETCH", "on",
-        Word(&["1", "on", "true", "yes", "0", "off", "false", "no"]),
-        "coalesced prefetch of planned treelets: on | off";
     TREELET_CODEC = "BAT_TREELET_CODEC", "v1", Word(&["v1", "v2-lossless", "v2-lossy"]),
         "treelet write codec: v1 | v2-lossless | v2-lossy";
     INDEX_ATTRS = "BAT_INDEX_ATTRS", "(none)", Text,

@@ -697,6 +697,8 @@ struct SubQuery {
 struct StreamCur {
     shard: usize,
     tag: u32,
+    /// The shard's [`Comm::incarnation`] when the request was sent.
+    incarnation: u64,
     /// This is the later, speculative dispatch of a hedge pair.
     hedge: bool,
     /// Leaf index (into the slice) of the front of `groups`.
@@ -1007,6 +1009,7 @@ impl RouterRun<'_> {
         StreamCur {
             shard,
             tag,
+            incarnation: self.router.comm.incarnation(1 + shard),
             hedge,
             base: sub.next,
             groups: VecDeque::new(),
@@ -1105,8 +1108,23 @@ impl RouterRun<'_> {
     }
 
     /// Remove failed streams, recording breaker state and keeping the
-    /// most recent error for exhaustion reporting.
+    /// most recent error for exhaustion reporting. A stream whose shard
+    /// was respawned and re-admitted since the dispatch counts as failed:
+    /// the request died with the old process, and waiting on the new one
+    /// would burn the whole silence budget before failing over.
     fn reap_failed(&self, sub: &mut SubQuery) {
+        for s in sub.streams.iter_mut().filter(|s| s.receivable()) {
+            if self.router.comm.incarnation(1 + s.shard) != s.incarnation {
+                s.failed = Some(ShardQueryError::Comm {
+                    shard: s.shard,
+                    error: CommError::PeerDead {
+                        rank: ROUTER_RANK,
+                        peer: 1 + s.shard,
+                        tag: s.tag,
+                    },
+                });
+            }
+        }
         let mut i = 0;
         while i < sub.streams.len() {
             if let Some(err) = sub.streams[i].failed.take() {

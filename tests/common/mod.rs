@@ -143,6 +143,26 @@ pub fn write_dataset_into(dir: &Path, workload: &Workload, opts: &BuildOpts) {
     }
 }
 
+/// The clustered fixture the coalescing and compression gates measure
+/// on: 100 k cosmology particles in 24 halos over 64 KiB leaf files —
+/// many treelets per file, positions that delta-code well.
+#[allow(dead_code)] // not every test binary that includes this module uses it
+pub fn build_cosmology_dataset(tag: &'static str, codec: Option<&'static str>) -> ScratchDir {
+    build_test_dataset(
+        &Workload::Cosmology {
+            n_particles: 100_000,
+            n_halos: 24,
+            seed: 7,
+        },
+        &BuildOpts {
+            tag,
+            target_file_bytes: 64 << 10,
+            codec,
+            ..BuildOpts::default()
+        },
+    )
+}
+
 /// The query mix the serving tests run: a bulk full read, a
 /// spatial+attribute filtered read, and a low-quality interactive read —
 /// one per cache admission class.

@@ -8,9 +8,9 @@ use bat_comm::Cluster;
 use bat_geom::Aabb;
 use bat_layout::ParticleSet;
 use bat_workloads::{uniform, RankGrid};
-use common::{fingerprint, ScratchDir};
+use common::{build_cosmology_dataset, fingerprint, ScratchDir};
 use libbat::read::{query_distributed, read_particles};
-use libbat::write::{write_particles, WriteConfig};
+use libbat::write::{leaf_file_name, write_particles, WriteConfig};
 
 /// Write the uniform workload on `n` ranks and return per-rank fingerprints.
 fn write_uniform(
@@ -443,6 +443,30 @@ fn metrics_do_not_change_written_bytes() {
     assert_eq!(
         off, on,
         "metrics-enabled write must be byte-identical to disabled"
+    );
+}
+
+/// The v2-lossless codecs must keep paying for themselves on the
+/// clustered workload they were tuned on: stored payload over raw payload
+/// across every leaf file stays at the recorded ratio (0.8426: positions
+/// 0.680, attributes 0.883) within the tolerance `stored_ratio_v2` carries
+/// in `BENCHMARK.json`.
+#[test]
+fn v2_lossless_compresses_the_cosmology_payload() {
+    let scratch = build_cosmology_dataset("v2-ratio", Some("v2-lossless"));
+    let ds = libbat::Dataset::open(&scratch.path, "s").unwrap();
+    let (mut stored, mut raw) = (0u64, 0u64);
+    for leaf in 0..ds.num_files() as u32 {
+        let bytes = std::fs::read(scratch.path.join(leaf_file_name("s", leaf))).unwrap();
+        let stats = bat_layout::LayoutStats::measure(&bytes).unwrap();
+        assert!(stats.compression_ratio() <= 1.0, "leaf {leaf} grew");
+        stored += stats.stored_payload_bytes;
+        raw += stats.raw_bytes;
+    }
+    let ratio = stored as f64 / raw as f64;
+    assert!(
+        ratio <= 0.8426 + 0.01,
+        "v2-lossless stored/raw payload ratio {ratio:.4} ({stored} / {raw} B)"
     );
 }
 

@@ -167,31 +167,6 @@ fn cases() -> Vec<Case> {
             Some("range_sim"),
         ),
         (
-            &knobs::RANGE_GAP_BYTES,
-            Some(Uint(16 << 10)),
-            vec![
-                ("0", Uint(0)),
-                ("65536", Uint(65_536)),
-                ("1m", Uint(1 << 20)),
-            ],
-            Some("wide"),
-        ),
-        (
-            &knobs::RANGE_PREFETCH,
-            Some(word("on")),
-            vec![
-                ("1", word("1")),
-                ("on", word("on")),
-                ("true", word("true")),
-                ("yes", word("yes")),
-                ("0", word("0")),
-                ("off", word("off")),
-                ("false", word("false")),
-                ("no", word("no")),
-            ],
-            Some("maybe"),
-        ),
-        (
             &knobs::TREELET_CODEC,
             Some(word("v1")),
             vec![
@@ -248,7 +223,7 @@ fn every_knob_parses_its_documented_values() {
     let covered: Vec<&str> = cases.iter().map(|c| c.0.name).collect();
     let table: Vec<&str> = ENV_KNOBS.iter().map(|k| k.name).collect();
     assert_eq!(covered, table, "one case per table row, in table order");
-    assert_eq!(table.len(), 19);
+    assert_eq!(table.len(), 17);
 
     for (knob, default, spellings, invalid) in cases {
         let name = knob.name;
@@ -318,8 +293,6 @@ fn every_knob_parses_its_documented_values() {
 fn consumer_defaults_match_the_table() {
     let _serial = lock();
     let _env = EnvGuard::set(&[
-        (&knobs::RANGE_GAP_BYTES, None),
-        (&knobs::RANGE_PREFETCH, None),
         (&knobs::TREELET_CODEC, None),
         (&knobs::READ_BACKEND, None),
         (&knobs::TRANSPORT, None),
@@ -327,10 +300,12 @@ fn consumer_defaults_match_the_table() {
         (&knobs::SHARD_MISSED_BEATS, None),
     ]);
     let uint = |k: &Knob| knobs::parse_bytes(k.default).expect("numeric default");
-    let range = RangeConfig::from_env();
-    assert_eq!(range.gap_bytes, uint(&knobs::RANGE_GAP_BYTES));
-    assert!(range.prefetch);
-    assert_eq!((range.retries, range.backoff_ms), (3, 1));
+    // Not knobs: the range path's constants (DESIGN.md §18).
+    let range = RangeConfig::default();
+    assert_eq!(
+        (range.gap_bytes, range.retries, range.backoff_ms),
+        (16 << 10, 3, 1)
+    );
     assert_eq!(
         Ok(DEFAULT_ERROR_BOUND),
         knobs::CODEC_ERROR_BOUND.default.parse()

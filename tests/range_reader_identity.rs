@@ -13,7 +13,7 @@ mod common;
 use bat_geom::{Aabb, Vec3};
 use bat_iosim::{ObjectStore, ObjectStoreConfig};
 use bat_layout::{PageCache, Query};
-use common::{build_test_dataset, fnv1a, BuildOpts, Workload};
+use common::{build_cosmology_dataset, build_test_dataset, fnv1a, BuildOpts, Workload};
 use libbat::{Dataset, ReadBackend};
 use std::sync::Arc;
 
@@ -105,16 +105,8 @@ fn all_backends_fnv_identical_across_cache_matrix() {
 
 #[test]
 fn range_sim_issues_coalesced_requests_and_reuses_cache() {
-    let scratch = build_test_dataset(
-        &Workload::Uniform {
-            per_rank: 1_500,
-            seed: 11,
-        },
-        &BuildOpts {
-            tag: "range-reqs",
-            ..BuildOpts::default()
-        },
-    );
+    // Many treelets per file: the case the coalescer exists for.
+    let scratch = build_cosmology_dataset("range-reqs", None);
     let store = ObjectStore::new(ObjectStoreConfig::default());
     let ds = Dataset::open(&scratch.path, "s").unwrap();
     ds.set_backend(ReadBackend::RangeSim(store.clone()));
@@ -124,12 +116,12 @@ fn range_sim_issues_coalesced_requests_and_reuses_cache() {
     let total_treelets = ds.query(&q, |_| {}).unwrap().treelets_visited;
     let cold = store.stats();
     assert!(cold.requests > 0, "range backend must issue store requests");
-    // Coalescing: with treelets page-adjacent in each leaf file and a
-    // 16 KiB default gap, the cold read needs strictly fewer GETs than one
-    // per treelet (plus head fetches).
+    // Coalescing: a naive reader issues one GET per planned treelet. With
+    // treelets page-adjacent in each leaf file and the 16 KiB gap, the cold
+    // read (head fetches included) must need at most half as many.
     assert!(
-        cold.requests < total_treelets,
-        "expected coalesced requests: {} GETs for {} treelets",
+        2 * cold.requests <= total_treelets,
+        "expected coalesced requests <= 0.5x naive: {} GETs for {} treelets",
         cold.requests,
         total_treelets
     );
