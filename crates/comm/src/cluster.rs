@@ -12,11 +12,11 @@
 //! rank, the cluster size, and every peer endpoint, then calls
 //! [`Cluster::connect`] to join the mesh.
 
-use crate::channel::ChannelComm;
 use crate::comm::Comm;
-use crate::sim::{SimComm, SimParams};
-use crate::socket::{Endpoint, Listener, SocketComm};
-use crate::state::{ClusterState, PoisonCell};
+use crate::inbox::Mailroom;
+use crate::sim::{SimNet, SimParams};
+use crate::socket::{Endpoint, Listener, SocketLinks};
+use crate::transport::{Channel, RankComm, Transport};
 use parking_lot::Mutex;
 use std::io;
 use std::panic::AssertUnwindSafe;
@@ -263,31 +263,23 @@ impl Cluster {
         F: Fn(Box<dyn Comm>) -> T + Sync,
     {
         assert!(n > 0, "cluster needs at least one rank");
+        // In-process transports: every rank shares one mailroom and one
+        // transport object.
+        let shared = |link: Arc<dyn Transport>| {
+            let room = Arc::new(Mailroom::new(n));
+            run_ranks(n, &f, move |rank| {
+                Box::new(RankComm::new(room.clone(), link.clone(), rank))
+            })
+        };
         match kind {
-            TransportKind::Channel => {
-                let state = ClusterState::new(n);
-                run_ranks(n, &f, move |rank| {
-                    RankHandle::plain(Box::new(ChannelComm::new(state.clone(), rank)))
-                })
-            }
-            TransportKind::Sim => {
-                let comms = Mutex::new(
-                    SimComm::cluster(n, SimParams::default())
-                        .into_iter()
-                        .map(Some)
-                        .collect::<Vec<_>>(),
-                );
-                run_ranks(n, &f, move |rank| {
-                    RankHandle::plain(Box::new(
-                        comms.lock()[rank].take().expect("one handle per rank"),
-                    ))
-                })
-            }
+            TransportKind::Channel => shared(Arc::new(Channel)),
+            TransportKind::Sim => shared(Arc::new(SimNet::new(n, SimParams::default()))),
             TransportKind::Socket => {
                 // Pre-bind every listener on an ephemeral loopback port so
                 // endpoints are known before any rank starts connecting
-                // (no port race), and share one poison cell so a panicking
-                // rank still wakes its in-process siblings.
+                // (no port race). Each rank keeps a private view of who is
+                // dead, but all share the inboxes and the poison flag so a
+                // panicking rank still wakes its in-process siblings.
                 let listeners: Vec<Listener> = (0..n)
                     .map(|_| {
                         Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into()))
@@ -299,7 +291,7 @@ impl Cluster {
                     .map(|l| l.local_endpoint().expect("listener addr"))
                     .collect();
                 let slots = Mutex::new(listeners.into_iter().map(Some).collect::<Vec<_>>());
-                let poison = Arc::new(PoisonCell::default());
+                let root = Mailroom::new(n);
                 run_ranks(n, &f, move |rank| {
                     let listener = slots.lock()[rank].take().expect("one listener per rank");
                     let cfg = ClusterConfig {
@@ -309,31 +301,30 @@ impl Cluster {
                         topology: Topology::default(),
                         endpoints: endpoints.clone(),
                     };
-                    let comm = SocketComm::establish(listener, &cfg, poison.clone())
-                        .expect("socket transport setup");
-                    let cleanup = comm.clone();
-                    RankHandle {
-                        comm: Box::new(comm),
-                        cleanup: Some(Box::new(move || cleanup.shutdown())),
-                    }
+                    socket_rank(listener, &cfg, root.private_view())
+                        .expect("socket transport setup")
                 })
             }
         }
     }
 
     /// Join a multi-process cluster described by `cfg` (usually
-    /// `ClusterConfig::from_env()` from `BAT_CLUSTER`). Only the socket
-    /// transport is meaningful across processes; in-process transports are
-    /// accepted for size-1 topologies so single-rank tools can run under a
-    /// generic launcher.
+    /// `ClusterConfig::from_env()` from `BAT_CLUSTER`): bind this rank's
+    /// endpoint, mesh up with every peer, and return once all handshakes
+    /// complete. Only the socket transport is meaningful across
+    /// processes; in-process transports are accepted for size-1
+    /// topologies so single-rank tools can run under a generic launcher.
     pub fn connect(cfg: &ClusterConfig) -> io::Result<Box<dyn Comm>> {
         bat_faults::init_from_env();
         bat_faults::set_rank(Some(cfg.rank));
         match cfg.transport {
-            TransportKind::Socket => Ok(Box::new(SocketComm::connect(cfg)?)),
-            TransportKind::Channel | TransportKind::Sim if cfg.size == 1 => {
-                Ok(Box::new(ChannelComm::new(ClusterState::new(1), 0)))
+            TransportKind::Socket => {
+                let listener = Listener::bind(&cfg.parsed_endpoints()?[cfg.rank])?;
+                socket_rank(listener, cfg, Mailroom::new(cfg.size))
             }
+            TransportKind::Channel | TransportKind::Sim if cfg.size == 1 => Ok(Box::new(
+                RankComm::new(Arc::new(Mailroom::new(1)), Arc::new(Channel), 0),
+            )),
             _ => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "channel/sim transports are in-process; multi-process clusters need transport=tcp|unix",
@@ -342,30 +333,24 @@ impl Cluster {
     }
 }
 
-/// What a rank thread needs: its comm handle and an optional teardown to
-/// run after the rank function returns (socket transports close their
-/// connections and join reader threads here).
-struct RankHandle {
-    comm: Box<dyn Comm>,
-    cleanup: Option<Box<dyn FnOnce() + Send>>,
-}
-
-impl RankHandle {
-    fn plain(comm: Box<dyn Comm>) -> RankHandle {
-        RankHandle {
-            comm,
-            cleanup: None,
-        }
-    }
+/// Rank `cfg.rank` of a socket cluster, receiving into `room`.
+fn socket_rank(
+    listener: Listener,
+    cfg: &ClusterConfig,
+    room: Mailroom,
+) -> io::Result<Box<dyn Comm>> {
+    let room = Arc::new(room);
+    let links = SocketLinks::establish(listener, cfg, room.clone())?;
+    Ok(Box::new(RankComm::new(room, links, cfg.rank)))
 }
 
 /// Shared thread-hosting loop: per-rank obs registries, fault context,
-/// panic → poison, cleanup, and first-panic propagation.
+/// panic → poison, transport teardown, and first-panic propagation.
 fn run_ranks<T, F, M>(n: usize, f: &F, make: M) -> Vec<T>
 where
     T: Send,
     F: Fn(Box<dyn Comm>) -> T + Sync,
-    M: Fn(usize) -> RankHandle + Sync,
+    M: Fn(usize) -> Box<dyn Comm> + Sync,
 {
     // When metrics are on, each rank thread records into its own scoped
     // registry (so concurrent ranks never contend on one map) which is
@@ -397,7 +382,7 @@ where
                 bat_faults::init_from_env();
                 bat_faults::set_rank(Some(rank));
                 std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let RankHandle { comm, cleanup } = make(rank);
+                    let comm = make(rank);
                     // Kept aside so a panicking `f` can still poison: the
                     // primary handle moves into the closure.
                     let guard = comm.clone_comm();
@@ -405,9 +390,9 @@ where
                     if out.is_err() {
                         guard.poison();
                     }
-                    if let Some(c) = cleanup {
-                        c();
-                    }
+                    // Socket ranks close their connections and join their
+                    // reader threads here; a no-op in-process.
+                    guard.shutdown();
                     match out {
                         Ok(v) => v,
                         Err(p) => std::panic::resume_unwind(p),

@@ -3,12 +3,13 @@
 //! [`Comm`] is the one interface every pipeline in the workspace is written
 //! against: MPI-style point-to-point operations with `(source, tag)`
 //! matching, liveness (deadlines + per-rank death), and the collectives.
-//! Transports implement the small set of *raw* primitives (`send_raw`,
-//! `recv_deadline_raw`, probes, and handle plumbing); everything user-facing
-//! — tag validation, fault injection, retries, the collective algorithms,
-//! the nonblocking barrier — is provided by the trait itself, so all three
-//! transports (in-process channels, sockets, the simulated network) share
-//! identical semantics above the byte-moving layer (DESIGN.md §14).
+//! The rank handle implements the small set of *raw* primitives (`send_raw`,
+//! `recv_deadline_raw`, probes, and handle plumbing) over the shared inbox;
+//! everything user-facing — tag validation, fault injection, retries, the
+//! collective algorithms, the nonblocking barrier — is provided by the trait
+//! itself, so all three transports (in-process channels, sockets, the
+//! simulated network) share identical semantics above the byte-moving layer
+//! (DESIGN.md §14).
 
 use crate::error::CommError;
 use crate::request::RecvRequest;
@@ -69,8 +70,7 @@ pub(crate) fn check_user_tag(tag: u32) {
 /// [`Comm::clone_comm`]; clones refer to the same rank.
 ///
 /// The trait is dyn-compatible: pipelines take `&dyn Comm` and work over
-/// any transport ([`crate::ChannelComm`], [`crate::SocketComm`],
-/// [`crate::SimComm`]).
+/// any transport (channel, socket, sim).
 pub trait Comm: Send + Sync {
     // ------------------------------------------------------------------
     // Identity and deadlines

@@ -7,11 +7,26 @@
 //! serving queries until every rank has its data (paper §IV-B).
 //!
 //! Production MPI is not available in this environment (see DESIGN.md), so
-//! this crate implements the same communication model in-process: every rank
-//! is an OS thread, and messages move through per-rank mailboxes with
-//! MPI-style `(source, tag)` matching and non-overtaking delivery order. The
-//! pipelines in `libbat` are written purely against [`Comm`], so they would
-//! port to a real MPI binding by re-implementing this one interface.
+//! this crate implements the same communication model itself: messages move
+//! through per-rank inboxes with MPI-style `(source, tag)` matching and
+//! non-overtaking delivery order. The pipelines in `libbat` are written
+//! purely against [`Comm`], so they would port to a real MPI binding by
+//! re-implementing this one interface.
+//!
+//! # Structure
+//!
+//! One inbox sits under three transports (DESIGN.md §14). The `inbox`
+//! module owns the per-rank queues, the single matched-receive loop
+//! (poison → first visible match → dead source only when nothing is
+//! pending → deadline → wait), the nonblocking receive and probe, the one
+//! lock-then-wake helper, and the liveness state (dead flags, poison,
+//! ibarrier generations). `transport` holds the one rank handle
+//! implementing [`Comm`] over it. A transport is only *how a send reaches
+//! the destination inbox*: a push (`channel`, ranks are threads), a push
+//! that becomes visible when a modelled NIC says so (`sim`), or a frame
+//! written to a socket whose reader thread pushes it (`socket`, ranks are
+//! threads or processes). `BAT_TRANSPORT` / `BAT_CLUSTER` pick one
+//! ([`Cluster`]).
 //!
 //! # Model
 //!
@@ -53,25 +68,22 @@
 //! assert_eq!(sums[0], 1 + 2 + 3);
 //! ```
 
-mod channel;
 mod cluster;
 mod collectives;
 mod comm;
 mod error;
 mod ibarrier;
+mod inbox;
 mod request;
 mod sim;
 mod socket;
-mod state;
+mod transport;
 
-pub use channel::ChannelComm;
 pub use cluster::{Cluster, ClusterConfig, Topology, TransportKind};
 pub use comm::{Comm, Message, ProbeInfo};
 pub use error::CommError;
 pub use ibarrier::IBarrier;
 pub use request::{wait_all, RecvRequest};
-pub use sim::{SimComm, SimNetStats, SimParams};
-pub use socket::SocketComm;
 
 /// Highest tag value available to users. Tags at or above this are reserved
 /// for the collective implementations.
@@ -89,6 +101,15 @@ mod tests {
     fn value(m: &Message) -> u64 {
         u64::from_le_bytes(m.payload[..8].try_into().unwrap())
     }
+
+    /// Matching, FIFO order, probes and liveness are the shared inbox's,
+    /// so the tests of that contract run on every transport, not only the
+    /// one `BAT_TRANSPORT` selects.
+    pub(super) const TRANSPORTS: [TransportKind; 3] = [
+        TransportKind::Channel,
+        TransportKind::Socket,
+        TransportKind::Sim,
+    ];
 
     #[test]
     fn single_rank_cluster() {
@@ -118,40 +139,44 @@ mod tests {
 
     #[test]
     fn tag_matching_is_exact() {
-        let out = Cluster::run(2, |comm| {
-            if comm.rank() == 0 {
-                // Send tag 2 first, then tag 1; receiver asks for tag 1 first.
-                comm.isend(1, 2, payload(200));
-                comm.isend(1, 1, payload(100));
-                0
-            } else {
-                let a = comm.recv(Some(0), 1);
-                let b = comm.recv(Some(0), 2);
-                assert_eq!(value(&a), 100);
-                assert_eq!(value(&b), 200);
-                1
-            }
-        });
-        assert_eq!(out, vec![0, 1]);
+        for kind in TRANSPORTS {
+            let out = Cluster::run_with(kind, 2, |comm| {
+                if comm.rank() == 0 {
+                    // Send tag 2 first, then tag 1; receiver asks for tag 1 first.
+                    comm.isend(1, 2, payload(200));
+                    comm.isend(1, 1, payload(100));
+                    0
+                } else {
+                    let a = comm.recv(Some(0), 1);
+                    let b = comm.recv(Some(0), 2);
+                    assert_eq!(value(&a), 100, "{kind:?}");
+                    assert_eq!(value(&b), 200, "{kind:?}");
+                    1
+                }
+            });
+            assert_eq!(out, vec![0, 1]);
+        }
     }
 
     #[test]
     fn per_source_fifo_order() {
-        let out = Cluster::run(2, |comm| {
-            if comm.rank() == 0 {
-                for i in 0..100u64 {
-                    comm.isend(1, 3, payload(i));
+        for kind in TRANSPORTS {
+            let out = Cluster::run_with(kind, 2, |comm| {
+                if comm.rank() == 0 {
+                    for i in 0..100u64 {
+                        comm.isend(1, 3, payload(i));
+                    }
+                    0
+                } else {
+                    for i in 0..100u64 {
+                        let m = comm.recv(Some(0), 3);
+                        assert_eq!(value(&m), i, "{kind:?}: messages must not overtake");
+                    }
+                    1
                 }
-                0
-            } else {
-                for i in 0..100u64 {
-                    let m = comm.recv(Some(0), 3);
-                    assert_eq!(value(&m), i, "messages must not overtake");
-                }
-                1
-            }
-        });
-        assert_eq!(out.len(), 2);
+            });
+            assert_eq!(out.len(), 2);
+        }
     }
 
     #[test]
@@ -190,21 +215,23 @@ mod tests {
 
     #[test]
     fn iprobe_sees_pending_without_consuming() {
-        Cluster::run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.isend(1, 4, payload(9));
-                comm.barrier();
-            } else {
-                comm.barrier();
-                let info = comm.iprobe(None, 4).expect("message should be queued");
-                assert_eq!(info.src, 0);
-                assert_eq!(info.len, 8);
-                // Probing does not consume.
-                let m = comm.recv(Some(0), 4);
-                assert_eq!(value(&m), 9);
-                assert!(comm.iprobe(None, 4).is_none());
-            }
-        });
+        for kind in TRANSPORTS {
+            Cluster::run_with(kind, 2, |comm| {
+                if comm.rank() == 0 {
+                    comm.isend(1, 4, payload(9));
+                    comm.barrier();
+                } else {
+                    comm.barrier();
+                    let info = comm.iprobe(None, 4).expect("message should be queued");
+                    assert_eq!(info.src, 0, "{kind:?}");
+                    assert_eq!(info.len, 8, "{kind:?}");
+                    // Probing does not consume.
+                    let m = comm.recv(Some(0), 4);
+                    assert_eq!(value(&m), 9, "{kind:?}");
+                    assert!(comm.iprobe(None, 4).is_none(), "{kind:?}");
+                }
+            });
+        }
     }
 
     #[test]
@@ -356,17 +383,21 @@ mod tests {
 
     #[test]
     fn panicked_rank_poisons_cluster() {
-        let result = std::panic::catch_unwind(|| {
-            Cluster::run(3, |comm| {
-                if comm.rank() == 1 {
-                    panic!("rank 1 exploded");
-                }
-                // Other ranks block forever waiting for a message that will
-                // never come; poisoning must wake them.
-                let _ = comm.recv(Some(1), 99);
+        for kind in TRANSPORTS {
+            let result = std::panic::catch_unwind(|| {
+                Cluster::run_with(kind, 3, |comm| {
+                    if comm.rank() == 1 {
+                        panic!("rank 1 exploded");
+                    }
+                    // Other ranks block forever waiting for a message that
+                    // will never come; poisoning must wake them. Rank 2
+                    // waits on any source, so the panicked rank's death
+                    // alone would not.
+                    let _ = comm.recv((comm.rank() == 0).then_some(1), 99);
+                });
             });
-        });
-        assert!(result.is_err());
+            assert!(result.is_err(), "{kind:?}");
+        }
     }
 
     #[test]
@@ -500,104 +531,123 @@ mod randomized_tests {
 
 #[cfg(test)]
 mod liveness_tests {
+    use super::tests::TRANSPORTS;
     use super::*;
     use bytes::Bytes;
     use std::time::{Duration, Instant};
 
     #[test]
     fn recv_timeout_expires_when_nothing_arrives() {
-        Cluster::run(2, |comm| {
-            if comm.rank() == 0 {
-                let start = Instant::now();
-                let err = comm
-                    .recv_timeout(Some(1), 5, Duration::from_millis(30))
-                    .expect_err("nothing was sent");
-                assert!(matches!(err, CommError::Timeout { .. }), "got {err}");
-                assert!(start.elapsed() >= Duration::from_millis(30));
-            }
-            // Rank 1 sends nothing; both ranks still finish (no barrier —
-            // rank 0's wait is the only synchronization under test).
-        });
+        for kind in TRANSPORTS {
+            Cluster::run_with(kind, 2, |comm| {
+                if comm.rank() == 0 {
+                    let start = Instant::now();
+                    let err = comm
+                        .recv_timeout(Some(1), 5, Duration::from_millis(30))
+                        .expect_err("nothing was sent");
+                    assert!(
+                        matches!(err, CommError::Timeout { .. }),
+                        "{kind:?}: got {err}"
+                    );
+                    assert!(start.elapsed() >= Duration::from_millis(30), "{kind:?}");
+                }
+                // Rank 1 sends nothing and returns — a departure, not a
+                // death, on every transport; both ranks still finish (no
+                // barrier — rank 0's wait is the only synchronization
+                // under test).
+            });
+        }
     }
 
     #[test]
     fn recv_timeout_delivers_a_message_that_arrives_in_time() {
-        let out = Cluster::run(2, |comm| {
-            if comm.rank() == 0 {
-                let msg = comm
-                    .recv_timeout(Some(1), 5, Duration::from_secs(5))
-                    .expect("message arrives well before the deadline");
-                msg.payload[0]
-            } else {
-                comm.isend(0, 5, Bytes::from(vec![0xAB]));
-                0
-            }
-        });
-        assert_eq!(out[0], 0xAB);
+        for kind in TRANSPORTS {
+            let out = Cluster::run_with(kind, 2, |comm| {
+                if comm.rank() == 0 {
+                    let msg = comm
+                        .recv_timeout(Some(1), 5, Duration::from_secs(5))
+                        .expect("message arrives well before the deadline");
+                    msg.payload[0]
+                } else {
+                    comm.isend(0, 5, Bytes::from(vec![0xAB]));
+                    0
+                }
+            });
+            assert_eq!(out[0], 0xAB, "{kind:?}");
+        }
     }
 
     #[test]
     fn dead_peer_fails_receivers_fast_but_queued_messages_still_drain() {
-        Cluster::run(2, |comm| {
-            if comm.rank() == 1 {
-                // Send one message, then die.
-                comm.isend(0, 7, Bytes::from(vec![1]));
-                comm.mark_dead();
-            } else {
-                // The pre-death message is delivered...
-                let msg = comm
-                    .recv_timeout(Some(1), 7, Duration::from_secs(5))
-                    .expect("pre-death message is still queued");
-                assert_eq!(msg.payload[0], 1);
-                // ...and the next receive fails fast with PeerDead, long
-                // before the generous deadline.
-                let start = Instant::now();
-                let err = comm
-                    .recv_timeout(Some(1), 7, Duration::from_secs(60))
-                    .expect_err("peer is dead");
-                assert!(
-                    matches!(err, CommError::PeerDead { peer: 1, .. }),
-                    "got {err}"
-                );
-                assert!(start.elapsed() < Duration::from_secs(10));
-            }
-        });
+        for kind in TRANSPORTS {
+            Cluster::run_with(kind, 2, |comm| {
+                if comm.rank() == 1 {
+                    // Send one message, then die.
+                    comm.isend(0, 7, Bytes::from(vec![1]));
+                    comm.mark_dead();
+                } else {
+                    // The pre-death message is delivered...
+                    let msg = comm
+                        .recv_timeout(Some(1), 7, Duration::from_secs(5))
+                        .expect("pre-death message is still queued");
+                    assert_eq!(msg.payload[0], 1, "{kind:?}");
+                    // ...and the next receive fails fast with PeerDead, long
+                    // before the generous deadline.
+                    let start = Instant::now();
+                    let err = comm
+                        .recv_timeout(Some(1), 7, Duration::from_secs(60))
+                        .expect_err("peer is dead");
+                    assert!(
+                        matches!(err, CommError::PeerDead { peer: 1, .. }),
+                        "{kind:?}: got {err}"
+                    );
+                    assert!(start.elapsed() < Duration::from_secs(10), "{kind:?}");
+                }
+            });
+        }
     }
 
     #[test]
     fn sends_to_a_dead_rank_are_dropped_not_queued() {
-        Cluster::run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.mark_dead();
-                comm.isend(1, 3, Bytes::from(vec![9])); // tells rank 1 to proceed
-            } else {
-                let _ = comm.recv_timeout(Some(0), 3, Duration::from_secs(5));
-                // Messages *to* rank 0 vanish; nothing to assert beyond
-                // not panicking (delivery would push into a dead mailbox).
-                comm.isend(0, 3, Bytes::from(vec![4]));
-            }
-        });
+        for kind in TRANSPORTS {
+            Cluster::run_with(kind, 2, |comm| {
+                if comm.rank() == 0 {
+                    comm.mark_dead();
+                    comm.isend(1, 3, Bytes::from(vec![9])); // tells rank 1 to proceed
+                } else {
+                    let _ = comm.recv_timeout(Some(0), 3, Duration::from_secs(5));
+                    // Messages *to* rank 0 vanish; nothing to assert beyond
+                    // not panicking (delivery would push into a dead mailbox).
+                    comm.isend(0, 3, Bytes::from(vec![4]));
+                }
+            });
+        }
     }
 
     #[test]
     fn try_collectives_err_on_all_survivors_when_a_rank_dies() {
         let timeout = Duration::from_millis(100);
-        let results = Cluster::run(4, move |comm| {
-            let comm = comm.with_timeout(Some(timeout));
-            if comm.rank() == 2 {
-                comm.mark_dead();
-                return Err(());
+        for kind in TRANSPORTS {
+            let results = Cluster::run_with(kind, 4, move |comm| {
+                let comm = comm.with_timeout(Some(timeout));
+                if comm.rank() == 2 {
+                    comm.mark_dead();
+                    return Err(());
+                }
+                // Every survivor errs within a bounded number of deadlines —
+                // no hang, no panic. Allreduce blocks every rank (gather at 0,
+                // then broadcast), so no survivor can slip through.
+                comm.try_allreduce_u64(1, &|a, b| a + b)
+                    .map(|_| ())
+                    .map_err(|_| ())
+            });
+            assert!(results[2].is_err());
+            for r in [0, 1, 3] {
+                assert!(
+                    results[r].is_err(),
+                    "{kind:?}: rank {r} should report the dead peer"
+                );
             }
-            // Every survivor errs within a bounded number of deadlines —
-            // no hang, no panic. Allreduce blocks every rank (gather at 0,
-            // then broadcast), so no survivor can slip through.
-            comm.try_allreduce_u64(1, &|a, b| a + b)
-                .map(|_| ())
-                .map_err(|_| ())
-        });
-        assert!(results[2].is_err());
-        for r in [0, 1, 3] {
-            assert!(results[r].is_err(), "rank {r} should report the dead peer");
         }
     }
 

@@ -43,9 +43,9 @@
 //! to a dead mailbox — the receiver's deadline converts loss into error.
 
 use crate::cluster::ClusterConfig;
-use crate::comm::{default_timeout, Comm, Message, ProbeInfo};
-use crate::error::CommError;
-use crate::state::{Mailbox, PoisonCell};
+use crate::comm::Message;
+use crate::inbox::Mailroom;
+use crate::transport::Transport;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::io::{self, Read, Write};
@@ -410,65 +410,28 @@ fn read_hello(r: &mut Conn) -> io::Result<(u32, u32)> {
 // The transport
 // ---------------------------------------------------------------------
 
-struct SocketState {
+/// One rank's connections: the write halves it sends on and the reader
+/// threads that push what arrives into its inbox.
+pub(crate) struct SocketLinks {
     rank: usize,
-    size: usize,
-    /// All incoming messages from every peer, matched like a channel
-    /// mailbox.
-    inbox: Arc<Mailbox>,
+    /// This rank's view of the cluster; reader threads deliver into
+    /// `room`'s inbox for `rank` and record the deaths they observe.
+    room: Arc<Mailroom>,
     /// Write halves, indexed by peer rank (`None` at our own index or
     /// after a connection failed).
     writers: Vec<Mutex<Option<Conn>>>,
-    dead: Vec<AtomicBool>,
     /// Per-peer connection incarnation. A reader thread only marks its
     /// peer dead if its epoch is still current, so a stale reader from a
     /// replaced connection can't kill a re-admitted peer.
     epochs: Vec<AtomicU64>,
-    ibarrier_gen: AtomicU64,
-    poison: Arc<PoisonCell>,
     /// Set by `shutdown` so reader threads exit silently instead of
     /// marking peers dead when we close our own sockets.
     closed: AtomicBool,
     readers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-impl SocketState {
-    fn deliver_local(&self, msg: Message) {
-        // Mirror channel semantics: messages to a dead rank are dropped.
-        if self.dead[self.rank].load(Ordering::Acquire) {
-            return;
-        }
-        let mut q = self.inbox.queue.lock();
-        q.push(msg);
-        self.inbox.cv.notify_all();
-    }
-
-    /// Record a peer's death (observed or announced) and wake receivers.
-    fn mark_dead_local(&self, rank: usize) {
-        self.dead[rank].store(true, Ordering::Release);
-        let _guard = self.inbox.queue.lock();
-        self.inbox.cv.notify_all();
-    }
-
-    fn shutdown(&self) {
-        if self.closed.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        for w in &self.writers {
-            if let Some(conn) = w.lock().take() {
-                let mut conn = conn;
-                let _ = write_bye(&mut conn, self.rank as u32);
-                conn.shutdown();
-            }
-        }
-        let handles: Vec<_> = self.readers.lock().drain(..).collect();
-        for h in handles {
-            h.join().ok();
-        }
-    }
-}
-
-fn reader_loop(mut conn: Conn, peer: usize, epoch: u64, state: Arc<SocketState>) {
+fn reader_loop(mut conn: Conn, peer: usize, epoch: u64, links: Arc<SocketLinks>) {
+    let room = &links.room;
     // Set once the peer announces a clean departure; the EOF that follows
     // is then an orderly exit, not a death.
     let mut peer_left = false;
@@ -478,15 +441,17 @@ fn reader_loop(mut conn: Conn, peer: usize, epoch: u64, state: Arc<SocketState>)
                 FRAME_MSG if body.len() >= 9 => {
                     let src = u32::from_le_bytes(body[1..5].try_into().unwrap()) as usize;
                     let tag = u32::from_le_bytes(body[5..9].try_into().unwrap());
-                    if src < state.size {
-                        let payload = Bytes::copy_from_slice(&body[9..]);
-                        state.deliver_local(Message { src, tag, payload });
+                    if src < room.size() {
+                        // The payload is a window of the frame body this
+                        // thread already owns: no second copy.
+                        let payload = Bytes::from(body).slice(9..);
+                        room.deliver(links.rank, Message { src, tag, payload }, None);
                     }
                 }
                 FRAME_DEAD if body.len() >= 5 => {
                     let r = u32::from_le_bytes(body[1..5].try_into().unwrap()) as usize;
-                    if r < state.size {
-                        state.mark_dead_local(r);
+                    if r < room.size() {
+                        room.set_dead(r, true);
                     }
                 }
                 FRAME_BYE => peer_left = true,
@@ -494,9 +459,9 @@ fn reader_loop(mut conn: Conn, peer: usize, epoch: u64, state: Arc<SocketState>)
                 _ => {}
             },
             Ok(None) | Err(_) => {
-                let current = state.epochs[peer].load(Ordering::Acquire) == epoch;
-                if !peer_left && current && !state.closed.load(Ordering::Acquire) {
-                    state.mark_dead_local(peer);
+                let current = links.epochs[peer].load(Ordering::Acquire) == epoch;
+                if !peer_left && current && !links.closed.load(Ordering::Acquire) {
+                    room.set_dead(peer, true);
                 }
                 return;
             }
@@ -504,88 +469,72 @@ fn reader_loop(mut conn: Conn, peer: usize, epoch: u64, state: Arc<SocketState>)
     }
 }
 
-/// Wire a (re)connected peer into the fabric: purge any queued frames
-/// from its previous incarnation, install the write half, spawn a fresh
-/// reader, and finally clear the dead flag so sends resume. Called by the
-/// hub's rejoin loop when a supervised worker restarts and dials back in.
-fn readmit(state: &Arc<SocketState>, peer: usize, conn: Conn) -> io::Result<()> {
+/// Install `conn` as the link to `peer`: the write half, and a reader
+/// thread (named for `epoch`) draining the other half into the inbox.
+fn attach(links: &Arc<SocketLinks>, peer: usize, epoch: u64, conn: Conn) -> io::Result<()> {
     let reader_half = conn.try_clone()?;
+    *links.writers[peer].lock() = Some(conn);
+    let l = links.clone();
+    let handle = std::thread::Builder::new()
+        .name(format!("bat-sock-r{}p{}e{}", links.rank, peer, epoch))
+        .spawn(move || reader_loop(reader_half, peer, epoch, l))?;
+    links.readers.lock().push(handle);
+    Ok(())
+}
+
+/// Wire a reconnected peer into the fabric: purge any queued frames from
+/// its previous incarnation, install the new connection, and finally
+/// clear the dead flag so sends resume. Called by the hub's rejoin loop
+/// when a supervised worker restarts and dials back in.
+fn readmit(links: &Arc<SocketLinks>, peer: usize, conn: Conn) -> io::Result<()> {
     // Bump the epoch first: a reader still draining the replaced
     // connection must not mark the new incarnation dead on its EOF.
-    let epoch = state.epochs[peer].fetch_add(1, Ordering::AcqRel) + 1;
-    {
-        // Frames from the dead incarnation would otherwise sit in the
-        // mailbox forever (their req tags are retired).
-        let mut q = state.inbox.queue.lock();
-        q.retain(|m| m.src != peer);
-    }
-    *state.writers[peer].lock() = Some(conn);
-    let st = state.clone();
-    let handle = std::thread::Builder::new()
-        .name(format!("bat-sock-r{}p{}e{}", state.rank, peer, epoch))
-        .spawn(move || reader_loop(reader_half, peer, epoch, st))?;
-    state.readers.lock().push(handle);
-    state.dead[peer].store(false, Ordering::Release);
-    let _guard = state.inbox.queue.lock();
-    state.inbox.cv.notify_all();
+    let epoch = links.epochs[peer].fetch_add(1, Ordering::AcqRel) + 1;
+    links.room.purge(links.rank, peer);
+    attach(links, peer, epoch, conn)?;
+    links.room.set_dead(peer, false);
     Ok(())
 }
 
 /// Hub-only accept loop (star topology): the listener stays bound for the
 /// cluster's lifetime, and any later HELLO from a known rank re-admits
 /// that peer — the membership half of supervised respawn.
-fn rejoin_loop(listener: Listener, state: Arc<SocketState>) {
+fn rejoin_loop(listener: Listener, links: Arc<SocketLinks>) {
     let poll = Duration::from_millis(100);
-    while !state.closed.load(Ordering::Acquire) {
-        let mut c = match listener.accept_deadline(Instant::now() + poll) {
-            Ok(c) => c,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => continue,
-            Err(_) => continue,
+    let size = links.room.size();
+    while !links.closed.load(Ordering::Acquire) {
+        let Ok(mut c) = listener.accept_deadline(Instant::now() + poll) else {
+            continue;
         };
         let hello = (|| -> io::Result<u32> {
             c.set_read_timeout(Some(CONNECT_TIMEOUT))?;
             let (r, s) = read_hello(&mut c)?;
-            if r as usize == 0 || r as usize >= state.size || s as usize != state.size {
+            if r as usize == 0 || r as usize >= size || s as usize != size {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("rejoin HELLO from rank {r} of {s} rejected"),
                 ));
             }
-            write_hello(&mut c, state.rank as u32, state.size as u32)?;
+            write_hello(&mut c, links.rank as u32, size as u32)?;
             c.set_read_timeout(None)?;
             Ok(r)
         })();
         if let Ok(r) = hello {
-            readmit(&state, r as usize, c).ok();
+            readmit(&links, r as usize, c).ok();
         }
     }
 }
 
-/// A rank handle on the socket transport.
-#[derive(Clone)]
-pub struct SocketComm {
-    state: Arc<SocketState>,
-    timeout: Option<Duration>,
-}
-
-impl SocketComm {
-    /// Join a multi-process cluster described by `cfg` (typically parsed
-    /// from `BAT_CLUSTER`): bind our endpoint, mesh up with every peer,
-    /// and return once all handshakes complete.
-    pub fn connect(cfg: &ClusterConfig) -> io::Result<SocketComm> {
-        let eps = cfg.parsed_endpoints()?;
-        let listener = Listener::bind(&eps[cfg.rank])?;
-        SocketComm::establish(listener, cfg, Arc::new(PoisonCell::default()))
-    }
-
-    /// Build the mesh from an already-bound listener. Thread-hosted
-    /// clusters pre-bind all listeners (no ephemeral-port race) and share
-    /// one `PoisonCell` so a rank panic still wakes its siblings.
+impl SocketLinks {
+    /// Join the cluster `cfg` describes as rank `cfg.rank`, receiving
+    /// into `room`: mesh up with every peer over the already-bound
+    /// `listener` and return once all handshakes complete. Thread-hosted
+    /// clusters pre-bind all listeners (no ephemeral-port race).
     pub(crate) fn establish(
         listener: Listener,
         cfg: &ClusterConfig,
-        poison: Arc<PoisonCell>,
-    ) -> io::Result<SocketComm> {
+        room: Arc<Mailroom>,
+    ) -> io::Result<Arc<SocketLinks>> {
         let n = cfg.size;
         let rank = cfg.rank;
         assert!(rank < n, "rank {rank} out of range for size {n}");
@@ -631,226 +580,95 @@ impl SocketComm {
             conns[r] = Some(c);
         }
 
-        // Split each connection into a reader clone and the write half.
-        let mut reader_halves = Vec::with_capacity(n);
-        for (j, c) in conns.iter().enumerate() {
-            reader_halves.push(match c {
-                Some(conn) if j != rank => Some(conn.try_clone()?),
-                _ => None,
-            });
-        }
-        let inbox = Arc::new(Mailbox::default());
-        poison.register(inbox.clone());
-        let state = Arc::new(SocketState {
+        let links = Arc::new(SocketLinks {
             rank,
-            size: n,
-            inbox,
-            writers: conns.into_iter().map(Mutex::new).collect(),
-            dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            room,
+            writers: (0..n).map(|_| Mutex::new(None)).collect(),
             epochs: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            ibarrier_gen: AtomicU64::new(0),
-            poison,
             closed: AtomicBool::new(false),
             readers: Mutex::new(Vec::new()),
         });
-        let mut handles = Vec::with_capacity(n.saturating_sub(1));
-        for (j, half) in reader_halves.into_iter().enumerate() {
-            if let Some(conn) = half {
-                let st = state.clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("bat-sock-r{rank}p{j}"))
-                        .spawn(move || reader_loop(conn, j, 0, st))
-                        .expect("spawn reader thread"),
-                );
+        let wire_up = || -> io::Result<()> {
+            for (j, conn) in conns.into_iter().enumerate() {
+                if let Some(conn) = conn {
+                    attach(&links, j, 0, conn)?;
+                }
             }
-        }
-        *state.readers.lock() = handles;
-        if star && rank == 0 {
-            // The hub keeps listening for the cluster's lifetime so a
-            // supervised worker that crashed and respawned can dial back
-            // in; `rejoin_loop` re-admits it and clears its dead flag.
-            let st = state.clone();
-            let h = std::thread::Builder::new()
-                .name(format!("bat-sock-hub{rank}"))
-                .spawn(move || rejoin_loop(listener, st))
-                .expect("spawn hub accept thread");
-            state.readers.lock().push(h);
-        } else {
-            // Mesh (and star spokes): drop the listener now — Unix paths
-            // are unlinked; reconnects are not part of the mesh protocol.
-            drop(listener);
-        }
-        Ok(SocketComm {
-            state,
-            timeout: default_timeout(),
-        })
+            if star && rank == 0 {
+                // The hub keeps listening for the cluster's lifetime so a
+                // supervised worker that crashed and respawned can dial
+                // back in; `rejoin_loop` re-admits it and clears its dead
+                // flag.
+                let l = links.clone();
+                let h = std::thread::Builder::new()
+                    .name(format!("bat-sock-hub{rank}"))
+                    .spawn(move || rejoin_loop(listener, l))?;
+                links.readers.lock().push(h);
+            }
+            Ok(())
+        };
+        // On failure, close what was attached so far, or its reader
+        // threads would hold the links open forever.
+        wire_up().inspect_err(|_| links.shutdown())?;
+        // Mesh (and star spokes): the listener is dropped by now — Unix
+        // paths are unlinked; reconnects are not part of the mesh protocol.
+        Ok(links)
     }
 }
 
-impl Comm for SocketComm {
-    #[inline]
-    fn rank(&self) -> usize {
-        self.state.rank
-    }
-
-    #[inline]
-    fn size(&self) -> usize {
-        self.state.size
-    }
-
-    #[inline]
-    fn timeout(&self) -> Option<Duration> {
-        self.timeout
-    }
-
-    fn with_timeout(&self, timeout: Option<Duration>) -> Box<dyn Comm> {
-        Box::new(SocketComm {
-            state: self.state.clone(),
-            timeout,
-        })
-    }
-
-    fn clone_comm(&self) -> Box<dyn Comm> {
-        Box::new(self.clone())
-    }
-
-    fn transport(&self) -> &'static str {
+impl Transport for SocketLinks {
+    fn name(&self) -> &'static str {
         "socket"
     }
 
-    fn mark_dead(&self) {
-        let st = &self.state;
-        if st.dead[st.rank].swap(true, Ordering::AcqRel) {
+    fn send(&self, room: &Mailroom, dst: usize, msg: Message) {
+        // Mirror channel semantics: messages to a dead rank are dropped.
+        if room.is_dead(dst) {
             return;
         }
-        // Best-effort death notice so peers fail fast instead of waiting
-        // out their deadlines. The write halves stay open: a dead rank may
-        // still send (crash simulation wants the flush-then-die shape).
-        for (j, w) in st.writers.iter().enumerate() {
-            if j == st.rank {
-                continue;
-            }
-            if let Some(conn) = w.lock().as_mut() {
-                let _ = write_dead(conn, st.rank as u32);
-            }
+        if dst == self.rank {
+            return room.deliver(dst, msg, None);
         }
-        let _guard = st.inbox.queue.lock();
-        st.inbox.cv.notify_all();
-    }
-
-    fn is_dead(&self, rank: usize) -> bool {
-        self.state.dead[rank].load(Ordering::Acquire)
-    }
-
-    fn incarnation(&self, rank: usize) -> u64 {
-        self.state.epochs[rank].load(Ordering::Acquire)
-    }
-
-    fn poison(&self) {
-        // Thread-hosted: trip the shared cell so sibling ranks panic out
-        // of their receives. Multi-process: the cell is private, so this
-        // degrades to mark_dead + connection teardown at process exit.
-        self.state.poison.poison();
-        self.mark_dead();
-    }
-
-    #[inline]
-    fn check_alive(&self) {
-        if self.state.poison.is_poisoned() {
-            panic!("cluster poisoned: another rank panicked");
-        }
-    }
-
-    fn shutdown(&self) {
-        self.state.shutdown();
-    }
-
-    fn send_raw(&self, dst: usize, tag: u32, payload: Bytes) {
-        let st = &self.state;
-        if st.dead[dst].load(Ordering::Acquire) {
-            return;
-        }
-        if dst == st.rank {
-            st.deliver_local(Message {
-                src: st.rank,
-                tag,
-                payload,
-            });
-            return;
-        }
-        let mut guard = st.writers[dst].lock();
+        let mut guard = self.writers[dst].lock();
         let failed = match guard.as_mut() {
-            Some(conn) => write_msg(conn, st.rank as u32, tag, &payload).is_err(),
+            Some(conn) => write_msg(conn, msg.src as u32, msg.tag, &msg.payload).is_err(),
             None => false, // already torn down; drop like a dead mailbox
         };
         if failed {
             *guard = None;
             drop(guard);
-            st.mark_dead_local(dst);
+            room.set_dead(dst, true);
         }
     }
 
-    fn recv_deadline_raw(
-        &self,
-        src: Option<usize>,
-        tag: u32,
-        deadline: Option<Instant>,
-    ) -> Result<Message, CommError> {
-        let st = &self.state;
-        let started = Instant::now();
-        let mut q = st.inbox.queue.lock();
-        loop {
-            if st.poison.is_poisoned() {
-                panic!("cluster poisoned: another rank panicked");
-            }
-            if let Some(i) = Mailbox::find(&q, src, tag) {
-                return Ok(q.remove(i));
-            }
-            // Dead-source check only after draining queued matches:
-            // frames received before the death are still deliverable.
-            if let Some(s) = src {
-                if st.dead[s].load(Ordering::Acquire) {
-                    return Err(CommError::PeerDead {
-                        rank: st.rank,
-                        peer: s,
-                        tag,
-                    });
-                }
-            }
-            match deadline {
-                None => st.inbox.cv.wait(&mut q),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Err(CommError::Timeout {
-                            rank: st.rank,
-                            src,
-                            tag,
-                            waited_ms: started.elapsed().as_millis() as u64,
-                        });
-                    }
-                    let _ = st.inbox.cv.wait_for(&mut q, d - now);
-                }
+    fn announce_death(&self) {
+        // Best-effort death notice so peers fail fast instead of waiting
+        // out their deadlines. The write halves stay open: a dead rank
+        // may still send.
+        for w in &self.writers {
+            if let Some(conn) = w.lock().as_mut() {
+                let _ = write_dead(conn, self.rank as u32);
             }
         }
     }
 
-    fn try_recv_raw(&self, src: Option<usize>, tag: u32) -> Option<Message> {
-        let mut q = self.state.inbox.queue.lock();
-        Mailbox::find(&q, src, tag).map(|i| q.remove(i))
+    fn incarnation(&self, rank: usize) -> u64 {
+        self.epochs[rank].load(Ordering::Acquire)
     }
 
-    fn iprobe_raw(&self, src: Option<usize>, tag: u32) -> Option<ProbeInfo> {
-        let q = self.state.inbox.queue.lock();
-        Mailbox::find(&q, src, tag).map(|i| ProbeInfo {
-            src: q[i].src,
-            tag: q[i].tag,
-            len: q[i].payload.len(),
-        })
-    }
-
-    fn next_ibarrier_generation(&self) -> u64 {
-        self.state.ibarrier_gen.fetch_add(1, Ordering::Relaxed)
+    fn shutdown(&self) {
+        if self.closed.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        for w in &self.writers {
+            if let Some(mut conn) = w.lock().take() {
+                let _ = write_bye(&mut conn, self.rank as u32);
+                conn.shutdown();
+            }
+        }
+        let handles: Vec<_> = self.readers.lock().drain(..).collect();
+        for h in handles {
+            h.join().ok();
+        }
     }
 }

@@ -17,10 +17,11 @@
 //!    The planner itself ([`QueryPlan`], re-exported from `libbat`) is
 //!    the one `Dataset::query` runs, so a served query and a library call
 //!    plan, order and execute identically.
-//! 3. **Bounded front-end** — [`ServePool`], a fixed worker pool with a
-//!    bounded queue, reject-with-retry-after backpressure, and graceful
-//!    drain; the per-query deadline it carries is checked by the reader's
-//!    per-file loop, between treelets.
+//! 3. **Bounded front-end** — [`ServePool`], an admission gate: `workers`
+//!    permits, a bounded ordered wait, reject-with-retry-after
+//!    backpressure, and graceful drain. The session thread that holds a
+//!    permit runs the query itself; the per-query deadline is checked by
+//!    the reader's per-file loop, between treelets.
 //!
 //! The stream front-end (`bat-stream`) builds its session handling on top
 //! of these pieces; `batcli serve` exposes them on the command line.
@@ -32,7 +33,7 @@ pub use bat_layout::cache::{
     self, PageCache, PRIORITY_BULK, PRIORITY_INTERACTIVE, PRIORITY_NORMAL,
 };
 pub use plan::{owned_leaves, replica_owners, shard_of, PlanStats, QueryPlan, ServeError};
-pub use pool::{PoolStats, Rejected, ServePool, ServePoolConfig};
+pub use pool::{Permit, PoolStats, Rejected, ServePool, ServePoolConfig};
 
 use bat_layout::Query;
 use std::sync::Arc;
@@ -52,15 +53,15 @@ pub fn query_priority(q: &Query) -> u8 {
     }
 }
 
-/// Serving configuration. The default is the pool's own sizing
+/// Serving configuration. The default is the gate's own sizing
 /// ([`ServePoolConfig::default`]: workers from the rayon shim's thread
 /// count, queue depth 64) and no deadline; `batcli serve` sets the fields
 /// from `--workers` / `--queue` / `--deadline-ms`.
 #[derive(Clone, Default)]
 pub struct ServeOptions {
-    /// Worker threads; `None` uses [`ServePoolConfig::default`].
+    /// Requests executing at once; `None` uses [`ServePoolConfig::default`].
     pub workers: Option<usize>,
-    /// Bounded queue depth; `None` uses the default.
+    /// Requests that may wait for a permit; `None` uses the default.
     pub queue_depth: Option<usize>,
     /// Per-query deadline; `None` means queries run to completion.
     pub deadline: Option<Duration>,

@@ -215,7 +215,7 @@ impl StreamClient {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::StreamServer;
     use bat_comm::Cluster;
@@ -224,7 +224,7 @@ mod tests {
     use libbat::write::{write_particles, WriteConfig};
     use libbat::Dataset;
 
-    fn make_dataset(tag: &str, per_rank: u64) -> (std::path::PathBuf, u64) {
+    pub(crate) fn make_dataset(tag: &str, per_rank: u64) -> (std::path::PathBuf, u64) {
         let dir = std::env::temp_dir().join(format!("bat-stream-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let n = 4;

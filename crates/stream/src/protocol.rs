@@ -18,6 +18,12 @@
 //!
 //! Chunks are bounded so a viewer can render while the stream continues —
 //! the paper's progressive loading behavior (Fig. 4, §V-B).
+//!
+//! A chunk is encoded once, by the thread that filled it
+//! ([`Chunk::encode_frame`]), and those bytes are what the client's socket
+//! carries: a shard worker sends them to its router as they are, and the
+//! router relays them after checking only the header
+//! ([`check_chunk_frame`]).
 
 use bat_geom::Vec3;
 use bat_layout::{AttributeDesc, Query};
@@ -30,7 +36,7 @@ pub const CHUNK_POINTS: usize = 4096;
 /// Message type tags.
 const MSG_REQUEST: u8 = 1;
 const MSG_SCHEMA: u8 = 2;
-const MSG_CHUNK: u8 = 3;
+pub(crate) const MSG_CHUNK: u8 = 3;
 const MSG_DONE: u8 = 4;
 const MSG_BUSY: u8 = 5;
 const MSG_ERROR: u8 = 6;
@@ -93,6 +99,60 @@ impl Chunk {
     pub fn attr(&self, i: usize, a: usize) -> f64 {
         self.attrs[i * self.num_attrs + a]
     }
+
+    /// The chunk as a client frame payload — what [`ServerMsg::Chunk`]
+    /// encodes to — in one exactly sized allocation.
+    pub fn encode_frame(&self) -> Vec<u8> {
+        let mut enc = Encoder::with_capacity(chunk_frame_len(self.len(), self.num_attrs));
+        enc.put_u8(MSG_CHUNK);
+        encode_chunk(&mut enc, self);
+        enc.finish()
+    }
+}
+
+/// Bytes in a chunk frame payload of `n` points: tag, attribute and point
+/// counts, the position column, and the length-prefixed attribute column.
+fn chunk_frame_len(n: usize, num_attrs: usize) -> usize {
+    25 + n * (12 + 8 * num_attrs)
+}
+
+/// Check that `frame` is a well-formed chunk frame payload for a schema of
+/// `num_attrs` attributes, from its header and length alone, and return
+/// its point count. This is everything [`decode_chunk`] verifies (for any
+/// schema a session can announce), so a frame that passes decodes; a
+/// router uses it to relay a shard's chunk without touching the points.
+pub fn check_chunk_frame(frame: &[u8], num_attrs: usize) -> WireResult<usize> {
+    let mut dec = Decoder::new(frame);
+    let tag = dec.get_u8("message tag")?;
+    if tag != MSG_CHUNK {
+        return Err(WireError::BadTag {
+            what: "chunk frame tag",
+            tag: tag as u64,
+        });
+    }
+    let attrs = dec.get_u64("chunk attrs")?;
+    let n = dec.get_u64("chunk points")?;
+    let bad = |what, len| WireError::BadLength {
+        what,
+        len,
+        remaining: frame.len(),
+    };
+    if attrs != num_attrs as u64 {
+        return Err(bad("chunk attrs vs schema", attrs));
+    }
+    if n > CHUNK_POINTS as u64 {
+        return Err(bad("chunk size", n));
+    }
+    let n = n as usize;
+    if frame.len() != chunk_frame_len(n, num_attrs) {
+        return Err(bad("chunk frame length", frame.len() as u64));
+    }
+    dec.get_raw(n * 12, "chunk positions")?;
+    let values = dec.get_u64("chunk attr count")?;
+    if values != (n * num_attrs) as u64 {
+        return Err(bad("chunk attr payload", values));
+    }
+    Ok(n)
 }
 
 /// Messages a server sends.
@@ -137,9 +197,10 @@ pub enum ServerMsg {
     },
 }
 
-/// Encode a [`Chunk`]'s body (shared between the client protocol and the
-/// shard fabric's inter-process frames, so a router can relay shard
-/// chunks without re-encoding points).
+/// Encode a [`Chunk`]'s body: everything of a chunk frame after its tag.
+/// Shared between the client protocol and the shard fabric's
+/// inter-process frames, so a router relays shard chunks without
+/// re-encoding points.
 pub fn encode_chunk(enc: &mut Encoder, c: &Chunk) {
     enc.put_u64(c.num_attrs as u64);
     enc.put_u64(c.positions.len() as u64);
@@ -257,10 +318,7 @@ impl ServerMsg {
                 }
                 enc.put_u64(s.total_particles);
             }
-            ServerMsg::Chunk(c) => {
-                enc.put_u8(MSG_CHUNK);
-                encode_chunk(&mut enc, c);
-            }
+            ServerMsg::Chunk(c) => return c.encode_frame(),
             ServerMsg::Done { points } => {
                 enc.put_u8(MSG_DONE);
                 enc.put_u64(*points);

@@ -1,13 +1,14 @@
-//! The stream front-end: one accept loop, one session loop and one reply
-//! relay for every TCP client, whatever executes its requests
-//! (DESIGN.md §12).
+//! The stream front-end: one accept loop and one session loop for every
+//! TCP client, whatever executes its requests (DESIGN.md §12).
 //!
-//! Sessions do not *execute* queries — they submit them to a shared
-//! [`ServePool`] and relay the resulting chunks, so total query
-//! concurrency is the pool's worker count no matter how many clients
-//! connect. A full queue surfaces to the client as `Busy { retry_after }`,
-//! a deadline or execution failure as a typed `Error`; both leave the
-//! session open. What runs on the pool worker is an [`Executor`]: the
+//! A session thread executes its own requests, but only while it holds a
+//! permit of the front's shared [`ServePool`] gate, so total query
+//! concurrency is the gate's `workers` no matter how many clients
+//! connect, and a request never leaves the thread that read it: the
+//! executor's chunk frames go straight into the session's socket writer.
+//! A full wait line surfaces to the client as `Busy { retry_after }`, a
+//! deadline or execution failure as a typed `Error`; both leave the
+//! session open. What runs under the permit is an [`Executor`]: the
 //! in-process planner behind [`StreamServer`], or a shard fan-out behind
 //! [`crate::ShardFront`].
 
@@ -21,7 +22,6 @@ use libbat::Dataset;
 use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,9 +70,9 @@ impl StreamServer {
     }
 
     /// Start accepting connections on a background thread. Each connection
-    /// gets a session thread that reads requests and relays replies;
-    /// query execution happens on the shared bounded pool. Session
-    /// threads are tracked and joined on shutdown.
+    /// gets a session thread that reads requests and executes them under
+    /// the shared admission gate. Session threads are tracked and joined
+    /// on shutdown.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         spawn_front(self.listener, self.dataset, &self.options)
     }
@@ -84,8 +84,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stop accepting connections, join every session thread, and drain
-    /// the worker pool. In-flight requests finish.
+    /// Stop accepting connections, drain the admission gate (in-flight and
+    /// waiting requests finish, later ones are answered `Busy`), and join
+    /// every session thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -108,19 +109,20 @@ impl Drop for ServerHandle {
     }
 }
 
-/// What executes a request behind the front-end, on a pool worker.
+/// What executes a request behind the front-end, on the session thread.
 pub(crate) trait Executor: Send + Sync + 'static {
     /// The dataset served (for the session's schema preamble).
     fn dataset(&self) -> &Dataset;
 
-    /// Run `query` against `deadline`, handing every chunk to `sink`, and
-    /// return the frame that ends the request: `Done`, `Partial` or a
-    /// typed `Error`.
+    /// Run `query` against `deadline`, handing every chunk to `sink` as
+    /// its encoded frame payload ([`Chunk::encode_frame`]) and point
+    /// count, and return the frame that ends the request: `Done`,
+    /// `Partial` or a typed `Error`.
     fn execute(
         &self,
         query: &Query,
         deadline: Option<Instant>,
-        sink: &mut dyn FnMut(Chunk),
+        sink: &mut dyn FnMut(&[u8], usize),
     ) -> ServerMsg;
 }
 
@@ -133,9 +135,11 @@ pub(crate) fn error_code(e: &ServeError) -> u32 {
     }
 }
 
-/// Fill-and-flush accumulator turning a point stream into bounded
-/// [`Chunk`]s: a chunk is emitted the moment it holds [`CHUNK_POINTS`]
-/// points, and [`ChunkBuilder::flush`] emits the partial remainder.
+/// Fill-and-flush accumulator turning a point stream into bounded,
+/// *encoded* chunks: a chunk is emitted — as the frame payload a client
+/// receives, with its point count — the moment it holds [`CHUNK_POINTS`]
+/// points, and [`ChunkBuilder::flush`] emits the partial remainder. This
+/// is the one place a chunk is encoded, on the thread that filled it.
 pub(crate) struct ChunkBuilder {
     chunk: Chunk,
 }
@@ -151,20 +155,20 @@ impl ChunkBuilder {
         }
     }
 
-    pub(crate) fn push(&mut self, p: &PointRecord<'_>, emit: &mut dyn FnMut(Chunk)) {
+    pub(crate) fn push(&mut self, p: &PointRecord<'_>, emit: &mut dyn FnMut(Vec<u8>, usize)) {
         self.chunk.positions.push(p.position);
         self.chunk.attrs.extend_from_slice(p.attrs);
         if self.chunk.len() == CHUNK_POINTS {
             self.flush(emit);
-            self.chunk.positions.reserve(CHUNK_POINTS);
         }
     }
 
-    pub(crate) fn flush(&mut self, emit: &mut dyn FnMut(Chunk)) {
+    pub(crate) fn flush(&mut self, emit: &mut dyn FnMut(Vec<u8>, usize)) {
         if !self.chunk.is_empty() {
-            let num_attrs = self.chunk.num_attrs;
-            emit(std::mem::take(&mut self.chunk));
-            self.chunk.num_attrs = num_attrs;
+            bat_obs::counter_add("stream.chunks_encoded", 1);
+            emit(self.chunk.encode_frame(), self.chunk.len());
+            self.chunk.positions.clear();
+            self.chunk.attrs.clear();
         }
     }
 }
@@ -179,22 +183,23 @@ impl Executor for Dataset {
         &self,
         query: &Query,
         deadline: Option<Instant>,
-        sink: &mut dyn FnMut(Chunk),
+        sink: &mut dyn FnMut(&[u8], usize),
     ) -> ServerMsg {
         // Cache admission follows the query class: interactive reads may
         // evict bulk pages, never the other way around.
         let _prio = cache::set_thread_priority(query_priority(query));
         let mut chunks = ChunkBuilder::new(self.descs().len());
-        // The `serve.exec` failpoint: `delay:MS` stalls execution on the
-        // worker — after the deadline clock started — which is how the
-        // fault suite proves deadlines fire.
+        let mut emit = |frame: Vec<u8>, points| sink(&frame, points);
+        // The `serve.exec` failpoint: `delay:MS` stalls execution under
+        // the permit — after the deadline clock started — which is how
+        // the fault suite proves deadlines fire.
         let result = bat_faults::fire_io("serve.exec")
             .map_err(ServeError::Io)
             .and_then(|()| QueryPlan::new(self, query))
-            .and_then(|plan| plan.execute(deadline, |p| chunks.push(&p, sink)));
+            .and_then(|plan| plan.execute(deadline, |p| chunks.push(&p, &mut emit)));
         match result {
             Ok(stats) => {
-                chunks.flush(sink);
+                chunks.flush(&mut emit);
                 ServerMsg::Done {
                     points: stats.points_returned,
                 }
@@ -207,17 +212,17 @@ impl Executor for Dataset {
     }
 }
 
-/// Shared serving context: the executor, the worker pool, and the
+/// Shared serving context: the executor, the admission gate, and the
 /// deadline policy every session applies.
 struct FrontCtx {
     exec: Arc<dyn Executor>,
-    pool: ServePool,
+    gate: ServePool,
     deadline: Option<Duration>,
 }
 
 /// Start the front-end on `listener`: an accept thread handing each
-/// connection to a [`session`] thread, all sharing one bounded pool that
-/// runs requests through `exec`.
+/// connection to a [`session`] thread — the only threads a front owns —
+/// all sharing one gate that bounds how many run `exec` at once.
 pub(crate) fn spawn_front(
     listener: TcpListener,
     exec: Arc<dyn Executor>,
@@ -228,7 +233,7 @@ pub(crate) fn spawn_front(
     let stop2 = stop.clone();
     let ctx = Arc::new(FrontCtx {
         exec,
-        pool: ServePool::new(options.pool_config()),
+        gate: ServePool::new(options.pool_config()),
         deadline: options.deadline,
     });
     let thread = std::thread::spawn(move || {
@@ -250,8 +255,9 @@ pub(crate) fn spawn_front(
             // long-lived server doesn't accumulate handles.
             sessions.retain(|s| !s.is_finished());
         }
-        // Join every live session: their in-flight pool jobs finish
-        // because the pool drains only after this (ctx drop).
+        // Requests already admitted or waiting finish; sessions still
+        // connected are answered `Busy` until their clients leave.
+        ctx.gate.drain();
         for s in sessions {
             s.join().ok();
         }
@@ -289,45 +295,43 @@ fn session(stream: TcpStream, ctx: &FrontCtx) -> std::io::Result<()> {
         let request = Request::decode(&payload)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
 
-        // The deadline covers queue wait + execution: it starts when the
-        // request is submitted, not when a worker picks it up.
+        // The deadline covers the wait for a permit + execution: it
+        // starts when the request is submitted, not when it is admitted.
         let deadline = ctx.deadline.map(|d| Instant::now() + d);
-        let (tx, rx) = mpsc::sync_channel::<ServerMsg>(4);
-        let exec = ctx.exec.clone();
-        let submitted = ctx.pool.submit(move || {
-            // Sends fail only when the session died; the executor still
-            // runs to its end, but there is nobody left to tell.
-            let mut session_gone = false;
-            let end = exec.execute(&request.query, deadline, &mut |c| {
-                session_gone = session_gone || tx.send(ServerMsg::Chunk(c)).is_err();
-            });
-            if !session_gone {
-                let _ = tx.send(end);
+        let permit = match ctx.gate.admit() {
+            Ok(permit) => permit,
+            Err(rejected) => {
+                let retry_after_ms = rejected.retry_after.as_millis() as u64;
+                let busy = ServerMsg::Busy { retry_after_ms }.encode();
+                write_frame(&mut writer, &busy)?;
+                writer.flush()?;
+                bat_obs::counter_add("stream.bytes_sent", busy.len() as u64);
+                continue;
+            }
+        };
+
+        // Chunk frames go from the executor into this session's writer.
+        // The executor cannot be stopped half-way: once the client is
+        // gone (a write failed) its remaining chunks are dropped, and
+        // the failure ends the session after the permit is back.
+        let (mut bytes_out, mut points) = (0u64, 0u64);
+        let mut client_gone = None;
+        let end = ctx.exec.execute(&request.query, deadline, &mut |frame, n| {
+            if client_gone.is_none() {
+                bytes_out += frame.len() as u64;
+                points += n as u64;
+                client_gone = write_frame(&mut writer, frame).err();
             }
         });
-        if let Err(rejected) = submitted {
-            let retry_after_ms = rejected.retry_after.as_millis() as u64;
-            let busy = ServerMsg::Busy { retry_after_ms }.encode();
-            write_frame(&mut writer, &busy)?;
-            writer.flush()?;
-            bat_obs::counter_add("stream.bytes_sent", busy.len() as u64);
-            continue;
+        drop(permit);
+        if let Some(e) = client_gone {
+            return Err(e);
         }
-
-        // Relay worker replies to the socket. The channel closes when the
-        // worker is done with the request, whatever the outcome.
-        let (mut bytes_out, mut points) = (0u64, 0u64);
-        for reply in rx {
-            if let ServerMsg::Chunk(c) = &reply {
-                points += c.len() as u64;
-            }
-            let encoded = reply.encode();
-            bytes_out += encoded.len() as u64;
-            write_frame(&mut writer, &encoded)?;
-        }
+        let end = end.encode();
+        write_frame(&mut writer, &end)?;
         writer.flush()?;
         bat_obs::counter_add("stream.requests", 1);
-        bat_obs::counter_add("stream.bytes_sent", bytes_out);
+        bat_obs::counter_add("stream.bytes_sent", bytes_out + end.len() as u64);
         bat_obs::counter_add("stream.points_sent", points);
     }
     Ok(())

@@ -16,6 +16,14 @@
 //! shard  → router  Done { points } | Failed { code, message }       (end of request)
 //! ```
 //!
+//! A shard's `Chunk` frame *is* the client protocol's chunk frame payload
+//! ([`Chunk::encode_frame`]), encoded once by the worker thread that
+//! filled it. The router never decodes points: it checks the frame's
+//! header and length ([`check_chunk_frame`]), keeps the bytes per leaf,
+//! and the session writes them to the client's socket as they are.
+//! [`ShardRouter::query`] decodes at the edge for callers that want
+//! [`Chunk`]s.
+//!
 //! Correctness of the merge rests on two invariants: per-file planning is
 //! independent of which other files exist (so a shard's restricted plan
 //! equals the global plan's slice), and `bat-comm` guarantees per-(source,
@@ -63,7 +71,9 @@
 //! workers build their chunks and map their errors with that module's
 //! accumulator and `ERR_*` table too.
 
-use crate::protocol::{decode_chunk, encode_chunk, Chunk, ServerMsg, ERR_INTERNAL, ERR_SHARD};
+use crate::protocol::{
+    check_chunk_frame, decode_chunk, Chunk, ServerMsg, ERR_INTERNAL, ERR_SHARD, MSG_CHUNK,
+};
 use crate::server::{error_code, spawn_front, ChunkBuilder, Executor, ServerHandle};
 use bat_comm::{Comm, CommError, MAX_USER_TAG};
 use bat_layout::Query;
@@ -335,14 +345,18 @@ fn decode_cancel(payload: &[u8]) -> Option<u32> {
     Decoder::new(payload).get_u32("cancel req tag").ok()
 }
 
-const SHARD_CHUNK: u8 = 1;
+/// A chunk frame is the client's frame payload, so it carries that
+/// protocol's tag; the other three exist only between shard and router.
+const SHARD_CHUNK: u8 = MSG_CHUNK;
 const SHARD_LEAF_DONE: u8 = 2;
-const SHARD_DONE: u8 = 3;
+const SHARD_DONE: u8 = 1;
 const SHARD_FAILED: u8 = 4;
 
-/// Shard → router frame on a request's streaming tag.
+/// Shard → router frame on a request's streaming tag. A `Chunk` is a
+/// client-ready chunk frame payload with the point count its (checked)
+/// header declares.
 enum ShardMsg {
-    Chunk(Chunk),
+    Chunk { frame: Bytes, points: usize },
     LeafDone { leaf: u32 },
     Done { points: u64 },
     Failed { code: u32, message: String },
@@ -352,10 +366,7 @@ impl ShardMsg {
     fn encode(&self) -> Bytes {
         let mut enc = Encoder::new();
         match self {
-            ShardMsg::Chunk(c) => {
-                enc.put_u8(SHARD_CHUNK);
-                encode_chunk(&mut enc, c);
-            }
+            ShardMsg::Chunk { frame, .. } => return frame.clone(),
             ShardMsg::LeafDone { leaf } => {
                 enc.put_u8(SHARD_LEAF_DONE);
                 enc.put_u32(*leaf);
@@ -373,10 +384,15 @@ impl ShardMsg {
         Bytes::from(enc.finish())
     }
 
-    fn decode(payload: &[u8]) -> WireResult<ShardMsg> {
+    /// Parse a frame from a shard serving a schema of `num_attrs`
+    /// attributes. A chunk frame is validated, not decoded.
+    fn decode(payload: &Bytes, num_attrs: usize) -> WireResult<ShardMsg> {
         let mut dec = Decoder::new(payload);
         match dec.get_u8("shard msg tag")? {
-            SHARD_CHUNK => Ok(ShardMsg::Chunk(decode_chunk(&mut dec)?)),
+            SHARD_CHUNK => Ok(ShardMsg::Chunk {
+                points: check_chunk_frame(payload, num_attrs)?,
+                frame: payload.clone(),
+            }),
             SHARD_LEAF_DONE => Ok(ShardMsg::LeafDone {
                 leaf: dec.get_u32("shard leaf")?,
             }),
@@ -546,9 +562,10 @@ fn serve_one(
     };
     let mut points = 0u64;
     let mut chunks = ChunkBuilder::new(ds.descs().len());
-    let mut send = |c: Chunk| {
-        points += c.len() as u64;
-        comm.isend(ROUTER_RANK, req_tag, ShardMsg::Chunk(c).encode());
+    // The frame goes out as encoded: these bytes reach the client.
+    let mut send = |frame: Vec<u8>, n: usize| {
+        points += n as u64;
+        comm.isend(ROUTER_RANK, req_tag, Bytes::from(frame));
     };
     for &leaf in leaves {
         // Leaf boundaries are the cancellation / liveness granularity: a
@@ -690,7 +707,28 @@ struct SubQuery {
     last_err: Option<ShardQueryError>,
 }
 
-/// One dispatched stream: frames are parsed into completed per-leaf chunk
+impl SubQuery {
+    /// A slice served by `chain` (primary first) with nothing dispatched.
+    fn new(chain: Vec<usize>, leaves: Vec<u32>) -> SubQuery {
+        SubQuery {
+            primary: chain[0],
+            chain,
+            leaves,
+            next: 0,
+            streams: Vec::new(),
+            dispatched: Vec::new(),
+            attempts: 0,
+            dirty: false,
+            skipped_at: None,
+            last_err: None,
+        }
+    }
+}
+
+/// One leaf's chunk frames — still encoded — with their point counts.
+type LeafFrames = Vec<(Bytes, usize)>;
+
+/// One dispatched stream: frames are sorted into completed per-leaf chunk
 /// groups so the merge can take whole leaves from whichever replica
 /// finishes first (chunk boundaries are deterministic per leaf, so the
 /// merged bytes don't depend on the winner).
@@ -704,9 +742,9 @@ struct StreamCur {
     /// Leaf index (into the slice) of the front of `groups`.
     base: usize,
     /// Completed leaves awaiting merge, in order from `base`.
-    groups: VecDeque<Vec<Chunk>>,
+    groups: VecDeque<LeafFrames>,
     /// Chunks of the leaf currently being received.
-    cur: Vec<Chunk>,
+    cur: LeafFrames,
     /// Terminal `Done { points }` received.
     done: bool,
     done_points: u64,
@@ -834,7 +872,7 @@ impl ShardRouter {
             let mut terminal = false;
             while let Some(m) = self.comm.try_recv_raw(Some(1 + r.shard), r.tag) {
                 if let Ok(ShardMsg::Done { .. } | ShardMsg::Failed { .. }) =
-                    ShardMsg::decode(&m.payload)
+                    ShardMsg::decode(&m.payload, self.ds.descs().len())
                 {
                     terminal = true;
                 }
@@ -843,18 +881,34 @@ impl ShardRouter {
         });
     }
 
-    /// Fan `q` out to the owning shards (and, on failure or latency,
-    /// their replicas) and merge the result streams in global plan order,
-    /// handing each merged chunk to `sink`. Every receive is bounded by
-    /// the remaining `deadline` (plus a relay grace period) or
-    /// `BAT_SHARD_WAIT_MS`, so a killed or wedged fabric yields a typed
-    /// error — never a hang — and chunks already sunk are explicitly
-    /// partial (`Err`, or an `Ok` outcome that says so).
+    /// [`ShardRouter::relay`] with every chunk decoded for `sink`: the
+    /// decode-at-the-edge adapter for callers that want points, not
+    /// frames.
     pub fn query(
         &self,
         q: &Query,
         deadline: Option<Duration>,
         mut sink: impl FnMut(Chunk),
+    ) -> Result<QueryOutcome, ShardQueryError> {
+        self.relay(q, deadline, &mut |frame, _| {
+            let chunk = decode_chunk(&mut Decoder::new(&frame[1..]));
+            sink(chunk.expect("the relay checked this frame's header and length"));
+        })
+    }
+
+    /// Fan `q` out to the owning shards (and, on failure or latency,
+    /// their replicas) and merge the result streams in global plan order,
+    /// handing each merged chunk to `sink` as the shard encoded it (a
+    /// client frame payload) with its point count. Every receive is
+    /// bounded by the remaining `deadline` (plus a relay grace period) or
+    /// `BAT_SHARD_WAIT_MS`, so a killed or wedged fabric yields a typed
+    /// error — never a hang — and chunks already sunk are explicitly
+    /// partial (`Err`, or an `Ok` outcome that says so).
+    pub(crate) fn relay(
+        &self,
+        q: &Query,
+        deadline: Option<Duration>,
+        sink: &mut dyn FnMut(&[u8], usize),
     ) -> Result<QueryOutcome, ShardQueryError> {
         self.scrub_retired();
         let num_leaves = self.ds.meta().leaves.len();
@@ -885,18 +939,8 @@ impl ShardRouter {
             if leaves.is_empty() {
                 continue;
             }
-            let mut sub = SubQuery {
-                primary: s,
-                chain: replica_owners(s, num_shards, self.policy.replicas),
-                leaves: std::mem::take(leaves),
-                next: 0,
-                streams: Vec::new(),
-                dispatched: Vec::new(),
-                attempts: 0,
-                dirty: false,
-                skipped_at: None,
-                last_err: None,
-            };
+            let chain = replica_owners(s, num_shards, self.policy.replicas);
+            let mut sub = SubQuery::new(chain, std::mem::take(leaves));
             let owner = run.initial_owner(&sub);
             let stream = run.dispatch(&mut sub, owner, false);
             sub.streams.push(stream);
@@ -912,10 +956,10 @@ impl ShardRouter {
         let mut served = 0u64;
         for &leaf in &order {
             let si = sub_of[shard_of(leaf, num_leaves, num_shards)].expect("assigned leaf");
-            if let Some(chunks) = run.merge_leaf(&mut subs[si])? {
-                for c in chunks {
-                    points += c.len() as u64;
-                    sink(c);
+            if let Some(frames) = run.merge_leaf(&mut subs[si])? {
+                for (frame, n) in frames {
+                    points += n as u64;
+                    sink(&frame, n);
                 }
                 served += 1;
             }
@@ -965,27 +1009,15 @@ impl RouterRun<'_> {
         }
     }
 
-    /// First choice of owner for a slice: the first live, admitted shard
-    /// in the chain; failing that any live one; failing that the primary
-    /// (whose fast PeerDead keeps the error typed and bounded). A
-    /// single-owner chain always dispatches to its primary — exactly the
-    /// `replicas = 1` fabric.
+    /// First choice of owner for a slice: the failover choice with nothing
+    /// tried yet; failing that the primary (whose fast PeerDead keeps the
+    /// error typed and bounded). A single-owner chain always dispatches to
+    /// its primary — exactly the `replicas = 1` fabric.
     fn initial_owner(&self, sub: &SubQuery) -> usize {
         if sub.chain.len() == 1 {
             return sub.chain[0];
         }
-        let alive: Vec<usize> = sub
-            .chain
-            .iter()
-            .copied()
-            .filter(|&s| !self.router.comm.is_dead(1 + s))
-            .collect();
-        alive
-            .iter()
-            .copied()
-            .find(|&s| self.router.admit(s))
-            .or_else(|| alive.first().copied())
-            .unwrap_or(sub.chain[0])
+        self.failover_candidate(sub).unwrap_or(sub.chain[0])
     }
 
     /// Send the slice's remaining leaves to `shard` on a fresh tag.
@@ -1020,15 +1052,15 @@ impl RouterRun<'_> {
         }
     }
 
-    /// Parse one frame into stream `i`'s state. Protocol violations are
-    /// recorded as that stream's failure (so replicas can still save the
-    /// slice), not returned.
-    fn apply(&self, sub: &mut SubQuery, i: usize, payload: &[u8]) {
+    /// Sort one frame into stream `i`'s state. Protocol violations — a
+    /// malformed chunk frame included — are recorded as that stream's
+    /// failure (so replicas can still save the slice), not returned.
+    fn apply(&self, sub: &mut SubQuery, i: usize, payload: &Bytes) {
         self.last_progress.set(Instant::now());
         let total = sub.leaves.len();
         let s = &mut sub.streams[i];
         let shard = s.shard;
-        let msg = match ShardMsg::decode(payload) {
+        let msg = match ShardMsg::decode(payload, self.router.ds.descs().len()) {
             Ok(m) => m,
             Err(e) => {
                 s.failed = Some(ShardQueryError::Shard {
@@ -1047,9 +1079,9 @@ impl RouterRun<'_> {
             });
         };
         match msg {
-            ShardMsg::Chunk(c) => {
+            ShardMsg::Chunk { frame, points } => {
                 if s.recv_pos() < total {
-                    s.cur.push(c);
+                    s.cur.push((frame, points));
                 } else {
                     unexpected(s);
                 }
@@ -1158,27 +1190,25 @@ impl RouterRun<'_> {
         }
     }
 
-    /// An untried, live, breaker-admitted shard to hedge onto.
-    fn hedge_candidate(&self, sub: &SubQuery) -> Option<usize> {
+    /// The live shards of the slice's chain no stream was dispatched to.
+    fn untried<'a>(&'a self, sub: &'a SubQuery) -> impl Iterator<Item = usize> + 'a {
+        let comm = &self.router.comm;
         sub.chain
             .iter()
             .copied()
-            .filter(|s| !sub.dispatched.contains(s))
-            .filter(|&s| !self.router.comm.is_dead(1 + s))
-            .find(|&s| self.router.admit(s))
+            .filter(move |s| !sub.dispatched.contains(s) && !comm.is_dead(1 + s))
+    }
+
+    /// An untried, live, breaker-admitted shard to hedge onto.
+    fn hedge_candidate(&self, sub: &SubQuery) -> Option<usize> {
+        self.untried(sub).find(|&s| self.router.admit(s))
     }
 
     /// An untried, live shard to fail over to (breaker-admitted
     /// preferred, but an open breaker is only advisory when it's the last
     /// option).
     fn failover_candidate(&self, sub: &SubQuery) -> Option<usize> {
-        let alive: Vec<usize> = sub
-            .chain
-            .iter()
-            .copied()
-            .filter(|s| !sub.dispatched.contains(s))
-            .filter(|&s| !self.router.comm.is_dead(1 + s))
-            .collect();
+        let alive: Vec<usize> = self.untried(sub).collect();
         alive
             .iter()
             .copied()
@@ -1189,7 +1219,7 @@ impl RouterRun<'_> {
     /// Produce the chunks of the slice's next leaf, pumping, failing
     /// over, and hedging as needed. `Ok(None)` means the leaf was skipped
     /// under degraded mode.
-    fn merge_leaf(&self, sub: &mut SubQuery) -> Result<Option<Vec<Chunk>>, ShardQueryError> {
+    fn merge_leaf(&self, sub: &mut SubQuery) -> Result<Option<LeafFrames>, ShardQueryError> {
         if sub.skipped_at.is_some() {
             return Ok(None);
         }
@@ -1204,7 +1234,7 @@ impl RouterRun<'_> {
                 .position(|s| s.base == sub.next && !s.groups.is_empty())
             {
                 let s = &mut sub.streams[i];
-                let chunks = s.groups.pop_front().expect("non-empty groups");
+                let frames = s.groups.pop_front().expect("non-empty groups");
                 s.base += 1;
                 if s.hedge {
                     bat_obs::counter_add("shard.hedge.won", 1);
@@ -1213,7 +1243,7 @@ impl RouterRun<'_> {
                 let us = leaf_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
                 self.router.leaf_latency.record(us);
                 bat_obs::observe("router.leaf_merge_us", us);
-                return Ok(Some(chunks));
+                return Ok(Some(frames));
             }
 
             self.reap_failed(sub);
@@ -1263,7 +1293,9 @@ impl RouterRun<'_> {
                             bat_obs::counter_add("shard.hedge.issued", 1);
                             continue;
                         }
-                    } else if self.hedge_candidate_exists(sub) {
+                    } else if self.untried(sub).next().is_some() {
+                        // Existence only: asking `hedge_candidate` early
+                        // would use up a half-open probe slot.
                         hedge_in = Some(due);
                     }
                 }
@@ -1345,14 +1377,6 @@ impl RouterRun<'_> {
         }
     }
 
-    /// Like [`RouterRun::hedge_candidate`] but without consuming a
-    /// half-open probe slot (pure existence check).
-    fn hedge_candidate_exists(&self, sub: &SubQuery) -> bool {
-        sub.chain
-            .iter()
-            .any(|s| !sub.dispatched.contains(s) && !self.router.comm.is_dead(1 + s))
-    }
-
     /// After the merge: strict `Done` accounting for clean slices (the
     /// original fabric's invariant), cancel-and-retire for everything
     /// touched by failover, hedging, or degradation.
@@ -1410,8 +1434,8 @@ impl RouterRun<'_> {
 // ---------------------------------------------------------------------------
 
 /// A bound-but-not-running router front: the stream front-end of
-/// [`crate::StreamServer`] (same sessions, same bounded
-/// [`bat_serve::ServePool`], same `Busy { retry_after }` backpressure and
+/// [`crate::StreamServer`] (same sessions, same [`bat_serve::ServePool`]
+/// admission gate, same `Busy { retry_after }` backpressure and
 /// submission-time deadline clock) with the router as its executor, so
 /// every request runs as a shard fan-out. Degraded fan-outs (opted in via
 /// [`Query::allow_partial`]) terminate with a `Partial` frame carrying
@@ -1442,15 +1466,15 @@ impl ShardFront {
     }
 
     /// Start accepting clients on a background thread; same lifecycle as
-    /// [`crate::StreamServer::spawn`] (shutdown joins sessions and drains
-    /// the pool, letting in-flight fan-outs finish).
+    /// [`crate::StreamServer::spawn`] (shutdown drains the gate, letting
+    /// in-flight fan-outs finish, and joins sessions).
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         spawn_front(self.listener, self.router, &self.options)
     }
 }
 
 /// The sharded executor: every request is a fan-out merged back in global
-/// plan order.
+/// plan order, its chunk frames relayed as the shards encoded them.
 impl Executor for ShardRouter {
     fn dataset(&self) -> &Dataset {
         &self.ds
@@ -1460,10 +1484,10 @@ impl Executor for ShardRouter {
         &self,
         query: &Query,
         deadline: Option<Instant>,
-        sink: &mut dyn FnMut(Chunk),
+        sink: &mut dyn FnMut(&[u8], usize),
     ) -> ServerMsg {
         let budget = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        match self.query(query, budget, sink) {
+        match self.relay(query, budget, sink) {
             Ok(outcome) if outcome.is_partial() => ServerMsg::Partial {
                 points: outcome.points,
                 served_leaves: outcome.served_leaves,
@@ -1537,12 +1561,16 @@ mod tests {
 
     #[test]
     fn shard_msg_roundtrip() {
+        let chunk = Chunk {
+            positions: vec![bat_geom::Vec3::ONE],
+            attrs: vec![2.5],
+            num_attrs: 1,
+        };
         let msgs = [
-            ShardMsg::Chunk(Chunk {
-                positions: vec![bat_geom::Vec3::ONE],
-                attrs: vec![2.5],
-                num_attrs: 1,
-            }),
+            ShardMsg::Chunk {
+                frame: Bytes::from(chunk.encode_frame()),
+                points: 1,
+            },
             ShardMsg::LeafDone { leaf: 4 },
             ShardMsg::Done { points: 12 },
             ShardMsg::Failed {
@@ -1551,9 +1579,24 @@ mod tests {
             },
         ];
         for m in msgs {
-            let rt = ShardMsg::decode(&m.encode()).unwrap();
+            let rt = ShardMsg::decode(&m.encode(), 1).unwrap();
             match (&m, &rt) {
-                (ShardMsg::Chunk(a), ShardMsg::Chunk(b)) => assert_eq!(a, b),
+                (
+                    ShardMsg::Chunk { frame, points: a },
+                    ShardMsg::Chunk {
+                        frame: relayed,
+                        points: b,
+                    },
+                ) => {
+                    // The router keeps the worker's bytes, which are the
+                    // client's frame.
+                    assert_eq!(frame, relayed);
+                    assert_eq!(a, b);
+                    assert_eq!(
+                        ServerMsg::decode(relayed).unwrap(),
+                        ServerMsg::Chunk(chunk.clone())
+                    );
+                }
                 (ShardMsg::LeafDone { leaf: a }, ShardMsg::LeafDone { leaf: b }) => {
                     assert_eq!(a, b)
                 }
@@ -1574,6 +1617,82 @@ mod tests {
                 _ => panic!("variant changed in roundtrip"),
             }
         }
+    }
+
+    /// Every way a worker's chunk frame can be malformed is that stream's
+    /// typed `ERR_INTERNAL` failure — so a replica can still save the
+    /// slice — and none of its bytes is kept for relay.
+    #[test]
+    fn malformed_chunk_frames_fail_the_stream_and_relay_nothing() {
+        let (dir, _) = crate::client::tests::make_dataset("router-apply", 300);
+        bat_comm::Cluster::run_with(bat_comm::TransportKind::Channel, 2, |comm| {
+            if comm.rank() != ROUTER_RANK {
+                return;
+            }
+            let ds = Arc::new(Dataset::open(&dir, "s").unwrap());
+            let num_attrs = ds.descs().len();
+            let router = ShardRouter::new(comm, ds);
+            let q = Query::new();
+            let run = RouterRun {
+                router: &router,
+                q: &q,
+                expires: None,
+                last_progress: Cell::new(Instant::now()),
+            };
+            let chunk_of = |n: usize, num_attrs: usize| Chunk {
+                positions: vec![bat_geom::Vec3::ONE; n],
+                attrs: vec![0.5; n * num_attrs],
+                num_attrs,
+            };
+            let good = chunk_of(3, num_attrs).encode_frame();
+            let count_at = 17 + 12 * 3;
+            let mut miscounted = good.clone();
+            miscounted[count_at] ^= 1;
+            let mut extended = good.clone();
+            extended.push(0);
+            let malformed: [(&str, Vec<u8>); 7] = [
+                ("truncated", good[..good.len() - 1].to_vec()),
+                ("extended", extended),
+                ("other schema", chunk_of(3, num_attrs + 1).encode_frame()),
+                ("attr count", miscounted),
+                (
+                    "oversized",
+                    chunk_of(crate::CHUNK_POINTS + 1, num_attrs).encode_frame(),
+                ),
+                ("unknown tag", vec![99, 0, 0]),
+                ("empty", Vec::new()),
+            ];
+            for (what, frame) in malformed {
+                let mut sub = SubQuery::new(vec![0], vec![0, 1]);
+                let stream = run.dispatch(&mut sub, 0, false);
+                sub.streams.push(stream);
+                // A well-formed frame first, so there is something to lose.
+                run.apply(&mut sub, 0, &Bytes::from(good.clone()));
+                assert!(sub.streams[0].receivable(), "{what}: control frame");
+                assert_eq!(sub.streams[0].cur.len(), 1);
+                assert_eq!(sub.streams[0].cur[0].1, 3, "point count from the header");
+
+                run.apply(&mut sub, 0, &Bytes::from(frame));
+                let s = &sub.streams[0];
+                assert!(
+                    matches!(
+                        s.failed,
+                        Some(ShardQueryError::Shard {
+                            shard: 0,
+                            code: ERR_INTERNAL,
+                            ..
+                        })
+                    ),
+                    "{what}: got {:?}",
+                    s.failed
+                );
+                assert!(!s.receivable(), "{what}: the stream takes no more frames");
+                assert_eq!(s.cur.len(), 1, "{what}: the bad frame was not kept");
+                assert!(s.groups.is_empty(), "{what}: no leaf completed");
+            }
+            router.shutdown();
+        });
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -269,6 +269,16 @@ mod tests {
     }
 
     #[test]
+    fn from_vec_takes_ownership_of_the_heap_buffer() {
+        let v = vec![9u8; 2 * PAGE_SIZE];
+        let ptr = v.as_ptr();
+        let b = Block::from_vec(v);
+        assert_eq!(b.as_ptr(), ptr, "Block::from_vec must not copy");
+        assert_eq!(b.slice(PAGE_SIZE..).as_ptr(), ptr.wrapping_add(PAGE_SIZE));
+        assert_eq!(b.slice(..).to_payload().as_ptr(), ptr);
+    }
+
+    #[test]
     fn external_backing() {
         let backing: Arc<dyn BlockBacking> = Arc::new(vec![7u8; PAGE_SIZE * 2]);
         let b = Block::from_arc(backing);

@@ -1,9 +1,11 @@
 //! Offline stand-in for `bytes` (see `shims/README.md`).
 //!
 //! [`Bytes`] is an immutable, cheaply clonable byte buffer backed by an
-//! `Arc<[u8]>` — the same reference-counted-sharing semantics as the real
-//! crate, including zero-copy [`Bytes::slice`]: a slice shares the parent's
-//! allocation and only narrows the visible window.
+//! `Arc<Vec<u8>>` — the same reference-counted-sharing semantics as the real
+//! crate, including zero-copy [`Bytes::slice`] (a slice shares the parent's
+//! allocation and only narrows the visible window) and, like the real
+//! crate, `Bytes::from(Vec<u8>)` takes ownership of the vector's heap
+//! buffer instead of copying it.
 
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
@@ -11,29 +13,20 @@ use std::sync::Arc;
 /// A cheaply clonable contiguous slice of immutable bytes.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     off: usize,
     len: usize,
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation).
+    /// An empty buffer.
     pub fn new() -> Bytes {
-        Bytes {
-            data: Arc::from(&[][..]),
-            off: 0,
-            len: 0,
-        }
+        Bytes::from(Vec::new())
     }
 
     /// Copy `data` into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        let len = data.len();
-        Bytes {
-            data: Arc::from(data),
-            off: 0,
-            len,
-        }
+        Bytes::from(data.to_vec())
     }
 
     pub fn len(&self) -> usize {
@@ -90,10 +83,13 @@ impl Default for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes ownership: the vector's heap buffer becomes the backing, so
+    /// no payload byte is copied (`Arc<[u8]>::from(Vec)` would reallocate
+    /// and memcpy to put the refcounts in front of the data).
     fn from(v: Vec<u8>) -> Bytes {
         let len = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             off: 0,
             len,
         }
@@ -182,6 +178,16 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert!(Bytes::new().is_empty());
         assert_eq!(Bytes::copy_from_slice(&[9, 9]).to_vec(), vec![9, 9]);
+    }
+
+    #[test]
+    fn from_vec_takes_ownership_of_the_heap_buffer() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr, "Bytes::from(Vec) must not copy");
+        assert_eq!(b.slice(100..200).as_ptr(), ptr.wrapping_add(100));
+        assert_eq!(b.clone().as_ptr(), ptr);
     }
 
     #[test]

@@ -268,3 +268,87 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The shard router relays a worker's chunk frame after checking only
+    /// its header and length. That check must accept exactly what the
+    /// encoder writes — and so everything it accepts decodes — and reject
+    /// every way a frame can be the wrong size or for the wrong schema.
+    #[test]
+    fn chunk_frame_check_accepts_exactly_what_the_encoder_writes(
+        rows in prop::collection::vec(
+            (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0, -1e6f64..1e6),
+            0..300,
+        ),
+        num_attrs in 0usize..4,
+    ) {
+        use bat_stream::protocol::{check_chunk_frame, encode_chunk};
+        use bat_stream::{Chunk, ServerMsg};
+
+        let chunk = Chunk {
+            positions: rows.iter().map(|&(x, y, z, _)| Vec3::new(x, y, z)).collect(),
+            attrs: rows
+                .iter()
+                .flat_map(|&(.., v)| (0..num_attrs).map(move |a| v + a as f64))
+                .collect(),
+            num_attrs,
+        };
+        let n = chunk.len();
+        let frame = chunk.encode_frame();
+
+        // The frame is the client message: tag + `encode_chunk`'s bytes.
+        let mut body = bat_wire::Encoder::new();
+        encode_chunk(&mut body, &chunk);
+        prop_assert_eq!(&frame[1..], body.as_slice());
+        prop_assert_eq!(frame.len(), 25 + n * (12 + 8 * num_attrs));
+        prop_assert_eq!(check_chunk_frame(&frame, num_attrs).ok(), Some(n));
+        prop_assert_eq!(ServerMsg::decode(&frame).ok(), Some(ServerMsg::Chunk(chunk)));
+
+        // Every truncation and any extension.
+        for cut in 0..frame.len() {
+            prop_assert!(check_chunk_frame(&frame[..cut], num_attrs).is_err(), "cut at {}", cut);
+        }
+        for extra in [1usize, 8, 20] {
+            let mut long = frame.clone();
+            long.resize(frame.len() + extra, 0);
+            prop_assert!(check_chunk_frame(&long, num_attrs).is_err());
+        }
+        // A frame for another schema, under another tag.
+        prop_assert!(check_chunk_frame(&frame, num_attrs + 1).is_err());
+        if num_attrs > 0 {
+            prop_assert!(check_chunk_frame(&frame, num_attrs - 1).is_err());
+        }
+        let mut retagged = frame.clone();
+        retagged[0] ^= 0x04;
+        prop_assert!(check_chunk_frame(&retagged, num_attrs).is_err());
+        // An attribute column whose declared count disagrees with n, at
+        // the right total length.
+        let count_at = 17 + 12 * n;
+        let mut miscounted = frame.clone();
+        miscounted[count_at..count_at + 8]
+            .copy_from_slice(&((n * num_attrs) as u64 + 1).to_le_bytes());
+        prop_assert!(check_chunk_frame(&miscounted, num_attrs).is_err());
+        // A point count that disagrees with the columns that follow.
+        let mut recounted = frame;
+        recounted[9..17].copy_from_slice(&(n as u64 + 1).to_le_bytes());
+        prop_assert!(check_chunk_frame(&recounted, num_attrs).is_err());
+    }
+}
+
+/// An oversized chunk is refused even when every length in it agrees.
+#[test]
+fn chunk_frame_check_bounds_the_point_count() {
+    use bat_stream::protocol::check_chunk_frame;
+    use bat_stream::{Chunk, CHUNK_POINTS};
+    let chunk_of = |n: usize| Chunk {
+        positions: vec![Vec3::ZERO; n],
+        attrs: vec![1.0; n * 2],
+        num_attrs: 2,
+    };
+    let full = chunk_of(CHUNK_POINTS).encode_frame();
+    assert_eq!(check_chunk_frame(&full, 2).ok(), Some(CHUNK_POINTS));
+    let over = chunk_of(CHUNK_POINTS + 1).encode_frame();
+    assert!(check_chunk_frame(&over, 2).is_err());
+}

@@ -4,8 +4,8 @@
 //! agree — and the work they *skip* (an expired deadline's warm-up
 //! decode) must be skipped on every path.
 //!
-//! Server sessions and pool workers record into the process-global
-//! registry (a `bat_obs::scope` is per-thread), so every test here
+//! Server sessions record into the process-global registry (a
+//! `bat_obs::scope` is per-thread), so every test here
 //! serializes behind one lock and clears that registry around each
 //! measured run; nothing else in this binary records.
 
@@ -56,23 +56,27 @@ fn recorded(run: impl FnOnce()) -> Snapshot {
     Registry::global().snapshot()
 }
 
-fn run_mix(addr: SocketAddr) {
+/// Run the query mix from one client; returns the chunk frames it got.
+fn run_mix(addr: SocketAddr) -> u64 {
     let mut client = StreamClient::connect(addr).expect("connect");
+    let mut chunks = 0;
     for q in query_mix() {
         client
-            .request_with_retry(&q, 64, |_| {})
+            .request_with_retry(&q, 64, |_| chunks += 1)
             .expect("request succeeds");
     }
+    chunks
 }
 
 /// `run_mix` against a single-process server over `ds`; shutdown joins
 /// the sessions, so every counter has landed when this returns.
-fn serve_mix(ds: Dataset) {
+fn serve_mix(ds: Dataset) -> u64 {
     let handle = StreamServer::bind_with("127.0.0.1:0", ds, options())
         .and_then(StreamServer::spawn)
         .expect("start server");
-    run_mix(handle.addr());
+    let chunks = run_mix(handle.addr());
     handle.shutdown();
+    chunks
 }
 
 #[test]
@@ -91,8 +95,11 @@ fn counters_agree_across_direct_served_and_sharded_paths() {
             ds.query(&q, |_| {}).expect("direct query");
         }
     });
-    let served = recorded(|| serve_mix(open()));
-    let sharded = recorded(|| common::with_shard_front(&scratch.path, "s", 2, options(), run_mix));
+    let (mut served_chunks, mut sharded_chunks) = (0, 0);
+    let served = recorded(|| served_chunks = serve_mix(open()));
+    let sharded = recorded(|| {
+        sharded_chunks = common::with_shard_front(&scratch.path, "s", 2, options(), run_mix)
+    });
 
     let count = |snap: &Snapshot, name: &str| snap.counter(name).unwrap_or(0);
     for name in [
@@ -120,6 +127,13 @@ fn counters_agree_across_direct_served_and_sharded_paths() {
         count(&sharded, "stream.points_sent"),
         count(&served, "stream.points_sent")
     );
+    // A chunk is encoded once — by the thread that filled it, server or
+    // shard worker — and those bytes are the frame the client receives:
+    // the router relays, the session writes.
+    assert!(served_chunks > 0 && sharded_chunks > 0);
+    assert_eq!(count(&direct, "stream.chunks_encoded"), 0);
+    assert_eq!(count(&served, "stream.chunks_encoded"), served_chunks);
+    assert_eq!(count(&sharded, "stream.chunks_encoded"), sharded_chunks);
 }
 
 #[test]
@@ -157,7 +171,9 @@ fn degraded_skips_are_counted_on_the_served_path() {
             ds.query(&q, |_| {}).expect("direct query");
         }
     });
-    let served = recorded(|| serve_mix(open()));
+    let served = recorded(|| {
+        serve_mix(open());
+    });
     let skips = direct.counter("read.degraded_skips").unwrap_or(0);
     assert!(skips >= 1, "the full query must skip the excluded leaf");
     assert_eq!(
@@ -232,4 +248,75 @@ fn expired_deadline_returns_before_the_warm_up_decodes_anything() {
     });
     assert!(warm.counter("codec.bytes_decoded").unwrap_or(0) > 0);
     assert!(cache.stats().entries > 0);
+}
+
+/// The deadline clock starts when a request is submitted, not when the
+/// gate admits it: a request whose deadline runs out while it waits in
+/// line for a permit answers `ERR_DEADLINE` and touches no treelet.
+#[cfg(feature = "failpoints")]
+#[test]
+fn a_deadline_that_expires_waiting_for_a_permit_touches_no_treelet() {
+    use bat_faults::FaultAction;
+    use bat_layout::Query;
+    use bat_serve::PageCache;
+    use bat_stream::{RequestError, ERR_DEADLINE};
+    use std::time::Duration;
+
+    let _serial = lock();
+    let scratch = sample("parity-wait", Some("v2-lossless"));
+    let cache = PageCache::new(8 << 20);
+    let ds = Dataset::open(&scratch.path, "s").expect("open");
+    bat_faults::reset();
+    // Only the first execution stalls: 400 ms under the only permit.
+    bat_faults::configure_site(
+        "serve.exec",
+        FaultAction::Delay(400),
+        None,
+        None,
+        None,
+        Some(1),
+    );
+    let snap = recorded(|| {
+        let handle = StreamServer::bind_with(
+            "127.0.0.1:0",
+            ds,
+            ServeOptions {
+                workers: Some(1),
+                queue_depth: Some(8),
+                deadline: Some(Duration::from_millis(50)),
+                cache: Some(cache.clone()),
+            },
+        )
+        .and_then(StreamServer::spawn)
+        .expect("start server");
+        let addr = handle.addr();
+        let ask = move || {
+            let mut client = StreamClient::connect(addr).expect("connect");
+            match client.request(&Query::new(), |_| {}) {
+                Err(RequestError::Server { code, .. }) => code,
+                other => panic!("expected a typed error, got {other:?}"),
+            }
+        };
+        let holder = std::thread::spawn(ask);
+        while bat_faults::hits("serve.exec") == 0 {
+            std::thread::yield_now();
+        }
+        // The permit is held for ~400 ms more. This request waits in line
+        // behind it and then runs with no stall of its own, so only the
+        // wait can have used up its 50 ms.
+        assert_eq!(ask(), ERR_DEADLINE, "the waiter");
+        assert_eq!(holder.join().unwrap(), ERR_DEADLINE, "the stalled holder");
+        handle.shutdown();
+    });
+    bat_faults::reset();
+    assert_eq!(snap.counter("serve.queued"), Some(2), "both were admitted");
+    assert_eq!(snap.counter("serve.rejected"), None);
+    assert_eq!(snap.counter("serve.deadline_expired"), Some(2));
+    assert_eq!(snap.counter("codec.bytes_decoded").unwrap_or(0), 0);
+    let s = cache.stats();
+    assert_eq!(
+        (s.entries, s.misses),
+        (0, 0),
+        "an expired request materialized a block: {s:?}"
+    );
 }

@@ -277,6 +277,49 @@ fn malformed_queries_are_typed_protocol_errors() {
     handle.shutdown();
 }
 
+#[test]
+fn a_client_that_disconnects_mid_stream_leaks_no_permit() {
+    use bat_stream::protocol::{read_frame, write_frame};
+    use std::io::Write;
+
+    let scratch = ScratchDir::new("serve-disconnect");
+    write_sample(&scratch.path);
+    let ds = Dataset::open(&scratch.path, "s").unwrap();
+    // One permit and nobody may wait: a permit that is not returned
+    // answers every later request `Busy`.
+    let options = ServeOptions {
+        workers: Some(1),
+        queue_depth: Some(0),
+        deadline: None,
+        cache: None,
+    };
+    let handle = StreamServer::bind_with("127.0.0.1:0", ds, options)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let request = bat_stream::Request {
+        query: Query::new(),
+    }
+    .encode();
+    for _ in 0..4 {
+        let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+        read_frame(&mut raw).unwrap().expect("schema preamble");
+        write_frame(&mut raw, &request).unwrap();
+        raw.flush().unwrap();
+        // Hang up after the first chunk, with the rest of the stream
+        // unread or still being written.
+        read_frame(&mut raw).unwrap().expect("first chunk");
+        drop(raw);
+    }
+    let mut client = StreamClient::connect(handle.addr()).unwrap();
+    let total = client
+        .request_with_retry(&Query::new(), 64, |_| {})
+        .expect("the abandoned requests gave their permits back");
+    assert_eq!(total, RANKS as u64 * PER_RANK);
+    drop(client);
+    handle.shutdown();
+}
+
 /// Fault-injection cases: only compiled with the `failpoints` feature
 /// (`cargo test --features failpoints`). The fault registry is
 /// process-global, so these serialize behind a lock and reset on both
