@@ -1,30 +1,43 @@
-//! Aligned text tables and CSV output for the experiment binaries.
+//! The value an experiment returns: a named table that renders as aligned
+//! text and as CSV. Printing and saving are the `figures` binary's job.
 
-use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Directory experiment CSVs are written to.
+/// Directory experiment CSVs are written to: `experiments/` under
+/// `CARGO_TARGET_DIR`, else under the workspace's own `target/` whatever
+/// the caller's working directory.
 pub fn experiments_dir() -> PathBuf {
-    let dir = std::env::var("CARGO_TARGET_DIR")
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+    let dir = std::env::var_os("CARGO_TARGET_DIR")
         .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("target"))
+        .unwrap_or_else(|| {
+            workspace
+                .expect("crates/bench sits two below the root")
+                .join("target")
+        })
         .join("experiments");
     std::fs::create_dir_all(&dir).expect("create experiments dir");
     dir
 }
 
-/// A simple table that prints aligned and saves as CSV.
+/// A table of printed cells; `name` is its CSV file stem.
 pub struct Table {
+    name: String,
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Table {
+    pub fn new<S: AsRef<str>>(
+        name: impl Into<String>,
+        title: impl Into<String>,
+        headers: &[S],
+    ) -> Table {
         Table {
+            name: name.into(),
             title: title.into(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -35,116 +48,77 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows so far.
-    pub fn len(&self) -> usize {
-        self.rows.len()
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
     }
 
-    /// Print with aligned columns.
-    pub fn print(&self) {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+    /// Index of the column headed `header`.
+    pub fn col(&self, header: &str) -> usize {
+        self.headers
+            .iter()
+            .position(|h| h == header)
+            .unwrap_or_else(|| panic!("{} has no column {header}", self.name))
+    }
+
+    /// The title line and the rows under right-aligned column headers.
+    pub fn render(&self) -> String {
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
+                *w = (*w).max(cell.chars().count());
             }
         }
-        println!("\n== {} ==", self.title);
-        let header: Vec<String> = self
-            .headers
-            .iter()
-            .zip(&widths)
-            .map(|(h, w)| format!("{h:>w$}"))
-            .collect();
-        println!("{}", header.join("  "));
-        println!("{}", "-".repeat(header.join("  ").len()));
-        for row in &self.rows {
-            let line: Vec<String> = row
+        let line = |cells: &[String]| {
+            let padded: Vec<String> = cells
                 .iter()
                 .zip(&widths)
                 .map(|(c, w)| format!("{c:>w$}"))
                 .collect();
-            println!("{}", line.join("  "));
-        }
-    }
-
-    /// Write `name.csv` under the experiments directory.
-    pub fn save_csv(&self, name: &str) -> std::io::Result<PathBuf> {
-        let path = experiments_dir().join(format!("{name}.csv"));
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.headers.join(","))?;
+            padded.join("  ")
+        };
+        let header = line(&self.headers);
+        let mut out = format!(
+            "\n== {} ==\n{header}\n{}\n",
+            self.title,
+            "-".repeat(header.len())
+        );
         for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
+            out.push_str(&line(row));
+            out.push('\n');
         }
+        out
+    }
+
+    /// Header line plus one line per row; a cell holding a comma or a quote
+    /// is quoted (RFC 4180), so "344.6 (128 MB), best" stays one column.
+    pub fn to_csv(&self) -> String {
+        let quote = |cell: &String| {
+            if cell.contains([',', '"', '\n']) {
+                format!("\"{}\"", cell.replace('"', "\"\""))
+            } else {
+                cell.clone()
+            }
+        };
+        let mut out = String::new();
+        for cells in std::iter::once(&self.headers).chain(&self.rows) {
+            out.push_str(&cells.iter().map(quote).collect::<Vec<_>>().join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Write `<name>.csv` under the experiments directory, after an optional
+    /// `# envelope` first line (wall-clock tables carry their run envelope;
+    /// modeled ones depend on neither host nor time and carry none).
+    pub fn save_csv(&self, envelope: Option<&str>) -> std::io::Result<PathBuf> {
+        let path = experiments_dir().join(format!("{}.csv", self.name));
+        let head = envelope.map(|e| format!("# {e}\n")).unwrap_or_default();
+        std::fs::write(&path, head + &self.to_csv())?;
         Ok(path)
-    }
-}
-
-/// Guard from [`bench_metrics`]: while alive, metrics record into a fresh
-/// registry; on [`MetricsSection::finish`] (or drop) the collected snapshot
-/// is printed as an appendix to the experiment's tables and optionally
-/// saved as JSON next to the CSVs.
-pub struct MetricsSection {
-    registry: std::sync::Arc<bat_obs::Registry>,
-    title: String,
-    json_name: Option<String>,
-    _on: bat_obs::EnabledGuard,
-    _scope: bat_obs::ScopeGuard,
-    finished: bool,
-}
-
-/// Start collecting observability metrics for a benchmark section. Enables
-/// recording and scopes it to a registry owned by the guard, so repeated
-/// sections don't bleed into each other.
-pub fn bench_metrics(title: impl Into<String>, json_name: Option<&str>) -> MetricsSection {
-    let registry = std::sync::Arc::new(bat_obs::Registry::new());
-    MetricsSection {
-        _on: bat_obs::enable(),
-        _scope: bat_obs::scope(registry.clone()),
-        registry,
-        title: title.into(),
-        json_name: json_name.map(str::to_string),
-        finished: false,
-    }
-}
-
-impl MetricsSection {
-    /// Snapshot of everything recorded so far.
-    pub fn snapshot(&self) -> bat_obs::Snapshot {
-        self.registry.snapshot()
-    }
-
-    /// Print the collected metrics (and save JSON if configured), consuming
-    /// the section.
-    pub fn finish(mut self) {
-        self.finished = true;
-        let snap = self.registry.snapshot();
-        if snap.is_empty() {
-            return;
-        }
-        println!("\n== {} — observability ==", self.title);
-        print!("{}", snap.to_table());
-        if let Some(name) = &self.json_name {
-            let path = experiments_dir().join(format!("{name}.metrics.json"));
-            if std::fs::write(&path, snap.to_json()).is_ok() {
-                println!("saved {}", path.display());
-            }
-        }
-    }
-}
-
-impl Drop for MetricsSection {
-    fn drop(&mut self) {
-        if !self.finished {
-            let snap = self.registry.snapshot();
-            if !snap.is_empty() {
-                println!("\n== {} — observability ==", self.title);
-                print!("{}", snap.to_table());
-            }
-        }
     }
 }
 
@@ -154,21 +128,25 @@ mod tests {
 
     #[test]
     fn table_roundtrip() {
-        let mut t = Table::new("demo", &["a", "b"]);
+        let mut t = Table::new("unittest_demo", "demo", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
-        t.row(vec!["30".into(), "4".into()]);
-        assert_eq!(t.len(), 2);
-        t.print();
-        let path = t.save_csv("unittest_demo").unwrap();
+        t.row(vec!["30".into(), "4, \"x\"".into()]);
+        assert_eq!(t.rows().len(), 2);
+        assert_eq!(
+            t.render(),
+            "\n== demo ==\n a       b\n----------\n 1       2\n30  4, \"x\"\n"
+        );
+        let path = t.save_csv(Some("commit=abc")).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body, "a,b\n1,2\n30,4\n");
+        assert_eq!(body, "# commit=abc\na,b\n1,2\n30,\"4, \"\"x\"\"\"\n");
+        assert_eq!(t.to_csv(), "a,b\n1,2\n30,\"4, \"\"x\"\"\"\n");
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     #[should_panic]
     fn wrong_row_width_panics() {
-        let mut t = Table::new("demo", &["a", "b"]);
+        let mut t = Table::new("demo", "demo", &["a", "b"]);
         t.row(vec!["1".into()]);
     }
 }

@@ -3,9 +3,8 @@
 //! Constants are first-order approximations of the two machines in the
 //! paper's evaluation (§VI-A), taken from the paper where stated (peak
 //! bandwidths, network rates, stripe settings) and from public system
-//! documentation otherwise. They are deliberately exposed as plain fields:
-//! the benchmark harness can tweak any of them, and the ablation benches
-//! sweep several.
+//! documentation otherwise. They are deliberately exposed as plain fields
+//! an experiment can override.
 
 /// Which parallel filesystem semantics to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,15 +58,37 @@ pub struct NetworkProfile {
     pub memcpy_bw: f64,
 }
 
-/// Compute-side rates for costing the pipeline's CPU phases at modeled
-/// scale. The benchmark harness calibrates these by running the real code
-/// on this machine and measuring (see `bat-bench::calibrate`).
+/// Compute-side constants for costing the pipeline's CPU phases at modeled
+/// scale. They are committed, not calibrated at run time: a modeled
+/// experiment is a pure function of its profile, so nothing timed on the
+/// host may enter it (DESIGN.md §2).
 #[derive(Debug, Clone)]
 pub struct ComputeProfile {
     /// Bytes/second one aggregator core sustains building the BAT layout.
     pub bat_build_rate: f64,
-    /// Bytes/second for packing/unpacking particle buffers.
-    pub pack_rate: f64,
+    /// Seconds rank 0 spends per populated rank per aggregation-tree level
+    /// ([`ComputeProfile::tree_build_secs`]). Fitted once against the real
+    /// `build_tree` over the Default-scale sweeps of every modeled
+    /// experiment (314 plans, geometric mean 55.9 ns, measured/model within
+    /// 0.46–2.2×; CHANGES.md PR 22 has the table).
+    pub tree_visit_secs: f64,
+}
+
+impl ComputeProfile {
+    /// Cost of rank 0's aggregation-tree build over `ranks` populated
+    /// ranks ending in `leaves` leaves. A hierarchical (adaptive k-d) build
+    /// re-partitions every rank once per level, `1 + log2(leaves)` levels
+    /// — the `n log n` shape of any top-down tree build; a flat build (the
+    /// AUG grid) bins every rank once. Monotone in both counts, and
+    /// hierarchical ≥ flat on equal inputs.
+    pub fn tree_build_secs(&self, ranks: usize, leaves: usize, hierarchical: bool) -> f64 {
+        let levels = if hierarchical {
+            1.0 + (leaves.max(1) as f64).log2()
+        } else {
+            1.0
+        };
+        self.tree_visit_secs * ranks as f64 * levels
+    }
 }
 
 /// A complete modeled platform.
@@ -114,7 +135,7 @@ impl SystemProfile {
             },
             compute: ComputeProfile {
                 bat_build_rate: 900e6,
-                pack_rate: 4e9,
+                tree_visit_secs: 56e-9,
             },
         }
     }
@@ -147,7 +168,8 @@ impl SystemProfile {
             // build takes a smaller share of time on Summit).
             compute: ComputeProfile {
                 bat_build_rate: 1.4e9,
-                pack_rate: 5e9,
+                // Fitted on one host, so the same on both platforms.
+                tree_visit_secs: 56e-9,
             },
         }
     }
@@ -178,6 +200,33 @@ mod tests {
         assert!((s2.peak_storage_bw() - 330e9).abs() < 1e9);
         let summit = SystemProfile::summit();
         assert!((summit.peak_storage_bw() - 2.5e12).abs() < 0.01e12);
+    }
+
+    #[test]
+    fn tree_build_cost_is_monotone_and_hierarchical_costs_more() {
+        let c = SystemProfile::stampede2().compute;
+        let sweep = [1usize, 2, 37, 1536, 6144, 43_008];
+        for hierarchical in [false, true] {
+            for w in sweep.windows(2) {
+                for &fixed in &sweep {
+                    let by_ranks = |r| c.tree_build_secs(r, fixed, hierarchical);
+                    let by_leaves = |l| c.tree_build_secs(fixed, l, hierarchical);
+                    assert!(by_ranks(w[0]) < by_ranks(w[1]));
+                    assert!(by_leaves(w[0]) <= by_leaves(w[1]));
+                }
+            }
+        }
+        for &r in &sweep {
+            for &l in &sweep {
+                assert!(c.tree_build_secs(r, l, true) >= c.tree_build_secs(r, l, false));
+            }
+        }
+        // The Fig. 12 regime (8M Dam Break, 6144 ranks, ~180 leaves):
+        // milliseconds for the adaptive tree, a fraction of one for AUG.
+        let adaptive = c.tree_build_secs(6144, 180, true);
+        let aug = c.tree_build_secs(6144, 12, false);
+        assert!((1e-3..6e-3).contains(&adaptive), "{adaptive}");
+        assert!((1e-4..5e-4).contains(&aug), "{aug}");
     }
 
     #[test]

@@ -10,16 +10,6 @@ use libbat::{model_read, model_write};
 /// Monte Carlo samples for per-rank count integration.
 const SAMPLES: usize = 200_000;
 
-/// `model_write`/`model_read` *measure* the real tree build's wall time
-/// as one phase (DESIGN.md §2); concurrent sibling tests contend for the
-/// thread pool and inflate that term unevenly, flaking the ratio gates.
-/// One modeled comparison at a time keeps the measurement honest.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn coal_cfg(target_mb: u64, strategy: Strategy) -> WriteConfig {
     let mut cfg = WriteConfig::with_target_size(
         target_mb << 20,
@@ -40,7 +30,6 @@ fn dam_cfg(target_mb: u64, strategy: Strategy) -> WriteConfig {
 
 #[test]
 fn coal_boiler_adaptive_balances_better_than_aug() {
-    let _guard = lock();
     // The §VI-A2 statistic: at timestep 4501 with an 8 MB target, AUG's
     // file sizes spread far wider (σ=13.9 MB, max=72.9 MB) than the
     // adaptive tree's (σ=8.4 MB, max=36.6 MB).
@@ -69,7 +58,6 @@ fn coal_boiler_adaptive_balances_better_than_aug() {
 
 #[test]
 fn coal_boiler_adaptive_writes_faster_at_scale() {
-    let _guard = lock();
     // Fig. 9a: adaptive writes up to 2.5× faster than AUG on the boiler.
     let cb = CoalBoiler::new(1.0, 42);
     let profile = SystemProfile::stampede2();
@@ -93,7 +81,6 @@ fn coal_boiler_adaptive_writes_faster_at_scale() {
 
 #[test]
 fn coal_boiler_reads_favor_adaptive_layout() {
-    let _guard = lock();
     // Fig. 9b: reads of adaptively aggregated data are faster (up to 3×).
     let cb = CoalBoiler::new(1.0, 42);
     let step = 4501;
@@ -112,7 +99,6 @@ fn coal_boiler_reads_favor_adaptive_layout() {
 
 #[test]
 fn dam_break_gap_grows_with_scale() {
-    let _guard = lock();
     // Fig. 11: the adaptive/AUG gap widens from the 2M/1536 configuration
     // to the 8M/6144 one.
     let profile = SystemProfile::stampede2();
@@ -139,7 +125,6 @@ fn dam_break_gap_grows_with_scale() {
 
 #[test]
 fn dam_break_adaptive_write_times_stay_flat() {
-    let _guard = lock();
     // Fig. 12: with a fixed population, adaptive write times stay nearly
     // constant over the time series while AUG swings with the particle
     // distribution.
@@ -150,17 +135,13 @@ fn dam_break_adaptive_write_times_stay_flat() {
     let mut aug_times = Vec::new();
     for step in [0u32, 1001, 2001, 3001, 4001] {
         let ranks = db.rank_infos(step, &grid, SAMPLES);
-        // Exclude the TreeBuild component: it is *measured* wall-clock of
-        // the real build on this machine, so it jitters with test-runner
-        // load; the distribution-sensitivity claim is about the modeled
-        // transfer/build/write phases.
-        let modeled = |t: &bat_iosim::PhaseTimes| t.total - t[bat_iosim::WritePhase::TreeBuild];
-        adaptive_times.push(modeled(
-            &model_write(&profile, &ranks, &dam_cfg(3, Strategy::Adaptive)).times,
-        ));
-        aug_times.push(modeled(
-            &model_write(&profile, &ranks, &dam_cfg(3, Strategy::Aug)).times,
-        ));
+        let total = |strategy| {
+            model_write(&profile, &ranks, &dam_cfg(3, strategy))
+                .times
+                .total
+        };
+        adaptive_times.push(total(Strategy::Adaptive));
+        aug_times.push(total(Strategy::Aug));
     }
     let spread = |v: &[f64]| {
         let max = v.iter().cloned().fold(f64::MIN, f64::max);
@@ -177,7 +158,6 @@ fn dam_break_adaptive_write_times_stay_flat() {
 
 #[test]
 fn uniform_data_strategies_comparable() {
-    let _guard = lock();
     // On the *uniform* workload the two strategies should be close — the
     // adaptive tree's advantage is adaptivity, not magic.
     use bat_workloads::{uniform, RankGrid};

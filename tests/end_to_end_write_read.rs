@@ -7,6 +7,7 @@ mod common;
 use bat_comm::Cluster;
 use bat_geom::Aabb;
 use bat_layout::ParticleSet;
+use bat_obs::knobs::{self, EnvGuard};
 use bat_workloads::{uniform, RankGrid};
 use common::{build_cosmology_dataset, fingerprint, ScratchDir};
 use libbat::read::{query_distributed, read_particles};
@@ -443,6 +444,49 @@ fn metrics_do_not_change_written_bytes() {
     assert_eq!(
         off, on,
         "metrics-enabled write must be byte-identical to disabled"
+    );
+}
+
+/// Copy accounting of the zero-copy data plane on 4 ranks x 2000 uniform
+/// particles (seed 5, 14 f64 attrs), 120000-byte target. The bounds are what
+/// the seed (pre-columnar) data plane copied on this workload: the shuffle
+/// made 3 copies of the 992000-byte raw payload (encoder copy, decode copy,
+/// append copy), and compaction staged the whole 1078400-byte file in
+/// memory in `write_bat` before `fs::write`. (Was `fig6_breakdown --smoke`
+/// against `crates/bench/baselines/copy_baseline.json`.)
+const SEED_SHUFFLE_BYTES_COPIED: u64 = 2_976_000;
+const SEED_COMPACT_BYTES_COPIED: u64 = 1_078_400;
+
+#[test]
+fn shuffle_and_compaction_copy_less_than_the_seed_data_plane() {
+    const RANKS: usize = 4;
+    let scratch = ScratchDir::new("copy-accounting");
+    // The seed files carried no attribute indexes (the index-matrix CI job
+    // turns them on for the whole suite).
+    let _env = EnvGuard::set(&[(&knobs::INDEX_ATTRS, None)]);
+    let registry = std::sync::Arc::new(bat_obs::Registry::new());
+    let _recording = (bat_obs::enable(), bat_obs::scope(registry.clone()));
+    let grid = RankGrid::new_3d(RANKS, Aabb::unit());
+    Cluster::run(RANKS, |comm| {
+        let set = uniform::generate_rank(&grid, comm.rank(), 2000, 5);
+        let cfg = WriteConfig::with_target_size(120_000, set.bytes_per_particle() as u64);
+        let bounds = grid.bounds_of(comm.rank());
+        write_particles(&comm, set, bounds, &cfg, &scratch.path, "copies").expect("write");
+    });
+    let snap = registry.snapshot();
+    let shuffle = snap
+        .counter("shuffle.bytes_copied")
+        .expect("shuffle.bytes_copied recorded");
+    let compact = snap
+        .counter("compact.bytes_copied")
+        .expect("compact.bytes_copied recorded");
+    assert!(
+        shuffle < SEED_SHUFFLE_BYTES_COPIED,
+        "shuffle copies regressed: {shuffle} >= seed {SEED_SHUFFLE_BYTES_COPIED}"
+    );
+    assert!(
+        compact < SEED_COMPACT_BYTES_COPIED,
+        "compaction staging regressed: {compact} >= seed {SEED_COMPACT_BYTES_COPIED}"
     );
 }
 
