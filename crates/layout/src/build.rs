@@ -172,14 +172,16 @@ impl Bat {
 }
 
 /// Time a build phase through `bat_obs` and also record its effective
-/// parallelism — pool busy-time over wall-time — as a `*_speedup` gauge
-/// (e.g. `bat.morton_sort_ns` → `bat.morton_sort_speedup`). The gauge
-/// reads 0 when the engine was bypassed entirely (a 1-thread pool runs
-/// every construct inline on the caller). The engine excludes nested
-/// `parallel_for` wall time from the enclosing task's busy time, so
-/// phases with nested parallelism (treelet build) are not double-counted;
-/// the counter is still process-global, so the gauge assumes one build in
-/// flight at a time (true for the write pipeline).
+/// parallelism — task busy-time over wall-time — as a `*_speedup` gauge
+/// (e.g. `bat.morton_sort_ns` → `bat.morton_sort_speedup`). Busy time is
+/// summed over the caller and the helper threads that ran the phase's
+/// batches, so the gauge is at most the pool size. It reads 0 when the
+/// engine was bypassed entirely (a 1-thread pool runs every construct
+/// inline on the caller). The engine excludes nested `parallel_for` wall
+/// time from the enclosing task's busy time, so phases with nested
+/// parallelism (treelet build) are not double-counted; the counter is
+/// still process-global, so the gauge assumes one build in flight at a
+/// time (true for the write pipeline).
 fn timed_phase<T>(timer: &'static str, f: impl FnOnce() -> T) -> T {
     let busy0 = rayon::pool_stats().busy_ns;
     let t0 = std::time::Instant::now();
@@ -304,8 +306,8 @@ impl BatBuilder {
             pool_after.tasks_executed - pool_before.tasks_executed,
         );
         bat_obs::counter_add(
-            "pool.tasks_stolen",
-            pool_after.tasks_stolen - pool_before.tasks_stolen,
+            "pool.tasks_helped",
+            pool_after.tasks_helped - pool_before.tasks_helped,
         );
 
         Bat {

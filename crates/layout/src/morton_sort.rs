@@ -11,12 +11,13 @@
 //!
 //! Each pass is the textbook parallel counting sort: the `(code, index)`
 //! pairs are split into chunks, every chunk histograms its digit in
-//! parallel, a sequential column-major exclusive prefix over the
-//! per-chunk histograms assigns each (chunk, digit) cell a disjoint
-//! destination range, and the chunks scatter in parallel. Chunks scatter
-//! their elements in input order into per-digit ranges laid out in chunk
-//! order, so every pass is stable; 8 stable passes from the least
-//! significant byte up yield exactly the stable sort by full code. The
+//! parallel, the destination is split (`split_at_mut`, column-major over
+//! the per-chunk histograms) into one disjoint cell per (chunk, digit),
+//! and the chunks scatter in parallel, each into the cells it owns — in
+//! safe code. Chunks scatter their elements in input order into per-digit
+//! ranges laid out in chunk order, so every pass is stable; 8 stable
+//! passes from the least significant byte up yield exactly the stable
+//! sort by full code. The
 //! chunk count therefore only affects scheduling, never the result —
 //! the output equals `sort_by_key` (std's stable sort) for every thread
 //! count, which is the determinism invariant of DESIGN.md §10.
@@ -89,8 +90,8 @@ pub fn sorted_perm(codes: &[u64]) -> Vec<u32> {
 }
 
 /// One stable counting-sort pass on the byte at `shift`: parallel
-/// per-chunk histograms, sequential offset assignment, parallel scatter
-/// into disjoint destination ranges.
+/// per-chunk histograms, then a parallel scatter in which every chunk owns
+/// its 256 destination cells.
 fn counting_pass(
     src: &[(u64, u32)],
     dst: &mut [(u64, u32)],
@@ -98,60 +99,45 @@ fn counting_pass(
     chunks: usize,
     shift: u32,
 ) {
-    let n = src.len();
+    let digit = |code: u64| ((code >> shift) & 0xFF) as usize;
     let mut hist = vec![0u32; chunks * 256];
-    {
-        let hist_ptr = Shared(hist.as_mut_ptr());
-        rayon::parallel_for(chunks, &|c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            // Each task owns row `c` of the histogram matrix.
-            let row = unsafe { std::slice::from_raw_parts_mut(hist_ptr.get().add(c * 256), 256) };
-            for &(code, _) in &src[lo..hi] {
-                row[((code >> shift) & 0xFF) as usize] += 1;
+    let rows: Vec<&mut [u32]> = hist.chunks_mut(256).collect();
+    let _: Vec<()> = rows
+        .into_par_iter()
+        .enumerate()
+        .map(|(c, row)| {
+            for &(code, _) in &src[c * chunk..((c + 1) * chunk).min(src.len())] {
+                row[digit(code)] += 1;
             }
-        });
-    }
+        })
+        .collect();
 
-    // Column-major exclusive prefix: all chunks' digit-0 ranges first (in
-    // chunk order), then digit 1, … — the layout that makes the pass
-    // stable. Overwrites `hist` with each cell's starting offset.
-    let mut running = 0u32;
-    for digit in 0..256 {
-        for c in 0..chunks {
-            let cell = &mut hist[c * 256 + digit];
-            let count = *cell;
-            *cell = running;
-            running += count;
+    // Carve `dst` into (digit-major, chunk-minor) cells: all chunks'
+    // digit-0 ranges first (in chunk order), then digit 1, … — the layout
+    // that makes the pass stable. Chunk `c` receives its 256 cells.
+    let mut cells: Vec<[&mut [(u64, u32)]; 256]> = (0..chunks)
+        .map(|_| std::array::from_fn(|_| <&mut [_]>::default()))
+        .collect();
+    let mut rest = dst;
+    for d in 0..256 {
+        for (c, row) in cells.iter_mut().enumerate() {
+            let (cell, tail) = std::mem::take(&mut rest).split_at_mut(hist[c * 256 + d] as usize);
+            row[d] = cell;
+            rest = tail;
         }
     }
-
-    let dst_ptr = Shared(dst.as_mut_ptr());
-    let hist = &hist;
-    rayon::parallel_for(chunks, &|c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
-        let mut offsets = [0u32; 256];
-        offsets.copy_from_slice(&hist[c * 256..(c + 1) * 256]);
-        for &pair in &src[lo..hi] {
-            let d = ((pair.0 >> shift) & 0xFF) as usize;
-            // Disjoint ranges per (chunk, digit) cell: no two tasks write
-            // the same slot.
-            unsafe { dst_ptr.get().add(offsets[d] as usize).write(pair) };
-            offsets[d] += 1;
-        }
-    });
-}
-
-/// `Sync` raw-pointer wrapper; accessed through `get()` so closures
-/// capture the wrapper, not the raw pointer field.
-struct Shared<T>(*mut T);
-unsafe impl<T> Send for Shared<T> {}
-unsafe impl<T> Sync for Shared<T> {}
-impl<T> Shared<T> {
-    fn get(&self) -> *mut T {
-        self.0
-    }
+    let _: Vec<()> = cells
+        .into_par_iter()
+        .enumerate()
+        .map(|(c, row)| {
+            let mut filled = [0usize; 256];
+            for &pair in &src[c * chunk..((c + 1) * chunk).min(src.len())] {
+                let d = digit(pair.0);
+                row[d][filled[d]] = pair;
+                filled[d] += 1;
+            }
+        })
+        .collect();
 }
 
 #[cfg(test)]

@@ -164,8 +164,11 @@ impl ParticleSet {
     }
 
     /// Reordered copy: output particle `i` is input particle `perm[i]`.
-    /// The gathers run on the pool — each output slot depends on exactly
+    /// The gathers run in parallel — each output slot depends on exactly
     /// one input slot, so the parallel copy is trivially deterministic.
+    /// The attribute arrays are one batch of whole-array tasks (their own
+    /// gathers run inline once the helpers are taken), so a permute runs
+    /// two batches that spawn helpers, not one per array.
     pub fn permute(&self, perm: &[u32]) -> ParticleSet {
         debug_assert_eq!(perm.len(), self.len());
         ParticleSet {
@@ -174,7 +177,7 @@ impl ParticleSet {
                 .map(|&i| self.positions[i as usize])
                 .collect(),
             descs: self.descs.clone(),
-            arrays: self.arrays.iter().map(|a| a.permute(perm)).collect(),
+            arrays: self.arrays.par_iter().map(|a| a.permute(perm)).collect(),
         }
     }
 

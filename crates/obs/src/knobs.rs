@@ -72,7 +72,7 @@ knob_table! {
     // Read by `shims/rayon` (a stand-in for a third-party crate, so it
     // cannot depend on this one); the row documents and validates it.
     THREADS = "BAT_THREADS", "(available cores)", Uint { min: 0 },
-        "work-stealing pool size for builds/queries";
+        "thread count for builds/queries (caller + helpers)";
     TRANSPORT = "BAT_TRANSPORT", "channel",
         Word(&["channel", "thread", "threads", "socket", "tcp", "unix", "sim", "simulated"]),
         "cluster transport: channel | socket | sim";

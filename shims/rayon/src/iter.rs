@@ -1,220 +1,56 @@
-//! Index-addressed parallel iterators.
-//!
-//! Everything the workspace chains on `par_iter()` / `into_par_iter()` —
-//! `map`, `zip`, `enumerate`, `with_min_len`, `collect` — is modeled as a
-//! [`ParSource`]: a random-access producer of `len()` items. `collect`
-//! splits `0..len` into the engine's standard chunks
-//! ([`crate::pool::chunk_len`]), and each task writes its chunk's results
-//! straight into the pre-allocated output vector's slots, which is what
-//! preserves rayon's order-guaranteed `collect` no matter which worker
-//! runs which chunk or in what order.
-//!
-//! By-value sources (`Vec<T>`) hand items out by moving them with
-//! `ptr::read`; the driver consumes each index exactly once. If a task
-//! panics, unconsumed and unfinished items are leaked (never dropped
-//! twice) and the panic is re-thrown on the caller.
+//! Index-addressed parallel iterators: a [`ParallelIterator`] produces
+//! `len()` items by index, and `map`, `zip`, `enumerate` and
+//! `with_min_len` compose that index function into one [`Par`] closure.
+//! `collect` hands task `t` the `t`-th `chunks_mut` slice of the output
+//! (chunks sized by [`crate::pool::chunk_len`]), so results land in input
+//! order whichever thread runs which chunk. The one by-value source,
+//! `Vec<T>`, moves each item out of a `Mutex<Option<T>>`. If a task
+//! panics, items already collected leak (never drop twice) and the panic
+//! is re-thrown on the caller.
 
 use crate::pool;
-use std::mem::ManuallyDrop;
+use std::sync::Mutex;
 
-/// A random-access item producer. `fetch` must be safe to call from many
-/// threads with *distinct* indices; each index is fetched at most once by
-/// the driver.
-pub trait ParSource: Send + Sync {
+/// Items `0..len()` fetched by index from any thread, in rayon's call
+/// shapes. The driver fetches each index at most once.
+#[allow(clippy::len_without_is_empty)]
+pub trait ParallelIterator: Sized + Send + Sync {
     type Item: Send;
     fn len(&self) -> usize;
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// # Safety
-    /// `i < self.len()`, and no index is fetched more than once (by-value
-    /// sources move items out).
-    unsafe fn fetch(&self, i: usize) -> Self::Item;
-    /// Smallest number of items a single task should process; adaptors
-    /// propagate the largest hint in the chain.
-    fn min_len_hint(&self) -> usize {
+    fn fetch(&self, i: usize) -> Self::Item;
+    /// Smallest number of items one task should process; adaptors keep
+    /// the largest hint in the chain.
+    fn min_len(&self) -> usize {
         1
     }
-}
 
-// ---------------------------------------------------------------------------
-// Sources
-// ---------------------------------------------------------------------------
-
-/// Borrowing source over a slice (`par_iter()`).
-pub struct SliceSource<'a, T: Sync> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync + Send> ParSource for SliceSource<'a, T> {
-    type Item = &'a T;
-    fn len(&self) -> usize {
-        self.slice.len()
-    }
-    unsafe fn fetch(&self, i: usize) -> &'a T {
-        self.slice.get_unchecked(i)
-    }
-}
-
-/// By-value source draining a `Vec` (`vec.into_par_iter()`, `zip(vec)`).
-pub struct VecSource<T: Send> {
-    buf: ManuallyDrop<Vec<T>>,
-}
-
-unsafe impl<T: Send> Sync for VecSource<T> {}
-
-impl<T: Send> ParSource for VecSource<T> {
-    type Item = T;
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-    unsafe fn fetch(&self, i: usize) -> T {
-        std::ptr::read(self.buf.as_ptr().add(i))
-    }
-}
-
-impl<T: Send> Drop for VecSource<T> {
-    fn drop(&mut self) {
-        // Elements were moved out by `fetch` (or leaked on a panic); free
-        // only the allocation.
-        unsafe {
-            let mut v = ManuallyDrop::take(&mut self.buf);
-            v.set_len(0);
-            drop(v);
-        }
-    }
-}
-
-/// Source over an integer range (`(0..n).into_par_iter()`).
-pub struct RangeSource<T> {
-    start: T,
-    len: usize,
-}
-
-macro_rules! range_source {
-    ($($t:ty),*) => {$(
-        impl ParSource for RangeSource<$t> {
-            type Item = $t;
-            fn len(&self) -> usize {
-                self.len
-            }
-            unsafe fn fetch(&self, i: usize) -> $t {
-                self.start + i as $t
-            }
-        }
-    )*};
-}
-range_source!(usize, u32, u64, i32, i64);
-
-// ---------------------------------------------------------------------------
-// Adaptors
-// ---------------------------------------------------------------------------
-
-/// `.map(f)`.
-pub struct Map<S, F> {
-    src: S,
-    f: F,
-}
-
-impl<S: ParSource, R: Send, F: Fn(S::Item) -> R + Sync + Send> ParSource for Map<S, F> {
-    type Item = R;
-    fn len(&self) -> usize {
-        self.src.len()
-    }
-    unsafe fn fetch(&self, i: usize) -> R {
-        (self.f)(self.src.fetch(i))
-    }
-    fn min_len_hint(&self) -> usize {
-        self.src.min_len_hint()
-    }
-}
-
-/// `.zip(other)` — truncates to the shorter side, like rayon. Items of a
-/// longer by-value side beyond the common length are leaked, not dropped;
-/// the workspace only zips equal-length sides.
-pub struct Zip<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: ParSource, B: ParSource> ParSource for Zip<A, B> {
-    type Item = (A::Item, B::Item);
-    fn len(&self) -> usize {
-        self.a.len().min(self.b.len())
-    }
-    unsafe fn fetch(&self, i: usize) -> (A::Item, B::Item) {
-        (self.a.fetch(i), self.b.fetch(i))
-    }
-    fn min_len_hint(&self) -> usize {
-        self.a.min_len_hint().max(self.b.min_len_hint())
-    }
-}
-
-/// `.enumerate()`.
-pub struct Enumerate<S> {
-    src: S,
-}
-
-impl<S: ParSource> ParSource for Enumerate<S> {
-    type Item = (usize, S::Item);
-    fn len(&self) -> usize {
-        self.src.len()
-    }
-    unsafe fn fetch(&self, i: usize) -> (usize, S::Item) {
-        (i, self.src.fetch(i))
-    }
-    fn min_len_hint(&self) -> usize {
-        self.src.min_len_hint()
-    }
-}
-
-/// `.with_min_len(n)` — lower bound on items per task, so cheap
-/// per-element work is processed as chunked index ranges instead of
-/// thrashing the queues with tiny tasks.
-pub struct WithMinLen<S> {
-    src: S,
-    min_len: usize,
-}
-
-impl<S: ParSource> ParSource for WithMinLen<S> {
-    type Item = S::Item;
-    fn len(&self) -> usize {
-        self.src.len()
-    }
-    unsafe fn fetch(&self, i: usize) -> S::Item {
-        self.src.fetch(i)
-    }
-    fn min_len_hint(&self) -> usize {
-        self.src.min_len_hint().max(self.min_len)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The user-facing chainable trait
-// ---------------------------------------------------------------------------
-
-/// Chainable adaptors + consumers, in rayon's call shapes.
-pub trait ParallelIterator: ParSource + Sized {
-    fn map<R: Send, F: Fn(Self::Item) -> R + Sync + Send>(self, f: F) -> Map<Self, F> {
-        Map { src: self, f }
+    fn map<R: Send>(
+        self,
+        f: impl Fn(Self::Item) -> R + Sync + Send,
+    ) -> Par<impl Fn(usize) -> R + Sync + Send> {
+        par(self.len(), self.min_len(), move |i| f(self.fetch(i)))
     }
 
-    fn zip<Z: IntoParallelIterator>(self, other: Z) -> Zip<Self, Z::Iter> {
-        Zip {
-            a: self,
-            b: other.into_par_iter(),
-        }
+    /// Truncates to the shorter side, like rayon.
+    fn zip<Z: IntoParallelIterator>(
+        self,
+        other: Z,
+    ) -> Par<impl Fn(usize) -> (Self::Item, Z::Item) + Sync + Send> {
+        let b = other.into_par_iter();
+        let (len, min_len) = (self.len().min(b.len()), self.min_len().max(b.min_len()));
+        par(len, min_len, move |i| (self.fetch(i), b.fetch(i)))
     }
 
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate { src: self }
+    fn enumerate(self) -> Par<impl Fn(usize) -> (usize, Self::Item) + Sync + Send> {
+        par(self.len(), self.min_len(), move |i| (i, self.fetch(i)))
     }
 
-    fn with_min_len(self, min_len: usize) -> WithMinLen<Self> {
-        WithMinLen {
-            src: self,
-            min_len: min_len.max(1),
-        }
+    /// Lower bound on items per task, so cheap per-element work runs as
+    /// chunked index ranges rather than tiny tasks.
+    fn with_min_len(self, min_len: usize) -> Par<impl Fn(usize) -> Self::Item + Sync + Send> {
+        par(self.len(), self.min_len().max(min_len), move |i| {
+            self.fetch(i)
+        })
     }
 
     fn collect<C: FromParallelIterator<Self::Item>>(self) -> C {
@@ -222,183 +58,107 @@ pub trait ParallelIterator: ParSource + Sized {
     }
 }
 
-impl<S: ParSource + Sized> ParallelIterator for S {}
+/// The one iterator type: item `i` is `f(i)`; sources and adaptors differ
+/// only in `f`.
+pub struct Par<F> {
+    len: usize,
+    min_len: usize,
+    f: F,
+}
+
+fn par<T, F: Fn(usize) -> T>(len: usize, min_len: usize, f: F) -> Par<F> {
+    Par { len, min_len, f }
+}
+
+impl<T: Send, F: Fn(usize) -> T + Sync + Send> ParallelIterator for Par<F> {
+    type Item = T;
+    fn len(&self) -> usize {
+        self.len
+    }
+    #[inline]
+    fn fetch(&self, i: usize) -> T {
+        (self.f)(i)
+    }
+    fn min_len(&self) -> usize {
+        self.min_len
+    }
+}
 
 /// Collection types buildable from a parallel iterator.
 pub trait FromParallelIterator<T: Send> {
-    fn from_par_iter<S: ParSource<Item = T>>(src: S) -> Self;
+    fn from_par_iter<I: ParallelIterator<Item = T>>(src: I) -> Self;
 }
 
 impl<T: Send> FromParallelIterator<T> for Vec<T> {
-    fn from_par_iter<S: ParSource<Item = T>>(src: S) -> Vec<T> {
-        collect_vec(src)
-    }
-}
-
-/// Shared raw pointer the chunk tasks write through; disjoint chunks make
-/// the aliasing sound. Accessed through `get()` so closures capture the
-/// `Sync` wrapper, not the raw pointer field.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-impl<T> SendPtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-fn collect_vec<S: ParSource>(src: S) -> Vec<S::Item> {
-    let n = src.len();
-    let mut out: Vec<S::Item> = Vec::with_capacity(n);
-    if n == 0 {
-        return out;
-    }
-    let chunk = pool::chunk_len(n, src.min_len_hint());
-    let tasks = n.div_ceil(chunk);
-    let base = SendPtr(out.as_mut_ptr());
-    pool::parallel_for(tasks, &|t| {
-        let lo = t * chunk;
-        let hi = (lo + chunk).min(n);
-        for i in lo..hi {
-            // Each index is written exactly once, into its own slot:
-            // collect is order-preserving by construction.
-            unsafe { base.get().add(i).write(src.fetch(i)) };
+    fn from_par_iter<I: ParallelIterator<Item = T>>(src: I) -> Vec<T> {
+        let n = src.len();
+        let chunk = pool::chunk_len(n, src.min_len());
+        let mut out: Vec<T> = Vec::with_capacity(n);
+        let chunks: Vec<_> = out.spare_capacity_mut()[..n].chunks_mut(chunk).collect();
+        let tasks = chunks.len();
+        let chunks = chunks.into_par_iter();
+        pool::parallel_for(tasks, &|t| {
+            for (i, slot) in (t * chunk..).zip(chunks.fetch(t)) {
+                slot.write(src.fetch(i));
+            }
+        });
+        drop(chunks);
+        // SAFETY: the `tasks` chunks of `chunks_mut(chunk)` cover slots
+        // `0..n`, and `parallel_for` returned without re-throwing a panic,
+        // so every task ran to the end of its chunk: every slot is written.
+        #[allow(unsafe_code)]
+        unsafe {
+            out.set_len(n);
         }
-    });
-    // On a task panic `parallel_for` re-throws before we get here, and
-    // `out` still has len 0 — written items leak, nothing double-drops.
-    unsafe { out.set_len(n) };
-    out
+        out
+    }
 }
-
-// ---------------------------------------------------------------------------
-// Entry points: par_iter / into_par_iter
-// ---------------------------------------------------------------------------
 
 /// `.par_iter()` on slices (and, via deref, `Vec`s).
 pub trait IntoParallelRefIterator<'a> {
     type Item: Sync + 'a;
-    fn par_iter(&'a self) -> SliceSource<'a, Self::Item>;
+    fn par_iter(&'a self) -> Par<impl Fn(usize) -> &'a Self::Item + Sync + Send>;
 }
 
-impl<'a, T: Sync + Send + 'a> IntoParallelRefIterator<'a> for [T] {
+impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     type Item = T;
-    fn par_iter(&'a self) -> SliceSource<'a, T> {
-        SliceSource { slice: self }
+    fn par_iter(&'a self) -> Par<impl Fn(usize) -> &'a T + Sync + Send> {
+        par(self.len(), 1, move |i| &self[i])
     }
 }
 
-impl<'a, T: Sync + Send + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = T;
-    fn par_iter(&'a self) -> SliceSource<'a, T> {
-        SliceSource { slice: self }
-    }
-}
-
-/// `.into_par_iter()` on ranges, `Vec`s, and existing parallel iterators.
+/// `.into_par_iter()` on `Vec`s and `usize` ranges.
 pub trait IntoParallelIterator {
-    type Iter: ParSource<Item = Self::Item>;
     type Item: Send;
-    fn into_par_iter(self) -> Self::Iter;
+    fn into_par_iter(self) -> Par<impl Fn(usize) -> Self::Item + Sync + Send>;
 }
 
 impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Iter = VecSource<T>;
     type Item = T;
-    fn into_par_iter(self) -> VecSource<T> {
-        VecSource {
-            buf: ManuallyDrop::new(self),
-        }
+    fn into_par_iter(self) -> Par<impl Fn(usize) -> T + Sync + Send> {
+        let items: Vec<Mutex<Option<T>>> = self.into_iter().map(|x| Mutex::new(Some(x))).collect();
+        par(items.len(), 1, move |i| {
+            let mut slot = items[i].lock().unwrap_or_else(|e| e.into_inner());
+            slot.take().expect("each index is fetched once")
+        })
     }
 }
 
-impl<'a, T: Sync + Send> IntoParallelIterator for &'a [T] {
-    type Iter = SliceSource<'a, T>;
-    type Item = &'a T;
-    fn into_par_iter(self) -> SliceSource<'a, T> {
-        SliceSource { slice: self }
-    }
-}
-
-impl<'a, T: Sync + Send> IntoParallelIterator for &'a Vec<T> {
-    type Iter = SliceSource<'a, T>;
-    type Item = &'a T;
-    fn into_par_iter(self) -> SliceSource<'a, T> {
-        SliceSource { slice: self }
-    }
-}
-
-macro_rules! range_into_par_iter {
-    ($($t:ty),*) => {$(
-        impl IntoParallelIterator for std::ops::Range<$t> {
-            type Iter = RangeSource<$t>;
-            type Item = $t;
-            fn into_par_iter(self) -> RangeSource<$t> {
-                RangeSource {
-                    start: self.start,
-                    len: (self.end.max(self.start) - self.start) as usize,
-                }
-            }
-        }
-    )*};
-}
-range_into_par_iter!(usize, u32, u64, i32, i64);
-
-macro_rules! source_into_par_iter {
-    ($($name:ident < $($g:ident),* >),* $(,)?) => {$(
-        impl<$($g),*> IntoParallelIterator for $name<$($g),*>
-        where
-            $name<$($g),*>: ParSource,
-        {
-            type Iter = $name<$($g),*>;
-            type Item = <$name<$($g),*> as ParSource>::Item;
-            fn into_par_iter(self) -> Self {
-                self
-            }
-        }
-    )*};
-}
-source_into_par_iter!(Map<S, F>, Zip<A, B>, Enumerate<S>, WithMinLen<S>);
-
-impl<T: Send> IntoParallelIterator for VecSource<T> {
-    type Iter = VecSource<T>;
-    type Item = T;
-    fn into_par_iter(self) -> Self {
-        self
-    }
-}
-
-impl<'a, T: Sync> IntoParallelIterator for SliceSource<'a, T>
-where
-    SliceSource<'a, T>: ParSource,
-{
-    type Iter = SliceSource<'a, T>;
-    type Item = <SliceSource<'a, T> as ParSource>::Item;
-    fn into_par_iter(self) -> Self {
-        self
-    }
-}
-
-impl<T> IntoParallelIterator for RangeSource<T>
-where
-    RangeSource<T>: ParSource,
-{
-    type Iter = RangeSource<T>;
-    type Item = <RangeSource<T> as ParSource>::Item;
-    fn into_par_iter(self) -> Self {
-        self
+impl IntoParallelIterator for std::ops::Range<usize> {
+    type Item = usize;
+    fn into_par_iter(self) -> Par<impl Fn(usize) -> usize + Sync + Send> {
+        par(self.len(), 1, move |i| self.start + i)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool;
+    use crate::pool::{set_num_threads, test_pool};
 
     #[test]
     fn map_collect_preserves_order() {
-        let _g = pool::test_pool_guard();
-        pool::set_num_threads(4);
+        let _g = test_pool(4);
         let v: Vec<u64> = (0..10_000).collect();
         let out: Vec<u64> = v.par_iter().map(|&x| x * 3).collect();
         assert_eq!(out, (0..10_000).map(|x| x * 3).collect::<Vec<_>>());
@@ -406,11 +166,9 @@ mod tests {
 
     #[test]
     fn range_enumerate_zip() {
-        let _g = pool::test_pool_guard();
-        pool::set_num_threads(3);
-        let doubled: Vec<usize> = (0usize..257).into_par_iter().map(|i| i * 2).collect();
-        assert_eq!(doubled.len(), 257);
-        assert_eq!(doubled[256], 512);
+        let _g = test_pool(3);
+        let doubled: Vec<usize> = (0..257).into_par_iter().map(|i| i * 2).collect();
+        assert_eq!((doubled.len(), doubled[256]), (257, 512));
 
         let names: Vec<String> = (0..100).map(|i| format!("s{i}")).collect();
         let pairs: Vec<(usize, String)> = names
@@ -421,42 +179,42 @@ mod tests {
         assert!(pairs
             .iter()
             .enumerate()
-            .all(|(i, (j, s))| { i == *j && *s == format!("s{i}") }));
+            .all(|(i, (j, s))| i == *j && *s == format!("s{i}")));
 
         // zip with a by-value Vec moves items out without dropping twice.
-        let owned: Vec<Box<u32>> = (0..500u32).map(Box::new).collect();
-        let zipped: Vec<u32> = (0u32..500)
+        let owned: Vec<Box<usize>> = (0..500).map(Box::new).collect();
+        let zipped: Vec<usize> = (0..500)
             .into_par_iter()
             .zip(owned)
             .map(|(i, b)| i + *b)
             .collect();
-        assert!(zipped.iter().enumerate().all(|(i, &v)| v == 2 * i as u32));
+        assert!(zipped.iter().enumerate().all(|(i, &v)| v == 2 * i));
     }
 
     #[test]
     fn with_min_len_still_covers_all() {
-        let _g = pool::test_pool_guard();
-        pool::set_num_threads(4);
-        let out: Vec<usize> = (0usize..5000)
+        let _g = test_pool(4);
+        let out: Vec<usize> = (0..5000)
             .into_par_iter()
             .with_min_len(256)
             .map(|i| i + 1)
             .collect();
-        assert_eq!(out.len(), 5000);
-        assert_eq!(out[4999], 5000);
+        assert_eq!((out.len(), out[4999]), (5000, 5000));
     }
 
     #[test]
     fn collect_matches_at_any_thread_count() {
-        let _g = pool::test_pool_guard();
-        let seq: Vec<u64> = {
-            pool::set_num_threads(1);
-            (0u64..40_000).into_par_iter().map(|i| i * i % 97).collect()
+        let _g = test_pool(4);
+        let run = |t| {
+            set_num_threads(t);
+            (0..40_000)
+                .into_par_iter()
+                .map(|i| i * i % 97)
+                .collect::<Vec<usize>>()
         };
+        let seq = run(1);
         for t in [2, 5, 8] {
-            pool::set_num_threads(t);
-            let par: Vec<u64> = (0u64..40_000).into_par_iter().map(|i| i * i % 97).collect();
-            assert_eq!(par, seq, "thread count {t} changed collect output");
+            assert_eq!(run(t), seq, "thread count {t} changed collect output");
         }
     }
 }

@@ -1,68 +1,27 @@
 //! Offline stand-in for `rayon` (see `shims/README.md` for the exact
 //! behavioral contract vs. the real crate).
 //!
-//! Unlike the first-generation shim, the parallel-iterator half is *real*:
-//! a lazily initialized work-stealing thread pool ([`pool`]) executes
-//! index-chunked tasks, `par_iter().map().collect()` writes results into
-//! pre-assigned output slots (preserving rayon's order-guaranteed
-//! collect), and the slice sorts run as parallel stable merge sorts.
-//! Everything is deterministic by construction: for any pool size —
-//! including 1 — every construct produces bytes identical to sequential
-//! execution. The pool size comes from `BAT_THREADS` (then
+//! One primitive does the work: [`parallel_for`] runs a batch of indexed
+//! tasks on the caller plus scoped helper threads ([`pool`]). The parallel
+//! iterators ([`iter`]) and [`join`] are thin layers over it. Every
+//! construct produces bytes identical to sequential execution for any pool
+//! size, 1 included. The size comes from `BAT_THREADS` (then
 //! `RAYON_NUM_THREADS`, then `available_parallelism()`) and can be pinned
-//! programmatically with [`ThreadPoolBuilder::build_global`].
-//!
-//! [`join`] runs its two closures on scoped threads bounded by the same
-//! thread budget the pool uses, so divide-and-conquer call sites (the
-//! aggregation-tree build) overlap without oversubscribing, and
-//! `BAT_THREADS=1` makes the whole workspace genuinely sequential.
+//! with [`ThreadPoolBuilder::build_global`].
+
+#![deny(unsafe_code)]
 
 pub mod iter;
 pub mod pool;
-pub mod sort;
 
 pub use iter::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
 pub use pool::{current_num_threads, parallel_for, pool_stats, PoolStats};
-pub use sort::ParallelSliceMut;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Threads currently spawned by [`join`]; bounds recursion fan-out.
-static ACTIVE_JOINS: AtomicUsize = AtomicUsize::new(0);
-
-/// The thread budget [`join`] works against: the configured pool size
-/// (which already honors `BAT_THREADS`), so `join` and the iterator
-/// engine share one notion of how parallel this process should be.
-fn parallelism_budget() -> usize {
-    pool::current_num_threads()
-}
-
-struct JoinTicket;
-
-impl JoinTicket {
-    fn try_acquire() -> Option<JoinTicket> {
-        if parallelism_budget() <= 1 {
-            return None;
-        }
-        if ACTIVE_JOINS.fetch_add(1, Ordering::Relaxed) < parallelism_budget() {
-            Some(JoinTicket)
-        } else {
-            ACTIVE_JOINS.fetch_sub(1, Ordering::Relaxed);
-            None
-        }
-    }
-}
-
-impl Drop for JoinTicket {
-    fn drop(&mut self) {
-        ACTIVE_JOINS.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Run `a` and `b`, potentially in parallel, returning both results.
-///
-/// Matches `rayon::join`'s signature and panic behavior: a panic in
-/// either closure propagates to the caller.
+/// Run `a` and `b`, potentially in parallel, returning both results, with
+/// `rayon::join`'s signature and panic behaviour. It is a two-task
+/// [`parallel_for`], so recursive joins draw on the one helper budget.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -70,29 +29,27 @@ where
     RA: Send,
     RB: Send,
 {
-    match JoinTicket::try_acquire() {
-        Some(_ticket) => std::thread::scope(|s| {
-            let hb = s.spawn(b);
-            let ra = a();
-            let rb = match hb.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (ra, rb)
-        }),
-        None => (a(), b()),
+    fn take<T>(slot: &Mutex<Option<T>>) -> T {
+        let taken = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
+        taken.expect("each slot is filled before it is taken, and taken once")
     }
+    fn run<R>(f: &Mutex<Option<impl FnOnce() -> R>>, out: &Mutex<Option<R>>) {
+        let r = take(f)();
+        *out.lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
+    }
+    let (a, b) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
+    let (ra, rb) = (Mutex::new(None), Mutex::new(None));
+    parallel_for(2, &|i| if i == 0 { run(&a, &ra) } else { run(&b, &rb) });
+    (take(&ra), take(&rb))
 }
 
-/// Global-pool configuration, in rayon's call shape.
-///
-/// Divergence from upstream: `build_global` may be called repeatedly and
-/// *resizes* the pool instead of erroring, which is what lets tests and
-/// benches compare pool sizes within one process. Safe because every
-/// parallel construct here is thread-count-deterministic.
+/// Global-pool configuration, in rayon's call shape. Divergence from
+/// upstream: `build_global` may be called again to resize the pool, which
+/// lets tests compare pool sizes in one process.
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
-    num_threads: Option<usize>,
+    /// `0` (rayon's convention) selects the default sizing rule.
+    num_threads: usize,
 }
 
 impl ThreadPoolBuilder {
@@ -100,55 +57,41 @@ impl ThreadPoolBuilder {
         ThreadPoolBuilder::default()
     }
 
-    /// `0` (rayon's convention) selects the default sizing rule.
-    pub fn num_threads(mut self, n: usize) -> ThreadPoolBuilder {
-        self.num_threads = Some(n);
-        self
+    pub fn num_threads(self, num_threads: usize) -> ThreadPoolBuilder {
+        ThreadPoolBuilder { num_threads }
     }
 
-    /// Install the configuration on the global pool. Never fails in the
-    /// shim; the `Result` keeps rayon's signature.
+    /// Never fails in the shim; the `Result` keeps rayon's signature.
     pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        let n = match self.num_threads {
-            Some(0) | None => pool::default_threads(),
-            Some(n) => n,
-        };
-        pool::set_num_threads(n);
+        pool::set_num_threads(match self.num_threads {
+            0 => pool::default_threads(),
+            n => n,
+        });
         Ok(())
     }
 }
 
-/// Error type for [`ThreadPoolBuilder::build_global`] (never produced by
-/// the shim).
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("global thread pool could not be configured")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
+/// [`ThreadPoolBuilder::build_global`] never fails in the shim.
+pub type ThreadPoolBuildError = std::convert::Infallible;
 
 pub mod prelude {
     pub use crate::iter::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
-    pub use crate::sort::ParallelSliceMut;
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use crate::pool::test_pool;
 
     #[test]
     fn join_returns_both_and_runs_closures() {
-        let (a, b) = crate::join(|| 2 + 2, || "ok".to_string());
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
+        let _g = test_pool(4);
+        assert_eq!(crate::join(|| 2 + 2, || "ok".to_string()), (4, "ok".into()));
     }
 
     #[test]
     fn join_nests() {
+        let _g = test_pool(4);
         fn sum(v: &[u64]) -> u64 {
             if v.len() <= 2 {
                 return v.iter().sum();
@@ -164,33 +107,29 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn join_propagates_panics() {
+        let _g = test_pool(4);
         crate::join(|| (), || panic!("boom"));
     }
 
     #[test]
     fn par_iter_adapters_match_sequential() {
+        let _g = test_pool(4);
         let v = [3, 1, 2];
         let doubled: Vec<i32> = v.par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, vec![6, 2, 4]);
         let idx: Vec<usize> = (0..4usize).into_par_iter().map(|i| i + 1).collect();
         assert_eq!(idx, vec![1, 2, 3, 4]);
-        let mut s = vec![3u32, 1, 2];
-        s.par_sort_unstable_by_key(|&x| x);
-        assert_eq!(s, vec![1, 2, 3]);
     }
 
     #[test]
     fn build_global_pins_and_resizes() {
-        let _g = crate::pool::test_pool_guard();
-        crate::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build_global()
-            .unwrap();
-        assert_eq!(crate::current_num_threads(), 3);
-        crate::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build_global()
-            .unwrap();
-        assert_eq!(crate::current_num_threads(), 1);
+        let _g = test_pool(4);
+        for n in [3, 1] {
+            crate::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build_global()
+                .unwrap();
+            assert_eq!(crate::current_num_threads(), n);
+        }
     }
 }

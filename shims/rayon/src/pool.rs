@@ -1,583 +1,345 @@
-//! The work-stealing execution engine behind the parallel iterators and
-//! sorts.
+//! The execution engine: one primitive, [`parallel_for`].
 //!
-//! Topology: one global FIFO *injector* plus one LIFO deque per worker.
-//! Threads that are not pool workers submit task batches to the injector;
-//! a worker that submits a nested batch pushes to its own deque so it
-//! keeps working on its freshest subproblem. Idle workers pop their own
-//! deque back-to-front, then drain the injector, then steal the *oldest*
-//! task from a sibling's deque (classic LIFO-local / FIFO-steal).
+//! A batch runs on its caller and up to `threads − 1` helpers spawned with
+//! `std::thread::scope`, reserved from one process-wide budget of
+//! `threads − 1`: a nested or concurrent call that finds the budget spent
+//! gets fewer helpers, or none and runs inline. Every participant claims
+//! indices from the batch's atomic counter, so uneven tasks balance
+//! without queues or stealing. No helper outlives its call: there is no
+//! pool to wake or shut down, and [`set_num_threads`] only stores the
+//! count the next batch reads. Helpers inherit the caller's CPU mask.
 //!
-//! The pool is created lazily on first use, sized by `BAT_THREADS`, then
-//! `RAYON_NUM_THREADS`, then `available_parallelism()`. It can be resized
-//! at runtime through [`crate::ThreadPoolBuilder::build_global`]: the old
-//! workers drain their queues and exit, new ones start. Resizing never
-//! loses work — a submitter always participates in its own batch and can
-//! finish it alone — and never changes results, because every task writes
-//! to a pre-assigned disjoint output slot (see `iter.rs`).
-//!
-//! Panic contract: a panic inside a task poisons its batch (remaining
-//! tasks are skipped), and the first payload is re-thrown on the
-//! submitting thread once the batch has fully retired, matching
-//! `rayon::iter` semantics closely enough for this workspace.
+//! Panic contract: a panicking task ends its batch (unclaimed tasks are
+//! skipped), and the first payload is re-thrown on the caller once every
+//! helper has been joined. The atomics are all `Relaxed`: they count or
+//! claim and publish no data, which reaches the caller through the join.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::any::Any;
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
+use std::thread::Scope;
 use std::time::Instant;
 
-/// Snapshot of the engine's lifetime counters (a shim extension; real
-/// rayon exposes nothing comparable). Counters are cumulative across pool
-/// resizes, so instrumentation can report deltas around a phase.
+/// The engine's lifetime counters (a shim extension). They are cumulative
+/// and process-global: a delta around a phase assumes one build in flight.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Worker threads in the current pool (0 until first use).
+    /// Configured thread count, the caller included (0 until first use).
     pub threads: usize,
-    /// Tasks executed, on any thread (workers and participating
-    /// submitters).
+    /// Tasks executed by batches, on any thread.
     pub tasks_executed: u64,
-    /// Tasks a worker took from another worker's deque.
-    pub tasks_stolen: u64,
-    /// Batches submitted through [`parallel_for`] (sequential fast paths
-    /// not included).
+    /// Tasks a helper thread ran rather than the batch's caller.
+    pub tasks_helped: u64,
+    /// Batches run by [`parallel_for`] (its inline paths not included).
     pub batches: u64,
-    /// Nanoseconds spent executing task bodies, summed over all threads.
-    /// Wall time of *nested* `parallel_for` calls is excluded from the
-    /// enclosing task's contribution (the inner tasks count themselves),
-    /// so `busy_ns / wall_ns` over a phase is its effective parallelism.
-    /// The counter is process-global: concurrent builds share it, so
-    /// deltas taken around a phase are only meaningful for the process's
-    /// single write pipeline.
+    /// Nanoseconds spent in task bodies, summed over threads. A nested
+    /// `parallel_for`'s wall time is excluded from the enclosing task (the
+    /// inner tasks count themselves), so `busy_ns / wall_ns` over a phase
+    /// is its effective parallelism.
     pub busy_ns: u64,
 }
 
-/// Cumulative counters, shared across pool generations.
-#[derive(Default)]
-struct Stats {
-    executed: AtomicU64,
-    stolen: AtomicU64,
-    batches: AtomicU64,
-    busy_ns: AtomicU64,
-}
-
-fn stats() -> &'static Stats {
-    static STATS: OnceLock<Stats> = OnceLock::new();
-    STATS.get_or_init(Stats::default)
-}
-
-/// One unit of work: run `index` of the batch behind the erased pointer.
-///
-/// The raw pointer is sound because the submitting thread constructs the
-/// batch on its stack and does not return from [`parallel_for`] until it
-/// has observed `remaining == 0` *while holding the batch's `done_lock`*.
-/// Every retiring task performs its decrement (and, when final, the
-/// notify) inside that same lock, so once the submitter sees zero under
-/// the lock, no thread will ever touch the batch again.
-#[derive(Clone, Copy)]
-struct Task {
-    batch: *const Batch<'static>,
-    index: usize,
-}
-
-// Tasks only move between threads inside the pool's queues; the batch
-// they point to is Sync (see `Batch`).
-unsafe impl Send for Task {}
-
-/// A submitted parallel-for: the closure plus completion bookkeeping.
-struct Batch<'a> {
-    func: &'a (dyn Fn(usize) + Sync),
-    /// Tasks not yet retired; the submitter spins/parks on this.
-    remaining: AtomicUsize,
-    /// Set by the first panicking task; later tasks are skipped.
-    poisoned: AtomicBool,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Completion handshake: retiring tasks decrement `remaining` (and,
-    /// when final, notify `done`) while holding this lock; the submitter
-    /// only returns — and lets the batch drop — after observing
-    /// `remaining == 0` with the lock held.
-    done_lock: Mutex<()>,
-    done: Condvar,
-}
-
-impl Batch<'_> {
-    fn run(&self, index: usize) {
-        let t0 = Instant::now();
-        // Nesting bookkeeping for `busy_ns`: the wall time of parallel_for
-        // calls issued by this task body is accumulated in NESTED_NS and
-        // subtracted below, so work done by the *inner* batch's tasks
-        // (each counted by its own `run`) is not double-counted as part of
-        // this task's body time.
-        let depth = TASK_DEPTH.with(|d| d.get());
-        TASK_DEPTH.with(|d| d.set(depth + 1));
-        let outer_nested = NESTED_NS.with(|n| n.replace(0));
-        if !self.poisoned.load(Ordering::Relaxed) {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.func)(index))) {
-                self.poisoned.store(true, Ordering::Relaxed);
-                let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-        }
-        let nested = NESTED_NS.with(|n| n.replace(outer_nested));
-        TASK_DEPTH.with(|d| d.set(depth));
-        let s = stats();
-        s.executed.fetch_add(1, Ordering::Relaxed);
-        let body_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(nested);
-        s.busy_ns.fetch_add(body_ns, Ordering::Relaxed);
-        // Retire the task. The decrement and (when it reaches zero) the
-        // notify both happen inside `done_lock`, and the submitter only
-        // treats the batch as complete after observing `remaining == 0`
-        // while holding the same lock (see `parallel_for`). Without the
-        // lock around the decrement, the submitter could observe zero and
-        // free the stack-allocated batch while this thread is still
-        // between the decrement and the notify.
-        let guard = self.done_lock.lock().unwrap_or_else(|e| e.into_inner());
-        if self.remaining.fetch_sub(1, Ordering::Release) == 1 {
-            self.done.notify_all();
-        }
-        drop(guard);
-    }
-}
-
-/// One generation of workers. Replaced wholesale on resize.
-struct PoolCore {
-    threads: usize,
-    injector: Mutex<VecDeque<Task>>,
-    locals: Vec<Mutex<VecDeque<Task>>>,
-    /// Sleep/wake protocol: workers re-check queues under `sleep` before
-    /// parking, and pushers notify under `sleep`, so wakeups cannot be
-    /// lost.
-    sleep: Mutex<()>,
-    wake: Condvar,
-    stop: AtomicBool,
-}
-
-impl PoolCore {
-    fn queues_empty(&self) -> bool {
-        if !self
-            .injector
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_empty()
-        {
-            return false;
-        }
-        self.locals
-            .iter()
-            .all(|l| l.lock().unwrap_or_else(|e| e.into_inner()).is_empty())
-    }
-
-    /// Pop work for thread `me` (`None` = not a pool worker): own deque
-    /// newest-first, then the injector oldest-first, then steal
-    /// oldest-first from siblings.
-    fn find_task(&self, me: Option<usize>) -> Option<Task> {
-        if let Some(w) = me {
-            if let Some(t) = self.locals[w]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_back()
-            {
-                return Some(t);
-            }
-        }
-        if let Some(t) = self
-            .injector
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_front()
-        {
-            return Some(t);
-        }
-        let n = self.locals.len();
-        let start = me.map(|w| w + 1).unwrap_or(0);
-        for off in 0..n {
-            let v = (start + off) % n;
-            if Some(v) == me {
-                continue;
-            }
-            if let Some(t) = self.locals[v]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front()
-            {
-                if me.is_some() {
-                    stats().stolen.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Enqueue a batch's tasks: a worker keeps them local (LIFO), any
-    /// other thread feeds the injector.
-    fn push_tasks(&self, tasks: impl Iterator<Item = Task>, me: Option<usize>) {
-        match me {
-            Some(w) => {
-                let mut q = self.locals[w].lock().unwrap_or_else(|e| e.into_inner());
-                q.extend(tasks);
-            }
-            None => {
-                let mut q = self.injector.lock().unwrap_or_else(|e| e.into_inner());
-                q.extend(tasks);
-            }
-        }
-        let _g = self.sleep.lock().unwrap_or_else(|e| e.into_inner());
-        self.wake.notify_all();
-    }
-
-    fn worker_loop(self: &Arc<PoolCore>, id: usize) {
-        CURRENT_WORKER.with(|w| w.set(Some(id)));
-        loop {
-            if let Some(task) = self.find_task(Some(id)) {
-                unsafe { (*task.batch).run(task.index) };
-                continue;
-            }
-            let guard = self.sleep.lock().unwrap_or_else(|e| e.into_inner());
-            if self.stop.load(Ordering::Acquire) && self.queues_empty() {
-                return;
-            }
-            if !self.queues_empty() {
-                continue;
-            }
-            // Parking with a timeout keeps a missed edge case (a resize
-            // racing a submit on the old generation) from hanging forever.
-            let _ = self
-                .wake
-                .wait_timeout(guard, std::time::Duration::from_millis(50));
-        }
-    }
-}
+/// Configured thread count; 0 until first use.
+static THREADS: AtomicUsize = AtomicUsize::new(0);
+/// Helper threads currently reserved, process-wide (≤ `THREADS − 1`).
+static HELPERS: AtomicUsize = AtomicUsize::new(0);
+static EXECUTED: AtomicU64 = AtomicU64::new(0);
+static HELPED: AtomicU64 = AtomicU64::new(0);
+static BATCHES: AtomicU64 = AtomicU64::new(0);
+static BUSY_NS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Worker index of the current thread in the *current* pool core.
-    static CURRENT_WORKER: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-    /// How many `Batch::run` frames are on this thread's stack.
-    static TASK_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-    /// Wall nanoseconds of `parallel_for` calls issued by the task body
-    /// currently running on this thread (excluded from its `busy_ns`).
-    static NESTED_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Wall ns of `parallel_for` calls issued by the task body running here
+    /// (excluded from its `busy_ns`; never read outside a task).
+    static NESTED_NS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The live pool generation plus its join handles.
-struct PoolHandle {
-    core: Arc<PoolCore>,
-    joins: Vec<std::thread::JoinHandle<()>>,
-}
-
-static POOL: OnceLock<Mutex<Option<PoolHandle>>> = OnceLock::new();
-
-fn pool_slot() -> &'static Mutex<Option<PoolHandle>> {
-    POOL.get_or_init(|| Mutex::new(None))
-}
-
-/// Thread count the pool starts with on first use: `BAT_THREADS`, else
+/// Thread count used on first use: `BAT_THREADS`, else
 /// `RAYON_NUM_THREADS`, else the machine's available parallelism.
 pub fn default_threads() -> usize {
-    for var in ["BAT_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    let env = |var| std::env::var(var).ok()?.trim().parse::<usize>().ok();
+    let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    env("BAT_THREADS")
+        .or_else(|| env("RAYON_NUM_THREADS"))
+        .map_or_else(cores, |n| n.max(1))
 }
 
-fn spawn_core(threads: usize) -> PoolHandle {
-    let core = Arc::new(PoolCore {
-        threads,
-        injector: Mutex::new(VecDeque::new()),
-        locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        sleep: Mutex::new(()),
-        wake: Condvar::new(),
-        stop: AtomicBool::new(false),
-    });
-    let joins = (0..threads)
-        .map(|id| {
-            let c = core.clone();
-            std::thread::Builder::new()
-                .name(format!("bat-pool-{id}"))
-                .spawn(move || c.worker_loop(id))
-                .expect("spawn pool worker")
-        })
-        .collect();
-    PoolHandle { core, joins }
-}
-
-fn current_core() -> Arc<PoolCore> {
-    let mut slot = pool_slot().lock().unwrap_or_else(|e| e.into_inner());
-    if slot.is_none() {
-        *slot = Some(spawn_core(default_threads()));
-    }
-    slot.as_ref().unwrap().core.clone()
-}
-
-/// Number of threads the pool runs (initializing it if needed). Always at
-/// least 1; a 1-thread pool makes every parallel construct run inline on
-/// the caller.
+/// Number of threads a batch may use, the caller included. Always at
+/// least 1; at 1 every parallel construct runs inline on the caller.
 pub fn current_num_threads() -> usize {
-    current_core().threads
+    if THREADS.load(Relaxed) == 0 {
+        _ = THREADS.compare_exchange(0, default_threads(), Relaxed, Relaxed);
+    }
+    THREADS.load(Relaxed)
 }
 
-/// Resize the pool to exactly `threads` workers. The old generation
-/// drains its queues and exits; outstanding batches finish correctly
-/// because their submitters participate until completion. Results are
-/// unaffected by construction (determinism invariant, DESIGN.md §10).
+/// Use `threads` threads from the next batch on; results do not depend on
+/// the count (determinism invariant, DESIGN.md §10).
 pub fn set_num_threads(threads: usize) {
-    let threads = threads.max(1);
-    // Swap the new generation in and release the slot mutex BEFORE
-    // stopping/joining the old one. An old worker mid-task may perform
-    // nested parallelism, which calls `current_core()` /
-    // `current_num_threads()` and thus takes the slot mutex; holding it
-    // across the join would deadlock (the worker can't retire its task,
-    // so the join never returns). With the early release, that worker
-    // simply runs its nested batch on the new generation and then exits.
-    let old = {
-        let mut slot = pool_slot().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(h) = slot.as_ref() {
-            if h.core.threads == threads {
-                return;
-            }
-        }
-        let old = slot.take();
-        *slot = Some(spawn_core(threads));
-        old
-    };
-    if let Some(old) = old {
-        old.core.stop.store(true, Ordering::Release);
-        {
-            let _g = old.core.sleep.lock().unwrap_or_else(|e| e.into_inner());
-            old.core.wake.notify_all();
-        }
-        for j in old.joins {
-            let _ = j.join();
-        }
-    }
+    THREADS.store(threads.max(1), Relaxed);
 }
 
 /// Current engine counters (see [`PoolStats`]).
 pub fn pool_stats() -> PoolStats {
-    let s = stats();
-    let threads = pool_slot()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .map(|h| h.core.threads)
-        .unwrap_or(0);
     PoolStats {
-        threads,
-        tasks_executed: s.executed.load(Ordering::Relaxed),
-        tasks_stolen: s.stolen.load(Ordering::Relaxed),
-        batches: s.batches.load(Ordering::Relaxed),
-        busy_ns: s.busy_ns.load(Ordering::Relaxed),
+        threads: THREADS.load(Relaxed),
+        tasks_executed: EXECUTED.load(Relaxed),
+        tasks_helped: HELPED.load(Relaxed),
+        batches: BATCHES.load(Relaxed),
+        busy_ns: BUSY_NS.load(Relaxed),
     }
 }
 
-/// Run `func(0..tasks)` with the pool, blocking until every index has
-/// executed. Panics in `func` propagate to the caller after the batch
-/// retires. Indices may run on any thread in any order; callers must make
-/// each index's effect independent (disjoint output slots).
-///
-/// This is the engine's only entry point; `collect`, the sorts, and the
-/// Morton kernel in `bat-layout` all express themselves through it.
-pub fn parallel_for(tasks: usize, func: &(dyn Fn(usize) + Sync)) {
-    match tasks {
-        0 => return,
-        1 => {
-            func(0);
-            return;
-        }
-        _ => {}
+/// One `parallel_for` call: its closure, next unclaimed index, helpers
+/// started, first panic.
+struct Batch<'a> {
+    func: &'a (dyn Fn(usize) + Sync),
+    tasks: usize,
+    next: AtomicUsize,
+    started: AtomicUsize,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Batch<'_> {
+    /// Claim and run indices until none are left; returns how many ran.
+    fn drain(&self) -> u64 {
+        let claims = std::iter::repeat_with(|| self.next.fetch_add(1, Relaxed));
+        claims
+            .take_while(|&i| i < self.tasks)
+            .map(|i| self.run(i))
+            .count() as u64
     }
-    let core = current_core();
-    if core.threads <= 1 {
-        for i in 0..tasks {
-            func(i);
+
+    fn run(&self, index: usize) {
+        let t0 = Instant::now();
+        // parallel_for calls issued by this body add their wall time to
+        // NESTED_NS; it is subtracted, as the inner tasks count themselves.
+        let outer_nested = NESTED_NS.with(|n| n.replace(0));
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.func)(index))) {
+            // End the batch: every later claim lands past `tasks`.
+            self.next.store(self.tasks, Relaxed);
+            let mut first = self.panic.lock().unwrap_or_else(|e| e.into_inner());
+            first.get_or_insert(payload);
         }
+        let nested = NESTED_NS.with(|n| n.replace(outer_nested));
+        let busy = (t0.elapsed().as_nanos() as u64).saturating_sub(nested);
+        EXECUTED.fetch_add(1, Relaxed);
+        BUSY_NS.fetch_add(busy, Relaxed);
+    }
+}
+
+/// Run `func(0..tasks)` on the caller and up to `threads − 1` helpers,
+/// returning once every index has run. Indices run on any thread in any
+/// order, so each index's effect must be independent (disjoint output
+/// slots). A panic in `func` is re-thrown here after the batch retires.
+pub fn parallel_for(tasks: usize, func: &(dyn Fn(usize) + Sync)) {
+    let threads = current_num_threads();
+    if tasks <= 1 || threads <= 1 {
+        (0..tasks).for_each(func);
         return;
     }
-    stats().batches.fetch_add(1, Ordering::Relaxed);
+    BATCHES.fetch_add(1, Relaxed);
     let t0 = Instant::now();
-
     let batch = Batch {
         func,
-        remaining: AtomicUsize::new(tasks),
-        poisoned: AtomicBool::new(false),
+        tasks,
+        next: AtomicUsize::new(0),
+        started: AtomicUsize::new(0),
         panic: Mutex::new(None),
-        done_lock: Mutex::new(()),
-        done: Condvar::new(),
     };
-    // Erase the stack lifetime; sound because we wait for `remaining == 0`
-    // below before `batch` can drop.
-    let ptr: *const Batch<'static> = (&batch as *const Batch<'_>).cast();
-    // A worker id recorded against an older (larger) pool generation may
-    // exceed the current deque count after a resize; fall back to the
-    // injector then — tasks are stealable from either place.
-    let me = CURRENT_WORKER
-        .with(|w| w.get())
-        .filter(|&w| w < core.locals.len());
-    core.push_tasks((0..tasks).map(|index| Task { batch: ptr, index }), me);
-
-    // Participate: the submitter is one of the execution threads, which
-    // both speeds up the batch and guarantees completion even if the pool
-    // is resizing underneath us.
-    loop {
-        if batch.remaining.load(Ordering::Acquire) > 0 {
-            if let Some(task) = core.find_task(me) {
-                unsafe { (*task.batch).run(task.index) };
-                continue;
-            }
-        }
-        // Completion is only decided under `done_lock`. Retiring tasks
-        // decrement (and notify) while holding it, so observing zero here
-        // means the final task has fully exited the batch — `batch` can
-        // safely drop once we return. A lock-free `remaining == 0` check
-        // is NOT sufficient: it can fire while the last worker is still
-        // between its decrement and the notify, and dropping the batch
-        // then would free the Mutex/Condvar it is about to touch.
-        let guard = batch.done_lock.lock().unwrap_or_else(|e| e.into_inner());
-        if batch.remaining.load(Ordering::Acquire) == 0 {
-            break;
-        }
-        let _ = batch
-            .done
-            .wait_timeout(guard, std::time::Duration::from_micros(200));
-    }
-    std::sync::atomic::fence(Ordering::Acquire);
-    if TASK_DEPTH.with(|d| d.get()) > 0 {
-        // Nested call: report our wall time to the enclosing task so its
-        // busy_ns contribution excludes work already counted by the inner
-        // tasks (see `Batch::run`).
-        NESTED_NS.with(|n| n.set(n.get() + t0.elapsed().as_nanos() as u64));
-    }
-    let payload = batch.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
-    if let Some(payload) = payload {
-        std::panic::resume_unwind(payload);
+    std::thread::scope(|s| {
+        start_helper(s, &batch, 1, threads);
+        batch.drain();
+    });
+    NESTED_NS.with(|n| n.set(n.get() + t0.elapsed().as_nanos() as u64));
+    if let Some(payload) = batch.panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        resume_unwind(payload);
     }
 }
 
-/// Split `n` items into the engine's standard task ranges: about
-/// 4 tasks per thread (so stealing can rebalance uneven work), but never
-/// tasks smaller than `min_len` items. Returns the chunk length.
+/// Start the batch's `n`-th helper if it has unclaimed tasks and the
+/// budget of `threads − 1` has room, then park until the helper runs: a
+/// new thread starts on its parent's CPU, and the wake-up is what moves
+/// the parent to an idle one. Each helper starts the next, so where no CPU
+/// is idle only the chain waits, not the batch's caller.
+fn start_helper<'s>(s: &'s Scope<'s, '_>, batch: &'s Batch<'s>, n: usize, threads: usize) {
+    let reserve = |busy: usize| (busy + 1 < threads).then_some(busy + 1);
+    if n >= batch.tasks.min(threads)
+        || batch.next.load(Relaxed) >= batch.tasks
+        || HELPERS.fetch_update(Relaxed, Relaxed, reserve).is_err()
+    {
+        return;
+    }
+    let parent = std::thread::current();
+    let helper = std::thread::Builder::new().spawn_scoped(s, move || {
+        batch.started.fetch_add(1, Relaxed);
+        parent.unpark();
+        start_helper(s, batch, n + 1, threads);
+        HELPED.fetch_add(batch.drain(), Relaxed);
+        HELPERS.fetch_sub(1, Relaxed);
+    });
+    if helper.is_err() {
+        HELPERS.fetch_sub(1, Relaxed);
+        return;
+    }
+    while batch.started.load(Relaxed) < n {
+        std::thread::park();
+    }
+}
+
+/// Items per task when splitting `n`: about 4 tasks per thread, so claims
+/// balance uneven work, but never fewer than `min_len` items.
 pub(crate) fn chunk_len(n: usize, min_len: usize) -> usize {
-    let threads = current_num_threads();
-    let target_tasks = (4 * threads).max(1);
-    n.div_ceil(target_tasks).max(min_len).max(1)
+    n.div_ceil(4 * current_num_threads()).max(min_len).max(1)
 }
 
-/// Serializes tests (across this crate's modules) that resize the global
-/// pool, so assertions about the current size are not racy.
+/// Serializes this crate's tests (they share the pool) and sets its size.
 #[cfg(test)]
-pub(crate) fn test_pool_guard() -> std::sync::MutexGuard<'static, ()> {
+pub(crate) fn test_pool(threads: usize) -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    set_num_threads(threads);
+    guard
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+
+    fn counters(n: usize) -> Vec<AtomicU64> {
+        (0..n).map(|_| AtomicU64::new(0)).collect()
+    }
 
     #[test]
     fn parallel_for_covers_every_index_once() {
-        let _g = test_pool_guard();
-        set_num_threads(4);
-        let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        parallel_for(1000, &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        let _g = test_pool(4);
+        let hits = counters(1000);
+        parallel_for(1000, &|i| _ = hits[i].fetch_add(1, Relaxed));
+        assert!(hits.iter().all(|h| h.load(Relaxed) == 1));
     }
 
     #[test]
     fn nested_parallel_for_completes() {
-        let _g = test_pool_guard();
-        set_num_threads(3);
-        let total = AtomicU64::new(0);
+        let _g = test_pool(3);
+        let (total, t0, busy0) = (AtomicU64::new(0), Instant::now(), pool_stats().busy_ns);
         parallel_for(8, &|_| {
             parallel_for(8, &|j| {
-                total.fetch_add(j as u64, Ordering::Relaxed);
-            });
+                total.fetch_add(j as u64, Relaxed);
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            })
         });
-        assert_eq!(total.load(Ordering::Relaxed), 8 * 28);
+        assert_eq!(total.load(Relaxed), 8 * 28);
+        // Nested wall time is not counted twice: 3 threads, busy ≤ 3 × wall.
+        let busy = (pool_stats().busy_ns - busy0) as f64;
+        assert!(busy <= 3.05 * t0.elapsed().as_nanos() as f64);
     }
 
     #[test]
     fn panics_propagate_and_pool_survives() {
-        let _g = test_pool_guard();
-        set_num_threads(2);
-        let result = std::panic::catch_unwind(|| {
-            parallel_for(64, &|i| {
-                if i == 13 {
-                    panic!("task 13 exploded");
-                }
-            });
-        });
+        let _g = test_pool(2);
+        let result = std::panic::catch_unwind(|| parallel_for(64, &|i| assert_ne!(i, 13)));
         assert!(result.is_err());
-        // The pool is still usable afterwards.
-        let n = AtomicU64::new(0);
-        parallel_for(32, &|_| {
-            n.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(n.load(Ordering::Relaxed), 32);
+        // The engine is still usable afterwards, with its whole budget.
+        assert_eq!(HELPERS.load(Relaxed), 0);
+        let hits = counters(32);
+        parallel_for(32, &|i| _ = hits[i].fetch_add(1, Relaxed));
+        assert!(hits.iter().all(|h| h.load(Relaxed) == 1));
     }
 
     #[test]
     fn resize_mid_flight_is_safe() {
-        let _g = test_pool_guard();
-        set_num_threads(2);
+        let _g = test_pool(4);
         let n = AtomicU64::new(0);
-        parallel_for(100, &|_| {
-            n.fetch_add(1, Ordering::Relaxed);
-        });
-        set_num_threads(5);
-        parallel_for(100, &|_| {
-            n.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(n.load(Ordering::Relaxed), 200);
-        assert_eq!(current_num_threads(), 5);
+        for t in [2, 5] {
+            set_num_threads(t);
+            parallel_for(100, &|_| _ = n.fetch_add(1, Relaxed));
+        }
+        assert_eq!((n.load(Relaxed), current_num_threads()), (200, 5));
     }
 
-    /// Regression: `set_num_threads` used to hold the pool-registry lock
-    /// across joining the old workers; a worker whose task performed
-    /// nested parallelism (→ `current_core()`) blocked on that lock and
-    /// the join never returned. This hung, not failed, so a pass here is
-    /// the absence of a timeout.
+    /// Resizing while another thread runs nested batches (a deadlock in
+    /// the persistent pool this engine replaced): a pass is the absence of
+    /// a hang.
     #[test]
     fn resize_races_nested_parallelism() {
-        let _g = test_pool_guard();
-        set_num_threads(4);
+        let _g = test_pool(4);
         let total = AtomicU64::new(0);
         std::thread::scope(|s| {
             s.spawn(|| {
                 for _ in 0..20 {
                     parallel_for(8, &|_| {
-                        parallel_for(4, &|j| {
-                            total.fetch_add(j as u64, Ordering::Relaxed);
-                        });
+                        parallel_for(4, &|j| _ = total.fetch_add(j as u64, Relaxed))
                     });
                 }
             });
-            for t in [2usize, 6, 3, 5, 4] {
+            for t in [2, 6, 3, 5, 4] {
                 set_num_threads(t);
             }
         });
-        assert_eq!(total.load(Ordering::Relaxed), 20 * 8 * 6);
+        assert_eq!(total.load(Relaxed), 20 * 8 * 6);
     }
 
     #[test]
     fn stats_move_forward() {
-        let _g = test_pool_guard();
-        set_num_threads(2);
+        let _g = test_pool(2);
         let before = pool_stats();
         parallel_for(50, &|_| {});
         let after = pool_stats();
-        assert!(after.tasks_executed >= before.tasks_executed + 50);
-        assert!(after.batches > before.batches);
+        assert_eq!(after.tasks_executed, before.tasks_executed + 50);
+        assert_eq!((after.batches, after.threads), (before.batches + 1, 2));
+    }
+
+    /// 4 submitters issue nested batches and recursive joins: at most
+    /// `submitters + threads − 1` threads run task bodies at once, every
+    /// index runs exactly once, and the counters add up exactly.
+    #[test]
+    fn oversubscription_is_bounded() {
+        const SUBS: usize = 4;
+        const OUTER: usize = 6;
+        const INNER: usize = 5;
+        const DEPTH: u32 = 4;
+        let (running, high) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        // Only innermost bodies count: a thread runs one of those at a time.
+        let leaf = |hit: &AtomicU64| {
+            high.fetch_max(running.fetch_add(1, Relaxed) + 1, Relaxed);
+            hit.fetch_add(1, Relaxed);
+            std::thread::sleep(std::time::Duration::from_micros(50));
+            running.fetch_sub(1, Relaxed);
+        };
+        fn tree(depth: u32, leaf: &(dyn Fn(usize) + Sync), at: usize) {
+            let half = |k| move || tree(depth - 1, leaf, 2 * at + k);
+            match depth {
+                0 => leaf(at),
+                _ => _ = crate::join(half(0), half(1)),
+            }
+        }
+        let _g = test_pool(4);
+        for threads in [2, 4] {
+            set_num_threads(threads);
+            high.store(0, Relaxed);
+            let (nested, leaves) = (counters(SUBS * OUTER * INNER), counters(SUBS << DEPTH));
+            let before = pool_stats();
+            std::thread::scope(|s| {
+                for sub in 0..SUBS {
+                    let (nested, leaves, leaf) = (&nested, &leaves, &leaf);
+                    s.spawn(move || {
+                        parallel_for(OUTER, &|i| {
+                            parallel_for(INNER, &|j| leaf(&nested[(sub * OUTER + i) * INNER + j]))
+                        });
+                        tree(DEPTH, &|at| leaf(&leaves[(sub << DEPTH) + at]), 0);
+                    });
+                }
+            });
+            let (after, hw) = (pool_stats(), high.load(Relaxed));
+            assert!(hw < SUBS + threads, "{hw} at once");
+            assert!(nested.iter().chain(&leaves).all(|h| h.load(Relaxed) == 1));
+            let joins = (1 << DEPTH) - 1;
+            let batches = SUBS * (1 + OUTER + joins);
+            let tasks = SUBS * (OUTER + OUTER * INNER + 2 * joins);
+            assert_eq!(after.batches - before.batches, batches as u64);
+            assert_eq!(after.tasks_executed - before.tasks_executed, tasks as u64);
+        }
     }
 }
