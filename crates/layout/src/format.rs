@@ -364,7 +364,7 @@ impl<'a> BatWriter<'a> {
     }
 
     /// As [`BatWriter::new`] with an explicit codec and index spec.
-    /// `Codec::V1` emits the golden-pinned v1 bytes; either v2 variant
+    /// `Codec::V1` emits the golden-pinned v1 bytes; `Codec::V2Lossless`
     /// compresses every treelet block section-by-section (in parallel,
     /// through the rayon pool — each treelet encodes independently, so the
     /// bytes are identical for any pool size). Attributes selected by
@@ -841,8 +841,7 @@ pub fn decode_block(
                 )
             }
         };
-        let decoded =
-            codec::decode_section(kind, sec.tag, &stored[cursor..end], num_points, raw_len)?;
+        let decoded = codec::decode_section(kind, sec.tag, &stored[cursor..end], raw_len)?;
         out[off..off + raw_len].copy_from_slice(&decoded);
         cursor = end;
     }
@@ -1346,17 +1345,15 @@ mod tests {
 
     #[test]
     fn v2_writer_precomputes_exact_sizes() {
-        for codec in [Codec::V2Lossless, Codec::V2Lossy { error_bound: 1e-3 }] {
-            let bat = sample_bat(8000);
-            let writer = BatWriter::with_codec(&bat, codec);
-            let mut out = Vec::new();
-            writer.write_to(&mut out).unwrap();
-            assert_eq!(out.len(), writer.file_size());
-            let head = read_head(&out).unwrap();
-            assert_eq!(head.head_end, writer.head_end());
-            for (leaf, &off) in head.leaves.iter().zip(writer.treelet_offsets()) {
-                assert_eq!(leaf.offset as usize, off);
-            }
+        let bat = sample_bat(8000);
+        let writer = BatWriter::with_codec(&bat, Codec::V2Lossless);
+        let mut out = Vec::new();
+        writer.write_to(&mut out).unwrap();
+        assert_eq!(out.len(), writer.file_size());
+        let head = read_head(&out).unwrap();
+        assert_eq!(head.head_end, writer.head_end());
+        for (leaf, &off) in head.leaves.iter().zip(writer.treelet_offsets()) {
+            assert_eq!(leaf.offset as usize, off);
         }
     }
 

@@ -63,7 +63,6 @@ pub mod footer;
 pub mod format;
 pub mod morton_sort;
 pub mod particles;
-pub mod quantize;
 pub mod query;
 pub mod radix;
 pub mod reader;
@@ -83,7 +82,6 @@ pub use dict::BitmapDictionary;
 pub use footer::{CrcSectionWriter, FileFooter, SectionCrc, SectionMismatch};
 pub use format::{write_bat_indexed, IndexDirEntry};
 pub use particles::ParticleSet;
-pub use quantize::{quantize_positions, QuantizeReport};
 pub use query::{quality_to_depth, PointRecord, Query, QueryError};
 pub use reader::{BatFile, FilePlan, PlanStrategy};
 pub use source::{

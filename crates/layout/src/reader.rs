@@ -1651,43 +1651,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_lossy_respects_error_bound() {
-        use crate::format::write_bat_with;
-        let bound = 1e-3;
-        let (set, domain) = sample(8_000, 32);
-        let bat = BatBuilder::new(BatConfig::default()).build(set, domain);
-        let v1 = BatFile::from_bytes(write_bat_with(&bat, crate::codec::Codec::V1)).unwrap();
-        let lossy = BatFile::from_bytes(write_bat_with(
-            &bat,
-            crate::codec::Codec::V2Lossy { error_bound: bound },
-        ))
-        .unwrap();
-        let gather = |f: &BatFile| {
-            let mut out: Vec<(u64, Vec3, f64, f64)> = Vec::new();
-            f.query(&Query::new(), |p| {
-                out.push((p.index, p.position, p.attrs[0], p.attrs[1]));
-            })
-            .unwrap();
-            out.sort_by_key(|r| r.0);
-            out
-        };
-        let exact = gather(&v1);
-        let approx = gather(&lossy);
-        assert_eq!(exact.len(), approx.len());
-        for (e, a) in exact.iter().zip(&approx) {
-            assert_eq!(e.0, a.0, "particle order must be preserved");
-            for (x, y) in [(e.1.x, a.1.x), (e.1.y, a.1.y), (e.1.z, a.1.z)] {
-                assert!(
-                    (x as f64 - y as f64).abs() <= bound,
-                    "position |{x}-{y}| > {bound}"
-                );
-            }
-            assert!((e.2 - a.2).abs() <= bound);
-            assert!((e.3 - a.3).abs() <= bound);
-        }
-    }
-
-    #[test]
     fn empty_file_queries_cleanly() {
         let (set, domain) = sample(0, 12);
         let bat = BatBuilder::new(BatConfig::default()).build(set, domain);

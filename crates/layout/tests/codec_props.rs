@@ -1,14 +1,11 @@
 //! Property tests for the v2 treelet codecs (DESIGN.md §15): the lossless
 //! pipeline (Morton-delta XOR + bitshuffle + RLE) must be byte-exact for
 //! *arbitrary* column blocks — including empty, single-record, and
-//! all-identical (duplicate-Morton) blocks — and the bit-adaptive
-//! quantizer must keep every decoded value within the absolute error
-//! bound stored in its own section header.
+//! all-identical (duplicate-Morton) blocks.
 
 use bat_layout::codec::{
-    decode_lossless, decode_quant_attr, decode_quant_positions, decode_section, encode_lossless,
-    encode_quant_attr, encode_quant_positions, encode_section, rle_decode, rle_encode, Codec,
-    SectionKind, TAG_RAW,
+    decode_lossless, decode_section, encode_lossless, encode_section, rle_decode, rle_encode,
+    Codec, SectionKind, TAG_RAW,
 };
 use bat_layout::AttributeType;
 use proptest::prelude::*;
@@ -110,94 +107,9 @@ proptest! {
                 (SectionKind::Attr(AttributeType::F64), r)
             }
         };
-        let n = match kind {
-            SectionKind::Positions => raw.len() / 12,
-            SectionKind::Attr(t) => raw.len() / t.size(),
-            SectionKind::Nodes => 0,
-        };
         let (tag, stored) = encode_section(kind, &raw, Codec::V2Lossless);
-        let back = decode_section(kind, tag, &stored, n, raw.len()).expect("decode own encoding");
+        let back = decode_section(kind, tag, &stored, raw.len()).expect("decode own encoding");
         prop_assert_eq!(back, raw);
-    }
-
-    /// Every decoded f64 attribute value lands within the bound that the
-    /// encoder stored in the section header (read it back from the stored
-    /// bytes rather than trusting the input — that is the on-disk contract).
-    #[test]
-    fn quant_attr_f64_respects_stored_bound(
-        vals in prop::collection::vec(-1.0e6f64..1.0e6, 0..300),
-        bound in 1.0e-6f64..1.0,
-    ) {
-        let raw: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        if let Some(stored) = encode_quant_attr(&raw, AttributeType::F64, bound) {
-            let stored_bound =
-                f64::from_le_bytes(stored[..8].try_into().unwrap());
-            prop_assert_eq!(stored_bound, bound);
-            let back = decode_quant_attr(&stored, AttributeType::F64, vals.len())
-                .expect("decode own encoding");
-            for (i, (orig, dec)) in vals
-                .iter()
-                .zip(back.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())))
-                .enumerate()
-            {
-                prop_assert!(
-                    (orig - dec).abs() <= stored_bound,
-                    "value {i}: |{orig} - {dec}| > {stored_bound}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn quant_attr_f32_respects_stored_bound(
-        vals in prop::collection::vec(-1.0e5f32..1.0e5, 0..300),
-        bound in 1.0e-3f64..1.0,
-    ) {
-        let raw: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        if let Some(stored) = encode_quant_attr(&raw, AttributeType::F32, bound) {
-            let back = decode_quant_attr(&stored, AttributeType::F32, vals.len())
-                .expect("decode own encoding");
-            for (orig, dec) in vals
-                .iter()
-                .zip(back.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())))
-            {
-                prop_assert!(
-                    (*orig as f64 - dec as f64).abs() <= bound,
-                    "|{orig} - {dec}| > {bound}"
-                );
-            }
-        }
-    }
-
-    /// Positions quantize per axis; every decoded component must respect
-    /// the bound, for clustered unit-cube data like real layouts hold.
-    #[test]
-    fn quant_positions_respect_stored_bound(
-        pts in prop::collection::vec((0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0), 0..300),
-        bound in 1.0e-5f64..0.1,
-    ) {
-        let raw: Vec<u8> = pts
-            .iter()
-            .flat_map(|&(x, y, z)| {
-                [x.to_le_bytes(), y.to_le_bytes(), z.to_le_bytes()].concat()
-            })
-            .collect();
-        if let Some(stored) = encode_quant_positions(&raw, bound) {
-            let stored_bound = f64::from_le_bytes(stored[..8].try_into().unwrap());
-            prop_assert_eq!(stored_bound, bound);
-            let back =
-                decode_quant_positions(&stored, pts.len()).expect("decode own encoding");
-            for (i, (&(x, y, z), rec)) in pts.iter().zip(back.chunks_exact(12)).enumerate() {
-                for (a, orig) in [x, y, z].into_iter().enumerate() {
-                    let dec =
-                        f32::from_le_bytes(rec[a * 4..a * 4 + 4].try_into().unwrap());
-                    prop_assert!(
-                        (orig as f64 - dec as f64).abs() <= stored_bound,
-                        "point {i} axis {a}: |{orig} - {dec}| > {stored_bound}"
-                    );
-                }
-            }
-        }
     }
 }
 

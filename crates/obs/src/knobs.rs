@@ -4,11 +4,11 @@
 //! Every knob is a [`Knob`] constant — name, documented default, meaning,
 //! value grammar — and [`ENV_KNOBS`] lists them all; `batcli env` and the
 //! README environment table are printed from it. Consumers call a getter
-//! ([`Knob::get`], [`Knob::uint`], [`Knob::float`]) **when they construct
-//! the object the knob configures** (writer, `BatFile`, `Dataset`,
-//! `ShardRouter`, supervisor, cluster) and keep the result; nothing here
-//! caches, so a test or bench that flips a variable between two
-//! constructions gets two configurations in one process.
+//! ([`Knob::get`], [`Knob::uint`]) **when they construct the object the
+//! knob configures** (writer, `BatFile`, `Dataset`, `ShardRouter`,
+//! supervisor, cluster) and keep the result; nothing here caches, so a
+//! test or bench that flips a variable between two constructions gets two
+//! configurations in one process.
 //!
 //! A value is trimmed and, unless its grammar is free text, ASCII-
 //! lowercased before parsing. An unset or empty variable yields `None`
@@ -19,7 +19,7 @@
 
 use std::ffi::OsString;
 use std::sync::{Mutex, MutexGuard};
-use Grammar::{Bytes, PositiveFloat, Text, Uint, Word, WordOrUint};
+use Grammar::{Bytes, Text, Uint, Word, WordOrUint};
 
 /// What values a knob accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +32,6 @@ pub enum Grammar {
     WordOrUint(&'static [&'static str]),
     /// Byte count with an optional `k`/`m`/`g` suffix.
     Bytes,
-    /// Finite number greater than zero.
-    PositiveFloat,
     /// Free text its consumer validates (topology specs, attribute names,
     /// fault specs): trimmed, case kept.
     Text,
@@ -96,14 +94,12 @@ knob_table! {
         "treelet page cache budget (accepts k/m/g suffixes; 0 = off)";
     READ_BACKEND = "BAT_READ_BACKEND", "mmap", Word(&["mmap", "range-file", "range-sim"]),
         "reader backend: mmap | range-file | range-sim";
-    TREELET_CODEC = "BAT_TREELET_CODEC", "v1", Word(&["v1", "v2-lossless", "v2-lossy"]),
-        "treelet write codec: v1 | v2-lossless | v2-lossy";
+    TREELET_CODEC = "BAT_TREELET_CODEC", "v1", Word(&["v1", "v2-lossless"]),
+        "treelet write codec: v1 | v2-lossless";
     INDEX_ATTRS = "BAT_INDEX_ATTRS", "(none)", Text,
         "attributes to B-tree index at write time: all | name,name,...";
     PLAN_STRATEGY = "BAT_PLAN_STRATEGY", "auto", Word(&["auto", "scan", "bitmap", "index"]),
         "filter-plan strategy: auto | scan | bitmap | index";
-    CODEC_ERROR_BOUND = "BAT_CODEC_ERROR_BOUND", "0.001", PositiveFloat,
-        "absolute error bound for the v2-lossy quantizer";
     FAULTS = "BAT_FAULTS", "(none)", Text,
         "fault-injection spec (needs --features failpoints)";
 }
@@ -134,7 +130,6 @@ impl Knob {
             Uint { min } => uint(min),
             WordOrUint(words) => words.contains(&t.as_str()) || uint(0),
             Bytes => parse_bytes(&t).is_some(),
-            PositiveFloat => t.parse::<f64>().is_ok_and(|x| x.is_finite() && x > 0.0),
             Text => true,
         };
         valid.then_some(t)
@@ -177,11 +172,6 @@ impl Knob {
     /// [`Knob::get`] as an integer (a byte count with its suffix applied).
     pub fn uint(&self) -> Option<u64> {
         parse_bytes(&self.get()?)
-    }
-
-    /// [`Knob::get`] as a number.
-    pub fn float(&self) -> Option<f64> {
-        self.get()?.parse().ok()
     }
 
     /// The effective value as `batcli env` prints it, and its origin:

@@ -8,7 +8,7 @@ mod common;
 
 use bat_comm::{Cluster, TransportKind};
 use bat_geom::{Aabb, Vec3};
-use bat_layout::codec::{Codec, DEFAULT_ERROR_BOUND};
+use bat_layout::codec::Codec;
 use bat_layout::format::{write_bat_indexed, VERSION, VERSION_V2};
 use bat_layout::source::RangeConfig;
 use bat_layout::{
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The tests below put transient values into the process environment
-/// (a lossy codec, a fault spec, a 2 s receive deadline…) that the other
+/// (a v2 codec, a fault spec, a 2 s receive deadline…) that the other
 /// tests' writers, clusters and datasets would pick up: one at a time.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -32,12 +32,11 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// The typed value a spelling must come out as: the normalized string
-/// from [`Knob::get`], or the number from [`Knob::uint`] / [`Knob::float`].
+/// from [`Knob::get`], or the number from [`Knob::uint`].
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
     Str(String),
     Uint(u64),
-    Float(f64),
 }
 
 fn word(w: &str) -> Value {
@@ -49,7 +48,6 @@ fn typed(knob: &Knob, like: &Value) -> Option<Value> {
     match like {
         Value::Str(_) => knob.get().map(Value::Str),
         Value::Uint(_) => knob.uint().map(Value::Uint),
-        Value::Float(_) => knob.float().map(Value::Float),
     }
 }
 
@@ -65,7 +63,7 @@ type Case = (
 );
 
 fn cases() -> Vec<Case> {
-    use Value::{Float, Uint};
+    use Value::Uint;
     vec![
         (
             &knobs::THREADS,
@@ -169,12 +167,9 @@ fn cases() -> Vec<Case> {
         (
             &knobs::TREELET_CODEC,
             Some(word("v1")),
-            vec![
-                ("v1", word("v1")),
-                ("v2-lossless", word("v2-lossless")),
-                ("v2-lossy", word("v2-lossy")),
-            ],
-            Some("v2"),
+            vec![("v1", word("v1")), ("v2-lossless", word("v2-lossless"))],
+            // The deleted lossy codec's spelling.
+            Some("v2-lossy"),
         ),
         (
             &knobs::INDEX_ATTRS,
@@ -197,12 +192,6 @@ fn cases() -> Vec<Case> {
             Some("btree"),
         ),
         (
-            &knobs::CODEC_ERROR_BOUND,
-            Some(Float(0.001)),
-            vec![("1e-4", Float(1e-4)), ("0.01", Float(0.01))],
-            Some("-1"),
-        ),
-        (
             &knobs::FAULTS,
             None,
             vec![(
@@ -223,7 +212,7 @@ fn every_knob_parses_its_documented_values() {
     let covered: Vec<&str> = cases.iter().map(|c| c.0.name).collect();
     let table: Vec<&str> = ENV_KNOBS.iter().map(|k| k.name).collect();
     assert_eq!(covered, table, "one case per table row, in table order");
-    assert_eq!(table.len(), 17);
+    assert_eq!(table.len(), 16);
 
     for (knob, default, spellings, invalid) in cases {
         let name = knob.name;
@@ -306,10 +295,6 @@ fn consumer_defaults_match_the_table() {
         (range.gap_bytes, range.retries, range.backoff_ms),
         (16 << 10, 3, 1)
     );
-    assert_eq!(
-        Ok(DEFAULT_ERROR_BOUND),
-        knobs::CODEC_ERROR_BOUND.default.parse()
-    );
     assert_eq!(Codec::from_env(), Codec::V1);
     assert_eq!(ReadBackend::from_env().name(), knobs::READ_BACKEND.default);
     assert_eq!(Cluster::transport_from_env(4), TransportKind::Channel);
@@ -319,6 +304,24 @@ fn consumer_defaults_match_the_table() {
         uint(&knobs::SHARD_HEARTBEAT_MS)
     );
     assert_eq!(sup.missed_beats as u64, uint(&knobs::SHARD_MISSED_BEATS));
+}
+
+/// `v2-lossy` names the deleted lossy codec: setting it is warned about
+/// (once per process), counted in `config.invalid`, and the codec a writer
+/// reads (`Codec::from_env`, called by `BatWriter::new`) stays v1.
+#[test]
+fn deleted_lossy_codec_falls_back_to_v1() {
+    let _serial = lock();
+    let _env = EnvGuard::set(&[(&knobs::TREELET_CODEC, Some("v2-lossy"))]);
+    let reg = Arc::new(bat_obs::Registry::new());
+    let _on = bat_obs::enable();
+    let _scope = bat_obs::scope(reg.clone());
+    assert_eq!(Codec::from_env(), Codec::V1);
+    assert_eq!(reg.snapshot().counter("config.invalid"), Some(1));
+    assert_eq!(
+        knobs::TREELET_CODEC.effective(),
+        ("v1".to_string(), "invalid")
+    );
 }
 
 fn indexed_file_bytes() -> Vec<u8> {

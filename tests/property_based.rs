@@ -217,25 +217,6 @@ proptest! {
     }
 
     #[test]
-    fn quantization_error_bounded(
-        pts in prop::collection::vec((0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0), 1..300),
-        bits in 1u32..16,
-    ) {
-        use bat_layout::quantize_positions;
-        let mut set = ParticleSet::new(vec![AttributeDesc::f64("v")]);
-        for &(x, y, z) in &pts {
-            set.push(Vec3::new(x, y, z), &[0.0]);
-        }
-        let before = set.positions.clone();
-        let report = quantize_positions(&mut set, &Aabb::unit(), bits);
-        prop_assert!(report.max_error <= report.error_bound * 1.0001);
-        for (p, q) in before.iter().zip(&set.positions) {
-            prop_assert!((*q - *p).length() <= report.error_bound * 1.0001);
-            prop_assert!(Aabb::unit().contains_point(*q));
-        }
-    }
-
-    #[test]
     fn morton_order_is_monotone_within_axis(
         x1 in 0.0f32..1.0, x2 in 0.0f32..1.0,
         y in 0.0f32..1.0, z in 0.0f32..1.0,
