@@ -315,7 +315,6 @@ impl Cluster {
     /// processes; in-process transports are accepted for size-1
     /// topologies so single-rank tools can run under a generic launcher.
     pub fn connect(cfg: &ClusterConfig) -> io::Result<Box<dyn Comm>> {
-        bat_faults::init_from_env();
         bat_faults::set_rank(Some(cfg.rank));
         match cfg.transport {
             TransportKind::Socket => {
@@ -375,11 +374,8 @@ where
             let rank_reg = rank_regs.get(rank).cloned();
             handles.push(scope.spawn(move || {
                 let _obs_scope = rank_reg.map(bat_obs::scope);
-                // Fault context: load `BAT_FAULTS` once per process and
-                // tag this thread with its rank so `@rank=R` triggers
-                // can target a single rank (no-ops without the
-                // `failpoints` feature).
-                bat_faults::init_from_env();
+                // Fault context: tag this thread with its rank so
+                // `@rank=R` triggers can target a single rank.
                 bat_faults::set_rank(Some(rank));
                 std::panic::catch_unwind(AssertUnwindSafe(|| {
                     let comm = make(rank);

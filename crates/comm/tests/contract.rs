@@ -2,8 +2,8 @@
 //! [`bat_comm::Comm`] implementation must share, run against all three
 //! transports (channel, socket, sim).
 //!
-//! The fault-driven `send_with_retry` cases need the failpoint registry:
-//! `cargo test -p bat-comm --features failpoints --test contract`.
+//! The fault-driven `send_with_retry` cases arm the process-global
+//! failpoint registry, so every test here takes one lock.
 
 use bat_comm::{Cluster, Comm, CommError, TransportKind};
 use bytes::Bytes;
@@ -17,7 +17,7 @@ const TRANSPORTS: [TransportKind; 3] = [
 ];
 
 /// The fault registry is process-global and rank-filtered; clusters reuse
-/// rank numbers, so the retry tests must not overlap.
+/// rank numbers, so no test may overlap an armed retry test.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -26,6 +26,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 #[test]
 fn zero_timeout_expires_immediately_on_every_transport() {
+    let _guard = lock();
     for kind in TRANSPORTS {
         Cluster::run_with(kind, 2, |comm| {
             if comm.rank() == 0 {
@@ -59,6 +60,7 @@ fn zero_timeout_expires_immediately_on_every_transport() {
 
 #[test]
 fn with_timeout_returns_an_independent_handle() {
+    let _guard = lock();
     for kind in TRANSPORTS {
         Cluster::run_with(kind, 2, |comm| {
             let bounded = comm.with_timeout(Some(Duration::from_millis(40)));
@@ -105,7 +107,6 @@ fn send_with_retry_delivers_without_faults() {
     }
 }
 
-#[cfg(feature = "failpoints")]
 mod faults {
     use super::*;
 

@@ -1,34 +1,37 @@
 //! Deterministic fault injection for the write/read pipeline.
 //!
 //! A *failpoint* is a named site in the code (`"write.leaf"`,
-//! `"comm.send"`, …) where a configured fault can trigger. Sites are
-//! compiled in only with the `failpoints` cargo feature; without it every
-//! entry point here is an inline no-op, so hot paths and golden byte
-//! hashes are untouched (the fast path with the feature *on* but no
-//! faults configured is a single relaxed atomic load).
+//! `"comm.send"`, …) where a configured fault can trigger. Sites are part
+//! of every build. An idle site (nothing configured) costs one relaxed
+//! atomic load at the call site; sites sit per leaf write, message, GET or
+//! query, never per point, and an idle build writes byte-identical output.
 //!
-//! Faults are configured programmatically ([`configure_site`]) or from the
-//! `BAT_FAULTS` environment variable ([`init_from_env`], grammar below),
-//! and trigger deterministically: a per-site hit counter (optionally
-//! filtered to one rank) decides which hit fires. There is no randomness —
-//! a given configuration fails the same way every run.
+//! Faults are configured only through this API, by tests: [`configure`]
+//! takes the spec grammar below, [`configure_site`] the parsed form. No
+//! environment variable arms a site, so a running process cannot be made
+//! to fail from outside. Triggers are deterministic: a per-site hit
+//! counter (optionally filtered to one rank) decides which hit fires.
+//! There is no randomness — a given configuration fails the same way
+//! every run.
 //!
-//! ## `BAT_FAULTS` grammar
+//! ## Spec grammar
 //!
 //! ```text
-//! BAT_FAULTS = spec *( ";" spec )
-//! spec       = site "=" action [ ":" arg ] *( "@" key "=" value )
-//! action     = "error" | "torn" | "kill" | "delay"
-//! key        = "nth" | "every" | "rank" | "limit"
+//! specs  = spec *( ";" spec )
+//! spec   = site "=" action [ ":" arg ] *( "@" key "=" value )
+//! action = "error" | "torn" | "kill" | "delay"
+//! key    = "nth" | "every" | "rank" | "limit"
 //! ```
 //!
+//! `nth` and `every` are at least 1 and `rank` fits a `u32`; a spec that
+//! breaks the grammar is an `Err` and [`configure`] then installs nothing.
 //! Examples:
 //!
 //! ```text
-//! BAT_FAULTS="write.leaf=torn:4096@nth=1"      # 1st leaf write torn after 4 KiB
-//! BAT_FAULTS="write.shuffle.recv=kill@rank=2"  # rank 2 dies entering the shuffle
-//! BAT_FAULTS="comm.send=error@every=3@limit=2" # every 3rd send fails, twice
-//! BAT_FAULTS="comm.recv=delay:50"              # every recv sleeps 50 ms first
+//! write.leaf=torn:4096@nth=1      # 1st leaf write torn after 4 KiB
+//! write.shuffle.recv=kill@rank=2  # rank 2 dies entering the shuffle
+//! comm.send=error@every=3@limit=2 # every 3rd send fails, twice
+//! comm.recv=delay:50              # every recv sleeps 50 ms first
 //! ```
 //!
 //! Actions:
@@ -43,7 +46,10 @@
 //! Every triggered fault increments the `faults.triggered` obs counter and
 //! the process-wide [`triggered_total`].
 
+use std::collections::HashMap;
 use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// A fault a site must act on. `Delay` is handled inside [`fire`] (the
 /// sleep happens there), so call sites only ever see these three.
@@ -57,8 +63,8 @@ pub enum Fault {
     Kill,
 }
 
-/// The action configured for a site (the four-verb surface of the
-/// `BAT_FAULTS` grammar; `Delay` never escapes [`fire`]).
+/// The action configured for a site (the four verbs of the spec
+/// grammar; `Delay` never escapes [`fire`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     Error,
@@ -107,277 +113,222 @@ impl<W: io::Write> io::Write for TornWriter<W> {
     }
 }
 
-#[cfg(feature = "failpoints")]
-mod imp {
-    use super::{Fault, FaultAction};
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
+#[derive(Debug, Clone)]
+struct FaultPoint {
+    action: FaultAction,
+    /// Fire only on the `nth` (1-based) hit.
+    nth: Option<u64>,
+    /// Fire on every `every`-th hit (ignored when `nth` is set).
+    every: Option<u64>,
+    /// Fire only on this rank (requires [`set_rank`] on the thread).
+    rank: Option<u32>,
+    /// Stop firing after this many triggers.
+    limit: Option<u64>,
+    hits: u64,
+    fired: u64,
+}
 
-    #[derive(Debug, Clone)]
-    struct FaultPoint {
+impl FaultPoint {
+    fn new(
         action: FaultAction,
-        /// Fire only on the `nth` (1-based) hit.
         nth: Option<u64>,
-        /// Fire on every `every`-th hit (ignored when `nth` is set).
         every: Option<u64>,
-        /// Fire only on this rank (requires [`set_rank`] on the thread).
         rank: Option<u32>,
-        /// Stop firing after this many triggers.
         limit: Option<u64>,
-        hits: u64,
-        fired: u64,
-    }
-
-    impl FaultPoint {
-        fn should_fire(&mut self, current_rank: Option<usize>) -> bool {
-            if let Some(r) = self.rank {
-                if current_rank != Some(r as usize) {
-                    return false;
-                }
-            }
-            self.hits += 1;
-            if let Some(limit) = self.limit {
-                if self.fired >= limit {
-                    return false;
-                }
-            }
-            let due = match (self.nth, self.every) {
-                (Some(n), _) => self.hits == n,
-                (None, Some(k)) => k != 0 && self.hits.is_multiple_of(k),
-                (None, None) => true,
-            };
-            if due {
-                self.fired += 1;
-            }
-            due
+    ) -> FaultPoint {
+        FaultPoint {
+            action,
+            nth,
+            every,
+            rank,
+            limit,
+            hits: 0,
+            fired: 0,
         }
     }
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static TRIGGERED: AtomicU64 = AtomicU64::new(0);
-
-    fn registry() -> &'static Mutex<HashMap<String, FaultPoint>> {
-        static REG: OnceLock<Mutex<HashMap<String, FaultPoint>>> = OnceLock::new();
-        REG.get_or_init(|| Mutex::new(HashMap::new()))
+    fn should_fire(&mut self, current_rank: Option<usize>) -> bool {
+        if let Some(r) = self.rank {
+            if current_rank != Some(r as usize) {
+                return false;
+            }
+        }
+        self.hits += 1;
+        if let Some(limit) = self.limit {
+            if self.fired >= limit {
+                return false;
+            }
+        }
+        let due = match (self.nth, self.every) {
+            (Some(n), _) => self.hits == n,
+            (None, Some(k)) => k != 0 && self.hits.is_multiple_of(k),
+            (None, None) => true,
+        };
+        if due {
+            self.fired += 1;
+        }
+        due
     }
+}
 
-    thread_local! {
-        static RANK: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static TRIGGERED: AtomicU64 = AtomicU64::new(0);
+
+fn registry() -> &'static Mutex<HashMap<String, FaultPoint>> {
+    static REG: OnceLock<Mutex<HashMap<String, FaultPoint>>> = OnceLock::new();
+    REG.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+thread_local! {
+    static RANK: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Whether any site is configured (cleared by [`reset`]).
+#[inline]
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
+
+/// Tag this thread with its rank, so `@rank=R` triggers can target it.
+pub fn set_rank(rank: Option<usize>) {
+    RANK.with(|r| r.set(rank));
+}
+
+pub fn current_rank() -> Option<usize> {
+    RANK.with(|r| r.get())
+}
+
+/// Disarm every site and forget their hit counters.
+pub fn reset() {
+    ENABLED.store(false, Ordering::Relaxed);
+    registry().lock().unwrap().clear();
+}
+
+/// Arm `site`, replacing whatever was configured there.
+pub fn configure_site(
+    site: &str,
+    action: FaultAction,
+    nth: Option<u64>,
+    every: Option<u64>,
+    rank: Option<u32>,
+    limit: Option<u64>,
+) {
+    install([(site, FaultPoint::new(action, nth, every, rank, limit))]);
+}
+
+fn install<'a>(points: impl IntoIterator<Item = (&'a str, FaultPoint)>) {
+    let mut reg = registry().lock().unwrap();
+    for (site, point) in points {
+        reg.insert(site.to_string(), point);
     }
+    ENABLED.store(true, Ordering::Relaxed);
+}
 
-    pub fn compiled() -> bool {
-        true
-    }
-
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    pub fn set_rank(rank: Option<usize>) {
-        RANK.with(|r| r.set(rank));
-    }
-
-    pub fn current_rank() -> Option<usize> {
-        RANK.with(|r| r.get())
-    }
-
-    pub fn reset() {
-        ENABLED.store(false, Ordering::Relaxed);
-        registry().lock().unwrap().clear();
-    }
-
-    pub fn configure_site(
-        site: &str,
-        action: FaultAction,
-        nth: Option<u64>,
-        every: Option<u64>,
-        rank: Option<u32>,
-        limit: Option<u64>,
-    ) {
-        registry().lock().unwrap().insert(
-            site.to_string(),
-            FaultPoint {
-                action,
-                nth,
-                every,
-                rank,
-                limit,
-                hits: 0,
-                fired: 0,
-            },
-        );
-        ENABLED.store(true, Ordering::Relaxed);
-    }
-
-    /// Parse one `site=action[:arg][@key=val]…` spec.
-    fn parse_spec(spec: &str) -> Result<(), String> {
-        let (site, rest) = spec
+/// Parse one `site=action[:arg][@key=val]…` spec.
+fn parse_spec(spec: &str) -> Result<(&str, FaultPoint), String> {
+    let (site, rest) = spec
+        .split_once('=')
+        .ok_or_else(|| format!("fault spec {spec:?}: missing '='"))?;
+    let mut parts = rest.split('@');
+    let action_str = parts.next().unwrap_or("");
+    let (verb, arg) = match action_str.split_once(':') {
+        Some((v, a)) => (v, Some(a)),
+        None => (action_str, None),
+    };
+    let num = |what: &str, s: Option<&str>| -> Result<u64, String> {
+        s.ok_or_else(|| format!("fault spec {spec:?}: {what} needs a numeric argument"))?
+            .parse::<u64>()
+            .map_err(|_| format!("fault spec {spec:?}: bad {what} argument"))
+    };
+    let action = match verb {
+        "error" => FaultAction::Error,
+        "torn" => FaultAction::Torn(num("torn", arg)?),
+        "kill" => FaultAction::Kill,
+        "delay" => FaultAction::Delay(num("delay", arg)?),
+        other => return Err(format!("fault spec {spec:?}: unknown action {other:?}")),
+    };
+    let (mut nth, mut every, mut rank, mut limit) = (None, None, None, None);
+    for kv in parts {
+        let (k, v) = kv
             .split_once('=')
-            .ok_or_else(|| format!("fault spec {spec:?}: missing '='"))?;
-        let mut parts = rest.split('@');
-        let action_str = parts.next().unwrap_or("");
-        let (verb, arg) = match action_str.split_once(':') {
-            Some((v, a)) => (v, Some(a)),
-            None => (action_str, None),
-        };
-        let num = |what: &str, s: Option<&str>| -> Result<u64, String> {
-            s.ok_or_else(|| format!("fault spec {spec:?}: {what} needs a numeric argument"))?
-                .parse::<u64>()
-                .map_err(|_| format!("fault spec {spec:?}: bad {what} argument"))
-        };
-        let action = match verb {
-            "error" => FaultAction::Error,
-            "torn" => FaultAction::Torn(num("torn", arg)?),
-            "kill" => FaultAction::Kill,
-            "delay" => FaultAction::Delay(num("delay", arg)?),
-            other => return Err(format!("fault spec {spec:?}: unknown action {other:?}")),
-        };
-        let (mut nth, mut every, mut rank, mut limit) = (None, None, None, None);
-        for kv in parts {
-            let (k, v) = kv
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec {spec:?}: bad trigger {kv:?}"))?;
-            let v: u64 = v
-                .parse()
-                .map_err(|_| format!("fault spec {spec:?}: bad value in {kv:?}"))?;
-            match k {
-                "nth" => nth = Some(v),
-                "every" => every = Some(v),
-                "rank" => rank = Some(v as u32),
-                "limit" => limit = Some(v),
-                other => return Err(format!("fault spec {spec:?}: unknown trigger {other:?}")),
-            }
+            .ok_or_else(|| format!("fault spec {spec:?}: bad trigger {kv:?}"))?;
+        let bad = || format!("fault spec {spec:?}: bad value in {kv:?}");
+        let v: u64 = v.parse().map_err(|_| bad())?;
+        // A zero `nth`/`every` could never fire: reject it rather than arm
+        // a site that silently checks nothing.
+        let count = || (v >= 1).then_some(v).ok_or_else(bad);
+        match k {
+            "nth" => nth = Some(count()?),
+            "every" => every = Some(count()?),
+            "rank" => rank = Some(u32::try_from(v).map_err(|_| bad())?),
+            "limit" => limit = Some(v),
+            other => return Err(format!("fault spec {spec:?}: unknown trigger {other:?}")),
         }
-        configure_site(site.trim(), action, nth, every, rank, limit);
-        Ok(())
     }
+    Ok((
+        site.trim(),
+        FaultPoint::new(action, nth, every, rank, limit),
+    ))
+}
 
-    pub fn configure(specs: &str) -> Result<(), String> {
-        for spec in specs.split(';') {
-            let spec = spec.trim();
-            if !spec.is_empty() {
-                parse_spec(spec)?;
-            }
-        }
-        Ok(())
+/// Arm every `;`-separated spec. All-or-nothing: if any spec fails to
+/// parse, the error is returned and no site is armed.
+pub fn configure(specs: &str) -> Result<(), String> {
+    let points = specs
+        .split(';')
+        .map(str::trim)
+        .filter(|spec| !spec.is_empty())
+        .map(parse_spec)
+        .collect::<Result<Vec<_>, _>>()?;
+    install(points);
+    Ok(())
+}
+
+/// The fault to act on at `site`, if one is due. The idle check is inlined
+/// into the caller; only an armed registry pays for the lookup.
+#[inline]
+pub fn fire(site: &str) -> Option<Fault> {
+    if !enabled() {
+        return None;
     }
+    fire_armed(site)
+}
 
-    /// Read `BAT_FAULTS` once per process; later calls are no-ops.
-    pub fn init_from_env() {
-        static INIT: OnceLock<()> = OnceLock::new();
-        INIT.get_or_init(|| {
-            if let Some(spec) = bat_obs::knobs::FAULTS.get() {
-                if let Err(e) = configure(&spec) {
-                    eprintln!("warning: ignoring BAT_FAULTS: {e}");
-                }
-            }
-        });
-    }
-
-    pub fn fire(site: &str) -> Option<Fault> {
-        if !enabled() {
+#[cold]
+#[inline(never)]
+fn fire_armed(site: &str) -> Option<Fault> {
+    let action = {
+        let mut reg = registry().lock().unwrap();
+        let point = reg.get_mut(site)?;
+        if !point.should_fire(current_rank()) {
             return None;
         }
-        let action = {
-            let mut reg = registry().lock().unwrap();
-            let point = reg.get_mut(site)?;
-            if !point.should_fire(current_rank()) {
-                return None;
-            }
-            point.action
-        };
-        TRIGGERED.fetch_add(1, Ordering::Relaxed);
-        bat_obs::counter_add("faults.triggered", 1);
-        match action {
-            FaultAction::Error => Some(Fault::Error),
-            FaultAction::Torn(n) => Some(Fault::Torn(n)),
-            FaultAction::Kill => Some(Fault::Kill),
-            FaultAction::Delay(ms) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                None
-            }
+        point.action
+    };
+    TRIGGERED.fetch_add(1, Ordering::Relaxed);
+    bat_obs::counter_add("faults.triggered", 1);
+    match action {
+        FaultAction::Error => Some(Fault::Error),
+        FaultAction::Torn(n) => Some(Fault::Torn(n)),
+        FaultAction::Kill => Some(Fault::Kill),
+        FaultAction::Delay(ms) => {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+            None
         }
     }
-
-    pub fn triggered_total() -> u64 {
-        TRIGGERED.load(Ordering::Relaxed)
-    }
-
-    pub fn hits(site: &str) -> u64 {
-        registry().lock().unwrap().get(site).map_or(0, |p| p.hits)
-    }
 }
 
-#[cfg(not(feature = "failpoints"))]
-mod imp {
-    //! The production build: every entry point is an inline no-op the
-    //! optimizer deletes, so instrumented call sites cost nothing.
-    use super::{Fault, FaultAction};
-
-    #[inline(always)]
-    pub fn compiled() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn set_rank(_rank: Option<usize>) {}
-
-    #[inline(always)]
-    pub fn current_rank() -> Option<usize> {
-        None
-    }
-
-    #[inline(always)]
-    pub fn reset() {}
-
-    #[inline(always)]
-    pub fn configure_site(
-        _site: &str,
-        _action: FaultAction,
-        _nth: Option<u64>,
-        _every: Option<u64>,
-        _rank: Option<u32>,
-        _limit: Option<u64>,
-    ) {
-    }
-
-    #[inline(always)]
-    pub fn configure(_specs: &str) -> Result<(), String> {
-        Err("bat-faults was built without the `failpoints` feature".into())
-    }
-
-    #[inline(always)]
-    pub fn init_from_env() {}
-
-    #[inline(always)]
-    pub fn fire(_site: &str) -> Option<Fault> {
-        None
-    }
-
-    #[inline(always)]
-    pub fn triggered_total() -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn hits(_site: &str) -> u64 {
-        0
-    }
+pub fn triggered_total() -> u64 {
+    TRIGGERED.load(Ordering::Relaxed)
 }
 
-pub use imp::{
-    compiled, configure, configure_site, current_rank, enabled, fire, hits, init_from_env, reset,
-    set_rank, triggered_total,
-};
+pub fn hits(site: &str) -> u64 {
+    registry().lock().unwrap().get(site).map_or(0, |p| p.hits)
+}
 
 /// Fire a site whose only meaningful actions are `Error`/`Delay`; `Torn`
 /// and `Kill` configured here degrade to a plain injected error.
+#[inline]
 pub fn fire_io(site: &str) -> io::Result<()> {
     match fire(site) {
         None => Ok(()),
@@ -387,7 +338,7 @@ pub fn fire_io(site: &str) -> io::Result<()> {
     }
 }
 
-#[cfg(all(test, feature = "failpoints"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::{Mutex, OnceLock};
@@ -450,10 +401,22 @@ mod tests {
     fn parse_errors_are_reported_not_panicked() {
         let _guard = serial();
         reset();
-        assert!(configure("no-equals-sign").is_err());
-        assert!(configure("site=explode").is_err());
-        assert!(configure("site=torn").is_err()); // torn needs :N
-        assert!(configure("site=error@nth=x").is_err());
+        for bad in [
+            "no-equals-sign",
+            "site=explode",
+            "site=torn", // torn needs :N
+            "site=error@nth=x",
+            "site=error@rank=4294967297", // not rank 1
+            "site=error@nth=0",           // could never fire
+            "site=error@every=0",         // could never fire
+            "write.leaf=error;site=explode",
+        ] {
+            assert!(configure(bad).is_err(), "{bad:?} accepted");
+        }
+        // A rejected spec list arms none of its specs, not even the ones
+        // before the bad one.
+        assert!(!enabled());
+        assert_eq!(fire("write.leaf"), None);
         reset();
     }
 

@@ -10,8 +10,8 @@
 //! per request instead of being waited out, so tests and benches can
 //! assert on the economics of an access pattern without slowing down.
 //!
-//! Fault injection (feature `failpoints`, `BAT_FAULTS` grammar from
-//! `bat-faults`) hooks every GET:
+//! Fault injection (`bat-faults` sites, armed by tests through
+//! `bat_faults::configure`) hooks every GET:
 //!
 //! * `store.get` — `error` fails the request, `delay:MS` stalls it;
 //! * `store.get.torn` — `torn:N` truncates the response to `N` bytes,
@@ -70,7 +70,7 @@ pub struct StoreStats {
 }
 
 /// An in-memory object store serving verified byte ranges with simulated
-/// latency/cost accounting and `BAT_FAULTS`-driven failure injection.
+/// latency/cost accounting and failpoint-driven failure injection.
 pub struct ObjectStore {
     cfg: ObjectStoreConfig,
     objects: RwLock<HashMap<String, Arc<Vec<u8>>>>,

@@ -32,8 +32,8 @@ pub enum Grammar {
     WordOrUint(&'static [&'static str]),
     /// Byte count with an optional `k`/`m`/`g` suffix.
     Bytes,
-    /// Free text its consumer validates (topology specs, attribute names,
-    /// fault specs): trimmed, case kept.
+    /// Free text its consumer validates (topology specs, attribute
+    /// names): trimmed, case kept.
     Text,
 }
 
@@ -100,8 +100,6 @@ knob_table! {
         "attributes to B-tree index at write time: all | name,name,...";
     PLAN_STRATEGY = "BAT_PLAN_STRATEGY", "auto", Word(&["auto", "scan", "bitmap", "index"]),
         "filter-plan strategy: auto | scan | bitmap | index";
-    FAULTS = "BAT_FAULTS", "(none)", Text,
-        "fault-injection spec (needs --features failpoints)";
 }
 
 /// Parse `"4096"`, `"64k"`, `"256m"`, `"2g"` (case-insensitive).

@@ -9,10 +9,6 @@
 //! 2. **The dataset on disk is all-or-nothing** — either `.batmeta`
 //!    committed and the dataset verifies clean and fully readable, or the
 //!    commit never happened and verification reports exactly that.
-//!
-//! Only compiled with the `failpoints` feature: the production build has
-//! no fault sites (`cargo test --features failpoints` runs these).
-#![cfg(feature = "failpoints")]
 
 mod common;
 

@@ -11,9 +11,7 @@
 //!    — never a panic, never an unbounded retry loop, and never a garbage
 //!    particle delivered to the callback.
 //!
-//! Only compiled with the `failpoints` feature, like the crash-consistency
-//! matrix these tests extend to the read side.
-#![cfg(feature = "failpoints")]
+//! These extend the crash-consistency matrix to the read side.
 
 mod common;
 

@@ -183,8 +183,7 @@ fn degraded_skips_are_counted_on_the_served_path() {
     );
 }
 
-/// Needs the `serve.exec` failpoint to stall a worker past the deadline.
-#[cfg(feature = "failpoints")]
+/// Uses the `serve.exec` failpoint to stall a worker past the deadline.
 #[test]
 fn expired_deadline_returns_before_the_warm_up_decodes_anything() {
     use bat_faults::FaultAction;
@@ -253,7 +252,6 @@ fn expired_deadline_returns_before_the_warm_up_decodes_anything() {
 /// The deadline clock starts when a request is submitted, not when the
 /// gate admits it: a request whose deadline runs out while it waits in
 /// line for a permit answers `ERR_DEADLINE` and touches no treelet.
-#[cfg(feature = "failpoints")]
 #[test]
 fn a_deadline_that_expires_waiting_for_a_permit_touches_no_treelet() {
     use bat_faults::FaultAction;

@@ -11,11 +11,32 @@ use bat_serve::{PageCache, ServeOptions};
 use bat_stream::{RequestError, StreamClient, StreamServer, ERR_BAD_QUERY, ERR_DEADLINE};
 use common::{query_mix, BuildOpts, ScratchDir, Workload};
 use libbat::Dataset;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 const RANKS: usize = 4;
 const PER_RANK: u64 = 1_500;
+
+/// The `faults` cases arm delays in the process-global fault registry, so
+/// every test in this binary serializes behind one lock that resets the
+/// registry on acquire and on drop.
+struct FaultLock(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+fn lock() -> FaultLock {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    let guard = LOCK
+        .get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|p| p.into_inner());
+    bat_faults::reset();
+    FaultLock(guard)
+}
+
+impl Drop for FaultLock {
+    fn drop(&mut self) {
+        bat_faults::reset();
+    }
+}
 
 fn write_sample(dir: &std::path::Path) {
     common::write_dataset_into(
@@ -128,6 +149,7 @@ fn direct_bits(ds: &Dataset, q: &Query) -> Vec<u64> {
 
 #[test]
 fn byte_identical_across_cache_and_pool_configs() {
+    let _guard = lock();
     let scratch = ScratchDir::new("serve-ident");
     write_sample(&scratch.path);
 
@@ -201,6 +223,7 @@ fn byte_identical_across_cache_and_pool_configs() {
 
 #[test]
 fn one_page_cache_stays_within_budget() {
+    let _guard = lock();
     let scratch = ScratchDir::new("serve-1page");
     write_sample(&scratch.path);
     let cache = PageCache::new(4096);
@@ -219,6 +242,7 @@ fn one_page_cache_stays_within_budget() {
 
 #[test]
 fn zero_deadline_expires_as_typed_error() {
+    let _guard = lock();
     let scratch = ScratchDir::new("serve-deadline");
     write_sample(&scratch.path);
     let ds = Dataset::open(&scratch.path, "s").unwrap();
@@ -252,6 +276,7 @@ fn zero_deadline_expires_as_typed_error() {
 
 #[test]
 fn malformed_queries_are_typed_protocol_errors() {
+    let _guard = lock();
     let scratch = ScratchDir::new("serve-badquery");
     write_sample(&scratch.path);
     let ds = Dataset::open(&scratch.path, "s").unwrap();
@@ -282,6 +307,7 @@ fn a_client_that_disconnects_mid_stream_leaks_no_permit() {
     use bat_stream::protocol::{read_frame, write_frame};
     use std::io::Write;
 
+    let _guard = lock();
     let scratch = ScratchDir::new("serve-disconnect");
     write_sample(&scratch.path);
     let ds = Dataset::open(&scratch.path, "s").unwrap();
@@ -320,39 +346,17 @@ fn a_client_that_disconnects_mid_stream_leaks_no_permit() {
     handle.shutdown();
 }
 
-/// Fault-injection cases: only compiled with the `failpoints` feature
-/// (`cargo test --features failpoints`). The fault registry is
-/// process-global, so these serialize behind a lock and reset on both
-/// acquire and drop.
-#[cfg(feature = "failpoints")]
+/// Fault-injection cases: `serve.exec` delays armed in the process-global
+/// fault registry.
 mod faults {
     use super::*;
     use bat_faults::FaultAction;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    struct FaultLock(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-    fn faults() -> FaultLock {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let guard = LOCK
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        bat_faults::reset();
-        FaultLock(guard)
-    }
-
-    impl Drop for FaultLock {
-        fn drop(&mut self) {
-            bat_faults::reset();
-        }
-    }
 
     #[test]
     fn injected_latency_makes_deadlines_fire() {
+        let _guard = lock();
         let scratch = ScratchDir::new("serve-fault-deadline");
         write_sample(&scratch.path);
-        let _guard = faults();
         // Stall every worker execution 60 ms; the 10 ms deadline (started
         // at submission) has always expired by the first treelet check.
         bat_faults::configure_site("serve.exec", FaultAction::Delay(60), None, None, None, None);
@@ -380,9 +384,9 @@ mod faults {
 
     #[test]
     fn saturated_queue_rejects_with_retry_after_then_recovers() {
+        let _guard = lock();
         let scratch = ScratchDir::new("serve-fault-busy");
         write_sample(&scratch.path);
-        let _guard = faults();
         // Each execution stalls 150 ms, so one worker plus a depth-1 queue
         // saturates with two requests in flight.
         bat_faults::configure_site(

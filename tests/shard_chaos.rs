@@ -10,7 +10,6 @@
 
 mod common;
 
-#[cfg(feature = "failpoints")]
 mod chaos {
     use crate::common::{build_test_dataset, fnv1a, BuildOpts, Workload};
     use bat_comm::{Cluster, TransportKind};
@@ -121,7 +120,7 @@ mod chaos {
             );
             let _env = EnvGuard::set(&[
                 (&knobs::SHARD_REPLICAS, Some(&replicas.to_string())),
-                (&knobs::SHARD_HEDGE_MS, Some(&hedge.to_string())),
+                (&knobs::SHARD_HEDGE_MS, Some(hedge)),
             ]);
             bat_faults::reset();
             if let Some(spec) = &fault {

@@ -222,9 +222,8 @@ fn silent_shard_is_a_bounded_typed_error() {
     assert!(outcomes[bat_stream::ROUTER_RANK]);
 }
 
-/// Fault-driven cases (`cargo test --features failpoints`): a shard killed
-/// mid-query and a slow shard that stays within the deadline.
-#[cfg(feature = "failpoints")]
+/// Fault-driven cases: a shard killed mid-query and a slow shard that
+/// stays within the deadline.
 mod faults {
     use super::*;
 

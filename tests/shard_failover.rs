@@ -373,10 +373,9 @@ fn supervisor_respawns_a_dead_worker() {
     assert!(!log.contains(&0), "healthy shard 0 was respawned: {log:?}");
 }
 
-/// Fault-driven hedging (`cargo test --features failpoints`): one shard
-/// delayed far past the hedge budget; the router must issue hedges, the
-/// replica must win some, and the merge must stay byte-identical.
-#[cfg(feature = "failpoints")]
+/// Fault-driven hedging: one shard delayed far past the hedge budget; the
+/// router must issue hedges, the replica must win some, and the merge must
+/// stay byte-identical.
 mod faults {
     use super::*;
 
