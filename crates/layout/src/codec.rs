@@ -4,9 +4,10 @@
 //! *sections* — node records, positions, one column per attribute — with a
 //! per-section codec tag and stored length recorded in the file head. The
 //! decoded bytes of a block are laid out exactly like a v1 treelet block
-//! ([`crate::format::TreeletLayout`]), so everything above the decode step
-//! (traversal, progressive slicing, exact filtering) is shared between the
-//! two versions.
+//! ([`crate::format::TreeletLayout`]), and [`decode_section`] writes each
+//! section straight into its range of that image, so everything above the
+//! decode step (traversal, progressive slicing, exact filtering) is shared
+//! between the two versions.
 //!
 //! Codec registry (tag byte in the head's section table):
 //!
@@ -20,8 +21,9 @@
 //! record with its predecessor clears the high bits, bit-plane transposition
 //! groups those cleared bits into long zero runs, and a byte-level zero-run
 //! RLE removes them. Node records are always `raw` — they are the
-//! traversal-hot ~3 % of a block. Any other tag is a typed error at head
-//! parse.
+//! traversal-hot ~3 % of a block. Any other tag, a `shuffle` tag on node
+//! records, or a `raw` section whose stored length differs from its decoded
+//! length is a typed error at head parse.
 //!
 //! The encoder falls back to `raw` whenever its output would not be
 //! smaller, so a stored section is never larger than its decoded form —
@@ -40,8 +42,6 @@ pub const MAX_DECODED_BLOCK: usize = 1 << 28;
 pub const TAG_RAW: u8 = 0;
 /// XOR-delta + bitshuffle + zero-run RLE (lossless).
 pub const TAG_SHUFFLE: u8 = 1;
-/// Largest valid codec tag.
-pub const MAX_TAG: u8 = TAG_SHUFFLE;
 
 /// Write-time codec selection for a whole file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,26 +109,16 @@ impl SectionKind {
 /// differ in few bits, so this clears most of each record.
 pub fn xor_delta_encode(data: &mut [u8], record: usize) {
     debug_assert!(record > 0 && data.len().is_multiple_of(record));
-    let n = data.len() / record;
-    for r in (1..n).rev() {
-        let (prev, cur) = data.split_at_mut(r * record);
-        let prev = &prev[(r - 1) * record..];
-        for k in 0..record {
-            cur[k] ^= prev[k];
-        }
+    for i in (record..data.len()).rev() {
+        data[i] ^= data[i - record];
     }
 }
 
 /// Inverse of [`xor_delta_encode`].
 pub fn xor_delta_decode(data: &mut [u8], record: usize) {
     debug_assert!(record > 0 && data.len().is_multiple_of(record));
-    let n = data.len() / record;
-    for r in 1..n {
-        let (prev, cur) = data.split_at_mut(r * record);
-        let prev = &prev[(r - 1) * record..];
-        for k in 0..record {
-            cur[k] ^= prev[k];
-        }
+    for i in record..data.len() {
+        data[i] ^= data[i - record];
     }
 }
 
@@ -158,10 +148,12 @@ pub fn bitshuffle(data: &[u8], elem: usize) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`bitshuffle`] for `n` elements of `elem` bytes; rejects a
-/// shuffled buffer whose length does not match that geometry.
-pub fn bitunshuffle(data: &[u8], elem: usize, n: usize) -> WireResult<Vec<u8>> {
-    debug_assert!(elem > 0);
+/// Inverse of [`bitshuffle`]: fills `out` (`elem`-byte elements, whatever
+/// it held before); rejects a shuffled buffer whose length does not match
+/// that geometry.
+pub fn bitunshuffle(data: &[u8], elem: usize, out: &mut [u8]) -> WireResult<()> {
+    debug_assert!(elem > 0 && out.len().is_multiple_of(elem));
+    let n = out.len() / elem;
     let stride = n.div_ceil(8);
     if data.len() != elem * 8 * stride {
         return Err(WireError::BadLength {
@@ -170,7 +162,7 @@ pub fn bitunshuffle(data: &[u8], elem: usize, n: usize) -> WireResult<Vec<u8>> {
             remaining: elem * 8 * stride,
         });
     }
-    let mut out = vec![0u8; n * elem];
+    out.fill(0);
     for plane in 0..elem * 8 {
         let b = plane / 8;
         let i = (plane % 8) as u8;
@@ -194,7 +186,7 @@ pub fn bitunshuffle(data: &[u8], elem: usize, n: usize) -> WireResult<Vec<u8>> {
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -272,17 +264,18 @@ pub fn rle_encode(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`rle_encode`]. The output length is dictated by the caller
-/// (derived from trusted head geometry, capped by [`MAX_DECODED_BLOCK`]);
-/// runs claiming to exceed it are a typed error, so corrupt streams can
-/// never over-allocate.
-pub fn rle_decode(data: &[u8], expected_len: usize) -> WireResult<Vec<u8>> {
+/// Inverse of [`rle_encode`], filling exactly `out` (whatever it held
+/// before). The output length is dictated by the caller (derived from
+/// trusted head geometry, capped by [`MAX_DECODED_BLOCK`]); runs claiming
+/// to exceed it are a typed error, so corrupt streams can never write
+/// past it.
+pub fn rle_decode(data: &[u8], out: &mut [u8]) -> WireResult<()> {
+    let expected_len = out.len();
     let overflow = |len: u64| WireError::BadLength {
         what: "rle run length",
         len,
         remaining: expected_len,
     };
-    let mut out = vec![0u8; expected_len];
     let mut w = 0usize;
     let mut i = 0usize;
     while i < data.len() {
@@ -291,7 +284,8 @@ pub fn rle_decode(data: &[u8], expected_len: usize) -> WireResult<Vec<u8>> {
         if z > (expected_len - w) as u64 {
             return Err(overflow(z));
         }
-        w += z as usize; // the run is already zeroed
+        out[w..w + z as usize].fill(0);
+        w += z as usize;
         let (l, ni) = get_varint(data, i)?;
         i = ni;
         if l > (expected_len - w) as u64 || l > (data.len() - i) as u64 {
@@ -308,7 +302,7 @@ pub fn rle_decode(data: &[u8], expected_len: usize) -> WireResult<Vec<u8>> {
             remaining: w,
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Lossless-encode one section. Returns `(tag, stored)`; falls back to
@@ -328,26 +322,29 @@ pub fn encode_lossless(raw: &[u8], record: usize, word: usize) -> (u8, Vec<u8>) 
     }
 }
 
-/// Decode a [`TAG_SHUFFLE`] section back to exactly `raw_len` bytes.
+/// Decode a [`TAG_SHUFFLE`] section into exactly `out`. `scratch` holds
+/// the run-length-decoded bit planes; a caller decoding many sections
+/// passes the same buffer to each.
 pub fn decode_lossless(
     stored: &[u8],
     record: usize,
     word: usize,
-    raw_len: usize,
-) -> WireResult<Vec<u8>> {
-    if !raw_len.is_multiple_of(record) || !record.is_multiple_of(word) {
+    out: &mut [u8],
+    scratch: &mut Vec<u8>,
+) -> WireResult<()> {
+    if !out.len().is_multiple_of(record) || !record.is_multiple_of(word) {
         return Err(WireError::BadLength {
             what: "shuffle section geometry",
-            len: raw_len as u64,
+            len: out.len() as u64,
             remaining: record,
         });
     }
-    let n_words = raw_len / word;
-    let shuf_len = word * 8 * n_words.div_ceil(8);
-    let shuffled = rle_decode(stored, shuf_len)?;
-    let mut out = bitunshuffle(&shuffled, word, n_words)?;
-    xor_delta_decode(&mut out, record);
-    Ok(out)
+    let n_words = out.len() / word;
+    scratch.resize(word * 8 * n_words.div_ceil(8), 0);
+    rle_decode(stored, scratch)?;
+    bitunshuffle(scratch, word, out)?;
+    xor_delta_decode(out, record);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -365,27 +362,59 @@ pub fn encode_section(kind: SectionKind, raw: &[u8], codec: Codec) -> (u8, Vec<u
     }
 }
 
-/// Decode one stored section back to exactly `raw_len` bytes. Unknown
-/// tags, tags illegal for the section kind, and any length mismatch are
-/// typed errors.
+/// The one rule for a stored section, applied at head parse and again at
+/// decode: `raw` stores exactly its decoded length, `shuffle` codes only
+/// positions and attribute columns and never stores more than it decodes
+/// to. Any other tag, or a tag illegal for the section kind, is
+/// [`WireError::BadTag`]; a length that breaks the rule is
+/// [`WireError::BadLength`].
+pub(crate) fn check_section(
+    kind: SectionKind,
+    tag: u8,
+    stored_len: usize,
+    raw_len: usize,
+) -> WireResult<()> {
+    let fits = match (tag, kind.geometry()) {
+        (TAG_RAW, _) => stored_len == raw_len,
+        (TAG_SHUFFLE, Some(_)) => stored_len <= raw_len,
+        _ => {
+            return Err(WireError::BadTag {
+                what: "section codec tag",
+                tag: tag as u64,
+            })
+        }
+    };
+    if fits {
+        Ok(())
+    } else {
+        Err(WireError::BadLength {
+            what: "stored section length",
+            len: stored_len as u64,
+            remaining: raw_len,
+        })
+    }
+}
+
+/// Decode one stored section into `out`, which it fills exactly whatever
+/// it held before (`out.len()` is the section's decoded length). `scratch`
+/// is working space for [`decode_lossless`]. A section that breaks
+/// [`check_section`]'s rule is a typed error.
 pub fn decode_section(
     kind: SectionKind,
     tag: u8,
     stored: &[u8],
-    raw_len: usize,
-) -> WireResult<Vec<u8>> {
-    match (tag, kind.geometry()) {
-        (TAG_RAW, _) if stored.len() == raw_len => Ok(stored.to_vec()),
-        (TAG_RAW, _) => Err(WireError::BadLength {
-            what: "raw section",
-            len: stored.len() as u64,
-            remaining: raw_len,
-        }),
-        (TAG_SHUFFLE, Some((record, word))) => decode_lossless(stored, record, word, raw_len),
-        _ => Err(WireError::BadTag {
-            what: "section codec tag",
-            tag: tag as u64,
-        }),
+    out: &mut [u8],
+    scratch: &mut Vec<u8>,
+) -> WireResult<()> {
+    check_section(kind, tag, stored.len(), out.len())?;
+    match kind.geometry() {
+        Some((record, word)) if tag == TAG_SHUFFLE => {
+            decode_lossless(stored, record, word, out, scratch)
+        }
+        _ => {
+            out.copy_from_slice(stored);
+            Ok(())
+        }
     }
 }
 
@@ -414,7 +443,9 @@ mod tests {
         ];
         for data in cases {
             let enc = rle_encode(&data);
-            assert_eq!(rle_decode(&enc, data.len()).unwrap(), data);
+            let mut out = vec![0xFF; data.len()];
+            rle_decode(&enc, &mut out).unwrap();
+            assert_eq!(out, data);
         }
     }
 
@@ -422,13 +453,13 @@ mod tests {
     fn rle_rejects_oversized_runs() {
         let mut enc = Vec::new();
         put_varint(&mut enc, u64::MAX); // zero run far beyond expected_len
-        assert!(rle_decode(&enc, 16).is_err());
+        assert!(rle_decode(&enc, &mut [0; 16]).is_err());
         // Literal longer than the remaining stream.
         let mut enc = Vec::new();
         put_varint(&mut enc, 0);
         put_varint(&mut enc, 1000);
         enc.push(1);
-        assert!(rle_decode(&enc, 2000).is_err());
+        assert!(rle_decode(&enc, &mut [0; 2000]).is_err());
         // A 10th varint byte above 1 overflows u64; it must not decode as
         // its low bit (here a zero run of 0 followed by an empty literal).
         let overflow = [[0x80; 9].as_slice(), &[0x02], &[0x00]].concat();
@@ -436,7 +467,7 @@ mod tests {
             get_varint(&overflow, 0),
             Err(WireError::BadTag { tag: 2, .. })
         ));
-        assert!(rle_decode(&overflow, 0).is_err());
+        assert!(rle_decode(&overflow, &mut []).is_err());
         // The widest legal varint still round-trips.
         let mut max = Vec::new();
         put_varint(&mut max, u64::MAX);
@@ -456,7 +487,9 @@ mod tests {
         let (tag, stored) = encode_lossless(&raw, 12, 4);
         assert_eq!(tag, TAG_SHUFFLE, "smooth data must compress");
         assert!(stored.len() < raw.len());
-        assert_eq!(decode_lossless(&stored, 12, 4, raw.len()).unwrap(), raw);
+        let mut out = vec![0; raw.len()];
+        decode_lossless(&stored, 12, 4, &mut out, &mut Vec::new()).unwrap();
+        assert_eq!(out, raw);
     }
 
     #[test]
@@ -468,7 +501,15 @@ mod tests {
         ] {
             let (tag, stored) = encode_section(SectionKind::Positions, &raw, Codec::V2Lossless);
             assert!(stored.len() <= raw.len());
-            let back = decode_section(SectionKind::Positions, tag, &stored, raw.len()).unwrap();
+            let mut back = vec![0; raw.len()];
+            decode_section(
+                SectionKind::Positions,
+                tag,
+                &stored,
+                &mut back,
+                &mut Vec::new(),
+            )
+            .unwrap();
             assert_eq!(back, raw);
         }
     }
@@ -484,13 +525,15 @@ mod tests {
                 SectionKind::Attr(AttributeType::F64),
             ] {
                 assert!(matches!(
-                    decode_section(kind, tag, &[], 0),
+                    decode_section(kind, tag, &[], &mut [], &mut Vec::new()),
                     Err(WireError::BadTag { .. })
                 ));
             }
         }
-        assert!(decode_section(SectionKind::Nodes, TAG_SHUFFLE, &[], 0).is_err());
-        assert!(decode_section(SectionKind::Positions, TAG_RAW, &[1, 2], 12).is_err());
+        let scratch = &mut Vec::new();
+        assert!(decode_section(SectionKind::Nodes, TAG_SHUFFLE, &[], &mut [], scratch).is_err());
+        let out = &mut [0; 12];
+        assert!(decode_section(SectionKind::Positions, TAG_RAW, &[1, 2], out, scratch).is_err());
     }
 
     #[test]

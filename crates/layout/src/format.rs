@@ -9,12 +9,24 @@
 //! │ shallow inner nodes: children, bounds, bitmap IDs          │
 //! │ shallow leaf table: treelet offset, particle range         │
 //! │ shared bitmap dictionary (unique u32 bitmaps)              │
+//! │ v2 only: section codec table, (tag, stored_len) each       │
+//! │ index directory (indexed files only)                       │
 //! ├─── 4 KiB boundary ─────────────────────────────────────────┤
-//! │ treelet 0: header, nodes (+bitmap IDs), particle data      │
+//! │ treelet 0: node records (+bitmap IDs) | positions |        │
+//! │            one column per attribute                        │
 //! ├─── 4 KiB boundary ─────────────────────────────────────────┤
 //! │ treelet 1: ...                                             │
+//! ├─── 4 KiB boundary (indexed files only) ────────────────────┤
+//! │ one index blob per indexed attribute, page-aligned         │
 //! └────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! A treelet block is its sections back to back, in the order
+//! [`TreeletLayout::sections`] lists them with their byte ranges — the one
+//! description of a block that the writer, the v2 encoder and decoder, the
+//! head parser, the reader's view and the size accounting all walk. A v1
+//! block is that image verbatim; a v2 block stores each section coded, at
+//! the length its codec table entry records, and decodes back to it.
 //!
 //! The head of the file (everything before the first treelet) is small and
 //! parsed eagerly on open; treelets sit on page boundaries and are accessed
@@ -37,6 +49,7 @@ use bat_index::IndexSpec;
 use bat_wire::{Decoder, Encoder, WireError, WireResult};
 use rayon::prelude::*;
 use std::io::{self, Write};
+use std::ops::Range;
 
 /// File magic: "BATF".
 pub const MAGIC: u32 = 0x4241_5446;
@@ -106,7 +119,7 @@ impl SectionRec {
 /// section, in block order (nodes, positions, attribute columns).
 #[derive(Debug, Clone)]
 pub struct TreeletCodecRec {
-    /// `2 + num_attrs` entries.
+    /// One entry per [`TreeletLayout::sections`] item.
     pub sections: Vec<SectionRec>,
 }
 
@@ -339,7 +352,8 @@ pub struct BatWriter<'a> {
     file_size: usize,
     codec: Codec,
     /// v2 only: per-treelet encoded sections `(tag, stored bytes)`, in
-    /// block order. Empty for v1, whose blocks are streamed verbatim.
+    /// [`TreeletLayout::sections`] order. Empty for v1, whose blocks are
+    /// streamed verbatim.
     encoded: Vec<Vec<(u8, Vec<u8>)>>,
     /// Attribute-index blobs `(directory entry, blob bytes)`, placed after
     /// the last treelet. Empty unless the writer was given an
@@ -395,13 +409,24 @@ impl<'a> BatWriter<'a> {
             .collect();
 
         // v2: encode every treelet's sections up front (the offsets below
-        // depend on the compressed sizes). Treelets are independent, so
+        // depend on the compressed sizes): serialize the block image, then
+        // code each section's range of it. Treelets are independent, so
         // this fans out over the rayon pool; `collect` is order-preserving.
+        let descs = bat.particles.descs();
         let encoded: Vec<Vec<(u8, Vec<u8>)>> = if codec.is_v2() {
             let indices: Vec<usize> = (0..bat.treelets.len()).collect();
             indices
                 .par_iter()
-                .map(|&ti| encode_treelet_sections(bat, &treelet_ids[ti], ti, codec))
+                .map(|&ti| {
+                    let layout = treelet_layout(bat, ti);
+                    let mut image = Vec::with_capacity(layout.size);
+                    write_block(&mut image, bat, &treelet_ids[ti], ti, &layout)
+                        .expect("writing to a Vec cannot fail");
+                    layout
+                        .sections(descs)
+                        .map(|(kind, range)| codec::encode_section(kind, &image[range], codec))
+                        .collect()
+                })
                 .collect()
         } else {
             Vec::new()
@@ -444,24 +469,20 @@ impl<'a> BatWriter<'a> {
         head_end += bat.shallow.nodes.len() * ShallowInnerRec::byte_size(na);
         head_end += bat.treelets.len() * LeafRec::BYTES;
         head_end += dict.byte_size();
-        if codec.is_v2() {
-            head_end += bat.treelets.len() * (2 + na) * SectionRec::BYTES;
-        }
+        head_end += encoded.iter().map(Vec::len).sum::<usize>() * SectionRec::BYTES;
         head_end += index_dir_bytes(indexes.len());
 
         // Treelet placement: each block starts at the next page boundary
         // after the previous section and spans its stored size exactly
         // (layout size for v1, summed section sizes for v2).
-        let descs = bat.particles.descs();
         let mut off = head_end;
         let mut treelet_offsets = Vec::with_capacity(bat.treelets.len());
-        for (ti, t) in bat.treelets.iter().enumerate() {
+        for ti in 0..bat.treelets.len() {
             off = bat_wire::page_align(off);
             treelet_offsets.push(off);
-            off += if codec.is_v2() {
-                encoded[ti].iter().map(|(_, b)| b.len()).sum::<usize>()
-            } else {
-                TreeletLayout::compute(t.nodes.len(), t.num_particles as usize, descs).size
+            off += match encoded.get(ti) {
+                Some(secs) => secs.iter().map(|(_, b)| b.len()).sum(),
+                None => treelet_layout(bat, ti).size,
             };
         }
 
@@ -486,24 +507,6 @@ impl<'a> BatWriter<'a> {
         }
     }
 
-    /// The codec this writer emits.
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    /// v2 only: per-treelet `(tag, stored_len)` section records, as they
-    /// will appear in the head's codec table.
-    pub fn section_recs(&self, treelet: usize) -> Option<Vec<SectionRec>> {
-        self.encoded.get(treelet).map(|secs| {
-            secs.iter()
-                .map(|(tag, b)| SectionRec {
-                    tag: *tag,
-                    stored_len: b.len() as u32,
-                })
-                .collect()
-        })
-    }
-
     /// Byte length of the head (header through dictionary).
     pub fn head_end(&self) -> u64 {
         self.head_end as u64
@@ -517,12 +520,6 @@ impl<'a> BatWriter<'a> {
     /// Absolute byte offset of each treelet block.
     pub fn treelet_offsets(&self) -> &[usize] {
         &self.treelet_offsets
-    }
-
-    /// Directory entries of the attribute-index blobs this writer will
-    /// emit (empty without an index spec).
-    pub fn index_entries(&self) -> Vec<IndexDirEntry> {
-        self.indexes.iter().map(|(e, _)| *e).collect()
     }
 
     /// Emit the complete file to `w` in one forward pass. Wrap file sinks
@@ -620,90 +617,38 @@ impl<'a> BatWriter<'a> {
         bat_obs::counter_add("compact.bytes_copied", enc.len() as u64);
         w.write_all(&enc.finish())?;
 
-        const ZEROS: [u8; TREELET_ALIGN] = [0; TREELET_ALIGN];
-        if self.codec.is_v2() {
-            // --- v2 treelets: pre-encoded section buffers. Unlike the v1
-            // stream these were staged in memory by `with_codec` (the
-            // offsets depend on compressed sizes), so charge them as copies.
-            let mut pos = self.head_end;
-            for (ti, secs) in self.encoded.iter().enumerate() {
-                let target = self.treelet_offsets[ti];
-                debug_assert!(target >= pos && target.is_multiple_of(TREELET_ALIGN));
-                w.write_all(&ZEROS[..target - pos])?;
-                pos = target;
-                for (_, bytes) in secs {
-                    w.write_all(bytes)?;
-                    pos += bytes.len();
-                }
-            }
-            let staged: usize = self
-                .encoded
-                .iter()
-                .flat_map(|s| s.iter().map(|(_, b)| b.len()))
-                .sum();
-            bat_obs::counter_add("compact.bytes_copied", staged as u64);
-            return self.write_index_blobs(w, pos);
-        }
-
-        // --- v1 treelets, streamed at their page boundaries ---
+        // --- Treelets at their page boundaries: v2 blocks from the staged
+        // section buffers, v1 blocks streamed from the build arrays ---
         let mut pos = self.head_end;
-        for (ti, t) in bat.treelets.iter().enumerate() {
-            let target = self.treelet_offsets[ti];
+        for (ti, &target) in self.treelet_offsets.iter().enumerate() {
             debug_assert!(target >= pos && target.is_multiple_of(TREELET_ALIGN));
             w.write_all(&ZEROS[..target - pos])?;
             pos = target;
-
-            // Node records.
-            for (ni, node) in t.nodes.iter().enumerate() {
-                for b in [node.bounds.min, node.bounds.max] {
-                    w.write_all(&b.x.to_le_bytes())?;
-                    w.write_all(&b.y.to_le_bytes())?;
-                    w.write_all(&b.z.to_le_bytes())?;
-                }
-                w.write_all(&node.start.to_le_bytes())?;
-                w.write_all(&node.count.to_le_bytes())?;
-                w.write_all(&node.left.to_le_bytes())?;
-                w.write_all(&node.right.to_le_bytes())?;
-                w.write_all(&node.depth.to_le_bytes())?;
-                for &id in self.treelet_ids[ti][ni].iter().take(na) {
-                    w.write_all(&id.to_le_bytes())?;
-                }
-            }
-
-            // Particle data: positions then attribute columns, raw (counts
-            // are known from the leaf record). Columns are streamed straight
-            // from the build arrays — the seed path copied each range into a
-            // temporary array first.
-            let s = t.first_particle as usize;
-            let n = t.num_particles as usize;
-            for p in &bat.particles.positions[s..s + n] {
-                w.write_all(&p.x.to_le_bytes())?;
-                w.write_all(&p.y.to_le_bytes())?;
-                w.write_all(&p.z.to_le_bytes())?;
-            }
-            for a in 0..na {
-                match bat.particles.attr(a) {
-                    AttributeArray::F32(v) => {
-                        for x in &v[s..s + n] {
-                            w.write_all(&x.to_le_bytes())?;
-                        }
-                    }
-                    AttributeArray::F64(v) => {
-                        for x in &v[s..s + n] {
-                            w.write_all(&x.to_le_bytes())?;
-                        }
+            match self.encoded.get(ti) {
+                Some(secs) => {
+                    for (_, bytes) in secs {
+                        w.write_all(bytes)?;
+                        pos += bytes.len();
                     }
                 }
+                None => {
+                    let layout = treelet_layout(bat, ti);
+                    write_block(w, bat, &self.treelet_ids[ti], ti, &layout)?;
+                    pos += layout.size;
+                }
             }
-            pos += TreeletLayout::compute(t.nodes.len(), n, bat.particles.descs()).size;
         }
+        // Unlike the v1 stream, the v2 sections were staged in memory by
+        // `with_options` (the offsets depend on compressed sizes), so charge
+        // them as copies.
+        let staged: usize = self.encoded.iter().flatten().map(|(_, b)| b.len()).sum();
+        bat_obs::counter_add("compact.bytes_copied", staged as u64);
         self.write_index_blobs(w, pos)
     }
 
     /// Emit the attribute-index blobs (padding each to its page boundary)
     /// and check the final position against the precomputed file size.
     fn write_index_blobs<W: Write>(&self, w: &mut W, mut pos: usize) -> io::Result<()> {
-        const ZEROS: [u8; TREELET_ALIGN] = [0; TREELET_ALIGN];
         let mut staged = 0usize;
         for (entry, blob) in &self.indexes {
             let target = entry.offset as usize;
@@ -723,83 +668,98 @@ impl<'a> BatWriter<'a> {
     }
 }
 
-/// Build one treelet's stored sections under a v2 codec: node records
-/// (always raw), positions, then one column per attribute.
-fn encode_treelet_sections(
+/// Zero padding up to the next page boundary.
+const ZEROS: [u8; TREELET_ALIGN] = [0; TREELET_ALIGN];
+
+/// The layout of treelet `ti`'s block.
+fn treelet_layout(bat: &Bat, ti: usize) -> TreeletLayout {
+    let t = &bat.treelets[ti];
+    TreeletLayout::compute(
+        t.nodes.len(),
+        t.num_particles as usize,
+        bat.particles.descs(),
+    )
+}
+
+/// Write treelet `ti`'s block image — its sections in `layout` order — to
+/// `w`. The one serializer of section bytes: the v1 stream passes the file
+/// sink, the v2 encoder a buffer whose section ranges it then codes.
+/// Columns are streamed straight from the build arrays.
+fn write_block<W: Write>(
+    w: &mut W,
     bat: &Bat,
     node_ids: &[Vec<u16>],
     ti: usize,
-    codec: Codec,
-) -> Vec<(u8, Vec<u8>)> {
+    layout: &TreeletLayout,
+) -> io::Result<()> {
     let t = &bat.treelets[ti];
     let na = bat.particles.num_attrs();
-    let s = t.first_particle as usize;
-    let n = t.num_particles as usize;
-
-    // Node records, exactly as the v1 stream writes them.
-    let mut nodes = Vec::with_capacity(t.nodes.len() * node_record_bytes(na));
-    for (ni, node) in t.nodes.iter().enumerate() {
-        for b in [node.bounds.min, node.bounds.max] {
-            nodes.extend_from_slice(&b.x.to_le_bytes());
-            nodes.extend_from_slice(&b.y.to_le_bytes());
-            nodes.extend_from_slice(&b.z.to_le_bytes());
+    let first = t.first_particle as usize;
+    let particles = first..first + t.num_particles as usize;
+    let mut columns = (0..na).map(|a| bat.particles.attr(a));
+    for (kind, _) in layout.sections(bat.particles.descs()) {
+        match kind {
+            SectionKind::Nodes => {
+                for (node, ids) in t.nodes.iter().zip(node_ids) {
+                    for b in [node.bounds.min, node.bounds.max] {
+                        w.write_all(&b.x.to_le_bytes())?;
+                        w.write_all(&b.y.to_le_bytes())?;
+                        w.write_all(&b.z.to_le_bytes())?;
+                    }
+                    w.write_all(&node.start.to_le_bytes())?;
+                    w.write_all(&node.count.to_le_bytes())?;
+                    w.write_all(&node.left.to_le_bytes())?;
+                    w.write_all(&node.right.to_le_bytes())?;
+                    w.write_all(&node.depth.to_le_bytes())?;
+                    for &id in ids.iter().take(na) {
+                        w.write_all(&id.to_le_bytes())?;
+                    }
+                }
+            }
+            SectionKind::Positions => {
+                for p in &bat.particles.positions[particles.clone()] {
+                    w.write_all(&p.x.to_le_bytes())?;
+                    w.write_all(&p.y.to_le_bytes())?;
+                    w.write_all(&p.z.to_le_bytes())?;
+                }
+            }
+            SectionKind::Attr(_) => match columns.next().expect("one column per attribute") {
+                AttributeArray::F32(v) => {
+                    for x in &v[particles.clone()] {
+                        w.write_all(&x.to_le_bytes())?;
+                    }
+                }
+                AttributeArray::F64(v) => {
+                    for x in &v[particles.clone()] {
+                        w.write_all(&x.to_le_bytes())?;
+                    }
+                }
+            },
         }
-        nodes.extend_from_slice(&node.start.to_le_bytes());
-        nodes.extend_from_slice(&node.count.to_le_bytes());
-        nodes.extend_from_slice(&node.left.to_le_bytes());
-        nodes.extend_from_slice(&node.right.to_le_bytes());
-        nodes.extend_from_slice(&node.depth.to_le_bytes());
-        for &id in node_ids[ni].iter().take(na) {
-            nodes.extend_from_slice(&id.to_le_bytes());
-        }
     }
-
-    let mut positions = Vec::with_capacity(n * POSITION_BYTES);
-    for p in &bat.particles.positions[s..s + n] {
-        positions.extend_from_slice(&p.x.to_le_bytes());
-        positions.extend_from_slice(&p.y.to_le_bytes());
-        positions.extend_from_slice(&p.z.to_le_bytes());
-    }
-
-    let mut secs = Vec::with_capacity(2 + na);
-    secs.push(codec::encode_section(SectionKind::Nodes, &nodes, codec));
-    secs.push(codec::encode_section(
-        SectionKind::Positions,
-        &positions,
-        codec,
-    ));
-    for a in 0..na {
-        let (raw, dtype): (Vec<u8>, _) = match bat.particles.attr(a) {
-            AttributeArray::F32(v) => (
-                v[s..s + n].iter().flat_map(|x| x.to_le_bytes()).collect(),
-                crate::attr::AttributeType::F32,
-            ),
-            AttributeArray::F64(v) => (
-                v[s..s + n].iter().flat_map(|x| x.to_le_bytes()).collect(),
-                crate::attr::AttributeType::F64,
-            ),
-        };
-        secs.push(codec::encode_section(SectionKind::Attr(dtype), &raw, codec));
-    }
-    secs
+    Ok(())
 }
 
 /// Decode a stored v2 treelet block back into a verbatim v1-layout image
 /// (`layout.size` bytes). Every section length and tag has been validated
 /// by the head parser; this revalidates against the bytes in hand so a
-/// torn or swapped block is still a typed error.
+/// torn or swapped block is still a typed error. Each section decodes
+/// straight into its range of the image, so the image and one scratch
+/// buffer shared by its sections are the only allocations. `num_points`
+/// is implied by `layout` and unused.
 pub fn decode_block(
     stored: &[u8],
     rec: &TreeletCodecRec,
     layout: &TreeletLayout,
     descs: &[AttributeDesc],
-    num_points: usize,
+    _num_points: usize,
 ) -> WireResult<Vec<u8>> {
-    if rec.sections.len() != 2 + descs.len() {
+    let width = layout.sections(descs).count();
+    if rec.sections.len() != width {
         return Err(WireError::BadLength {
             what: "section codec table width",
             len: rec.sections.len() as u64,
-            remaining: 2 + descs.len(),
+            remaining: width,
         });
     }
     if layout.size > codec::MAX_DECODED_BLOCK {
@@ -810,10 +770,10 @@ pub fn decode_block(
         });
     }
     let mut out = vec![0u8; layout.size];
+    let mut scratch = Vec::new();
     let mut cursor = 0usize;
-    for (si, sec) in rec.sections.iter().enumerate() {
-        let stored_len = sec.stored_len as usize;
-        let end = cursor + stored_len;
+    for ((kind, range), sec) in layout.sections(descs).zip(&rec.sections) {
+        let end = cursor + sec.stored_len as usize;
         if end > stored.len() {
             return Err(WireError::Truncated {
                 what: "stored treelet section",
@@ -821,28 +781,8 @@ pub fn decode_block(
                 remaining: stored.len(),
             });
         }
-        let (kind, off, raw_len) = match si {
-            0 => (
-                SectionKind::Nodes,
-                layout.nodes_off,
-                layout.positions_off - layout.nodes_off,
-            ),
-            1 => (
-                SectionKind::Positions,
-                layout.positions_off,
-                num_points * POSITION_BYTES,
-            ),
-            _ => {
-                let a = si - 2;
-                (
-                    SectionKind::Attr(descs[a].dtype),
-                    layout.attr_offs[a],
-                    num_points * descs[a].dtype.size(),
-                )
-            }
-        };
-        let decoded = codec::decode_section(kind, sec.tag, &stored[cursor..end], raw_len)?;
-        out[off..off + raw_len].copy_from_slice(&decoded);
+        let section = &stored[cursor..end];
+        codec::decode_section(kind, sec.tag, section, &mut out[range], &mut scratch)?;
         cursor = end;
     }
     if cursor != stored.len() {
@@ -977,9 +917,10 @@ pub fn read_head_bounded(data: &[u8], file_len: usize) -> WireResult<FileHead> {
 
     // v2: the section codec table, validated hard before anything is
     // decoded from it — per-leaf counts must be consistent with the file
-    // totals, the implied decoded block must fit the allocation cap, tags
-    // must be registered, and stored sections can never exceed either
-    // their decoded size or the file itself. A corrupt table is rejected
+    // totals, the implied decoded block must fit the allocation cap, every
+    // section must pass `codec::check_section` (a registered tag legal for
+    // its kind; `raw` exactly its decoded size, `shuffle` never larger),
+    // and the stored block must fit the file. A corrupt table is rejected
     // here, before any block allocation.
     let codecs = if version == VERSION_V2 {
         let mut recs = Vec::with_capacity(num_leaves);
@@ -1003,40 +944,25 @@ pub fn read_head_bounded(data: &[u8], file_len: usize) -> WireResult<FileHead> {
                     remaining: codec::MAX_DECODED_BLOCK,
                 });
             }
-            let mut sections = Vec::with_capacity(2 + na);
-            let mut total = 0u64;
-            for si in 0..2 + na {
-                let tag = dec.get_u8("section codec tag")?;
-                if tag > codec::MAX_TAG {
-                    return Err(WireError::BadTag {
-                        what: "section codec tag",
-                        tag: tag as u64,
-                    });
-                }
-                let stored_len = dec.get_u32("section stored length")?;
-                let raw_len = match si {
-                    0 => layout.positions_off - layout.nodes_off,
-                    1 => leaf.num_particles as usize * POSITION_BYTES,
-                    _ => leaf.num_particles as usize * descs[si - 2].dtype.size(),
-                };
-                if stored_len as usize > raw_len {
-                    return Err(WireError::BadLength {
-                        what: "stored section length",
-                        len: stored_len as u64,
-                        remaining: raw_len,
-                    });
-                }
-                total += stored_len as u64;
-                sections.push(SectionRec { tag, stored_len });
-            }
-            if leaf.offset + total > file_len as u64 {
+            let sections = layout
+                .sections(&descs)
+                .map(|(kind, range)| {
+                    let tag = dec.get_u8("section codec tag")?;
+                    let stored_len = dec.get_u32("section stored length")?;
+                    codec::check_section(kind, tag, stored_len as usize, range.len())?;
+                    Ok(SectionRec { tag, stored_len })
+                })
+                .collect::<WireResult<Vec<_>>>()?;
+            let rec = TreeletCodecRec { sections };
+            let end = leaf.offset + rec.stored_size() as u64;
+            if end > file_len as u64 {
                 return Err(WireError::BadLength {
                     what: "stored treelet block",
-                    len: leaf.offset + total,
+                    len: end,
                     remaining: file_len,
                 });
             }
-            recs.push(TreeletCodecRec { sections });
+            recs.push(rec);
         }
         Some(recs)
     } else {
@@ -1139,13 +1065,14 @@ pub fn node_record_bytes(na: usize) -> usize {
 /// Byte size of a particle's position record.
 pub const POSITION_BYTES: usize = 12;
 
-/// Byte offsets of the sections inside a treelet block with `num_nodes`
-/// nodes and `num_points` particles over attributes `descs`.
+/// The one description of a treelet block's sections (paper §III-C3): node
+/// records, then positions, then one column per attribute, back to back
+/// from the block start. The writer, the v2 encoder, the head parser, the
+/// v2 decoder, the reader's view and the size accounting all walk
+/// [`TreeletLayout::sections`]; nothing else works out a section's extent.
 #[derive(Debug, Clone)]
 pub struct TreeletLayout {
-    /// Offset of the node records (relative to block start).
-    pub nodes_off: usize,
-    /// Offset of the positions array.
+    /// Offset of the positions array (the node records fill `0..` it).
     pub positions_off: usize,
     /// Offset of each attribute array.
     pub attr_offs: Vec<usize>,
@@ -1157,8 +1084,7 @@ impl TreeletLayout {
     /// Section offsets for a block of `num_nodes` nodes and `num_points`
     /// particles under the given schema.
     pub fn compute(num_nodes: usize, num_points: usize, descs: &[AttributeDesc]) -> TreeletLayout {
-        let nodes_off = 0;
-        let positions_off = nodes_off + num_nodes * node_record_bytes(descs.len());
+        let positions_off = num_nodes * node_record_bytes(descs.len());
         let mut off = positions_off + num_points * POSITION_BYTES;
         let mut attr_offs = Vec::with_capacity(descs.len());
         for d in descs {
@@ -1166,11 +1092,28 @@ impl TreeletLayout {
             off += num_points * d.dtype.size();
         }
         TreeletLayout {
-            nodes_off,
             positions_off,
             attr_offs,
             size: off,
         }
+    }
+
+    /// The block's sections in block order, each with its kind and its byte
+    /// range in the (decoded) block image. The ranges tile `0..size`.
+    /// `descs` is the schema the layout was computed for.
+    pub fn sections<'a>(
+        &'a self,
+        descs: &'a [AttributeDesc],
+    ) -> impl Iterator<Item = (SectionKind, Range<usize>)> + 'a {
+        debug_assert_eq!(descs.len(), self.attr_offs.len());
+        let kinds = [SectionKind::Nodes, SectionKind::Positions]
+            .into_iter()
+            .chain(descs.iter().map(|d| SectionKind::Attr(d.dtype)));
+        let starts = [0, self.positions_off]
+            .into_iter()
+            .chain(self.attr_offs.iter().copied());
+        let ends = starts.clone().skip(1).chain([self.size]);
+        kinds.zip(starts.zip(ends).map(|(start, end)| start..end))
     }
 }
 
@@ -1379,7 +1322,27 @@ mod tests {
         let table_off = head.head_end as usize - table_bytes;
         // Patch the first leaf's positions-section stored_len (entry 1).
         let len_off = table_off + SectionRec::BYTES + 1;
-        bytes[len_off..len_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_head(&bytes).is_err());
+        let mut blown = bytes.clone();
+        blown[len_off..len_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(read_head(&blown).is_err());
+
+        // Node records are always raw: a `shuffle` tag on the first leaf's
+        // node section (entry 0) is a corrupt table.
+        let mut shuffled_nodes = bytes.clone();
+        shuffled_nodes[table_off] = codec::TAG_SHUFFLE;
+        assert!(matches!(
+            read_head(&shuffled_nodes),
+            Err(WireError::BadTag { .. })
+        ));
+
+        // A `raw` section stores exactly its decoded length: one byte short
+        // of the node section's length is a corrupt table too.
+        let nodes_len = &mut bytes[table_off + 1..table_off + 5];
+        let short = u32::from_le_bytes(nodes_len.try_into().unwrap()) - 1;
+        nodes_len.copy_from_slice(&short.to_le_bytes());
+        assert!(matches!(
+            read_head(&bytes),
+            Err(WireError::BadLength { .. })
+        ));
     }
 }

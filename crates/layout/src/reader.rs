@@ -11,6 +11,7 @@
 use crate::attr::AttributeType;
 use crate::bitmap::Bitmap32;
 use crate::cache::{self, PageCache};
+use crate::codec::SectionKind;
 use crate::format::{self, FileHead, LeafRec, TreeletLayout};
 use crate::query::{contribution, quality_to_depth, PointRecord, Query};
 use crate::radix::NodeRef;
@@ -1177,25 +1178,24 @@ impl<'a> TreeletView<'a> {
         start: usize,
         end: usize,
     ) -> WireResult<TreeletView<'a>> {
-        let num_nodes = leaf.num_nodes as usize;
-        let num_points = leaf.num_particles as usize;
-        let nodes = &block[layout.nodes_off
-            ..layout.nodes_off + num_nodes * format::node_record_bytes(head.descs.len())];
-        let positions = &block
-            [layout.positions_off..layout.positions_off + num_points * format::POSITION_BYTES];
-        let attr_sections = head
-            .descs
-            .iter()
-            .zip(&layout.attr_offs)
-            .map(|(d, &off)| (&block[off..off + num_points * d.dtype.size()], d.dtype))
-            .collect();
+        let mut nodes: &[u8] = &[];
+        let mut positions: &[u8] = &[];
+        let mut attr_sections = Vec::with_capacity(head.descs.len());
+        for (kind, range) in layout.sections(&head.descs) {
+            let bytes = &block[range];
+            match kind {
+                SectionKind::Nodes => nodes = bytes,
+                SectionKind::Positions => positions = bytes,
+                SectionKind::Attr(dtype) => attr_sections.push((bytes, dtype)),
+            }
+        }
         Ok(TreeletView {
             nodes,
             positions,
             attr_sections,
             na: head.descs.len(),
-            num_nodes,
-            num_points,
+            num_nodes: leaf.num_nodes as usize,
+            num_points: leaf.num_particles as usize,
             // Distinct 4 KiB pages the stored block spans in the file — the
             // unit the OS faults in on the mmap read path.
             pages_4k: bat_wire::pages_spanned(start, end),

@@ -5,6 +5,7 @@
 //! dictionary, and page-alignment padding. Because LOD particles are set
 //! aside rather than duplicated, the layout's only cost *is* this structure.
 
+use crate::codec::SectionKind;
 use crate::format;
 
 /// Size breakdown of a compacted BAT image.
@@ -71,16 +72,16 @@ impl LayoutStats {
     /// padding), so totals always sum to the file size.
     pub fn measure(bytes: &[u8]) -> bat_wire::WireResult<LayoutStats> {
         let head = format::read_head(bytes)?;
-        let bpp: usize = 12 + head.descs.iter().map(|d| d.dtype.size()).sum::<usize>();
-        let raw = head.num_particles * bpp as u64;
         let num_nodes: u64 = head.leaves.iter().map(|l| l.num_nodes as u64).sum();
 
         // Padding = gap after the head payload + gaps between stored blocks.
-        // For v2 the stored block is the compressed image, and the payload is
-        // every section except the node records (section 0).
+        // The payload is every section but the node records: its layout
+        // length is the raw size, and for v2 the codec table's length is the
+        // stored size.
         let mut order: Vec<usize> = (0..head.leaves.len()).collect();
         order.sort_by_key(|&i| head.leaves[i].offset);
         let mut padding = 0u64;
+        let mut raw = 0u64;
         let mut stored_payload = 0u64;
         let mut payload_end = head.head_end as usize;
         for &i in &order {
@@ -91,15 +92,16 @@ impl LayoutStats {
                 l.num_particles as usize,
                 &head.descs,
             );
-            stored_payload += match head.codec_rec(i) {
-                Some(rec) => rec
-                    .sections
-                    .iter()
-                    .skip(1)
-                    .map(|s| s.stored_len as u64)
-                    .sum::<u64>(),
-                None => (layout.size - layout.positions_off) as u64,
-            };
+            for (si, (kind, range)) in layout.sections(&head.descs).enumerate() {
+                if kind == SectionKind::Nodes {
+                    continue;
+                }
+                raw += range.len() as u64;
+                stored_payload += head
+                    .codec_rec(i)
+                    .map_or(range.len(), |rec| rec.sections[si].stored_len as usize)
+                    as u64;
+            }
             payload_end = l.offset as usize + head.stored_block_size(i).unwrap_or(layout.size);
         }
 

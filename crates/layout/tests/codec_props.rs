@@ -10,6 +10,13 @@ use bat_layout::codec::{
 use bat_layout::AttributeType;
 use proptest::prelude::*;
 
+/// Decode a `shuffle` section into a fresh `len`-byte buffer.
+fn unshuffled(stored: &[u8], record: usize, word: usize, len: usize) -> Vec<u8> {
+    let mut out = vec![0; len];
+    decode_lossless(stored, record, word, &mut out, &mut Vec::new()).expect("decode own encoding");
+    out
+}
+
 /// Arbitrary bytes (full 0..=255 value range; the shim has no `any::<u8>()`).
 fn bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u16..256, len).prop_map(|v| v.into_iter().map(|b| b as u8).collect())
@@ -44,7 +51,8 @@ proptest! {
     #[test]
     fn rle_roundtrips_arbitrary_bytes(data in bytes(0..2048)) {
         let enc = rle_encode(&data);
-        let dec = rle_decode(&enc, data.len()).expect("own encoding must decode");
+        let mut dec = vec![0; data.len()];
+        rle_decode(&enc, &mut dec).expect("own encoding must decode");
         prop_assert_eq!(dec, data);
     }
 
@@ -55,7 +63,7 @@ proptest! {
         let back = if tag == TAG_RAW {
             stored.clone()
         } else {
-            decode_lossless(&stored, 12, 4, raw.len()).expect("decode own encoding")
+            unshuffled(&stored, 12, 4, raw.len())
         };
         prop_assert_eq!(back, raw);
     }
@@ -72,7 +80,7 @@ proptest! {
         let back = if tag == TAG_RAW {
             stored.clone()
         } else {
-            decode_lossless(&stored, word, word, raw.len()).expect("decode own encoding")
+            unshuffled(&stored, word, word, raw.len())
         };
         prop_assert_eq!(back, raw);
     }
@@ -85,15 +93,25 @@ proptest! {
         let back = if tag == TAG_RAW {
             stored.clone()
         } else {
-            decode_lossless(&stored, 12, 4, raw.len()).expect("decode own encoding")
+            unshuffled(&stored, 12, 4, raw.len())
         };
         prop_assert_eq!(back, raw);
     }
 
     /// Full section round trip through the tag dispatch used by the file
-    /// reader, for every section kind under the lossless codec.
+    /// reader, for every section kind under the lossless codec. Arbitrary
+    /// bytes almost never compress, so half the cases repeat one 24-byte
+    /// record (a multiple of every kind's record), which takes the
+    /// `shuffle` path.
     #[test]
-    fn lossless_section_roundtrip_exact(raw in position_block(), which in 0u8..3) {
+    fn lossless_section_roundtrip_exact(
+        arbitrary in position_block(),
+        record in bytes(24..25),
+        reps in 0usize..64,
+        repeated in 0u8..2,
+        which in 0u8..3,
+    ) {
+        let raw = if repeated == 1 { record.repeat(reps) } else { arbitrary };
         let (kind, raw) = match which {
             0 => (SectionKind::Positions, raw),
             1 => {
@@ -108,8 +126,16 @@ proptest! {
             }
         };
         let (tag, stored) = encode_section(kind, &raw, Codec::V2Lossless);
-        let back = decode_section(kind, tag, &stored, raw.len()).expect("decode own encoding");
-        prop_assert_eq!(back, raw);
+        let mut scratch = Vec::new();
+        let mut back = vec![0; raw.len()];
+        decode_section(kind, tag, &stored, &mut back, &mut scratch).expect("decode own encoding");
+        prop_assert_eq!(&back, &raw);
+        // Decoding fills the destination whatever it held: a stale 0xFF
+        // image (and a scratch buffer left over from the decode above)
+        // must give the same bytes.
+        let mut stale = vec![0xFF; raw.len()];
+        decode_section(kind, tag, &stored, &mut stale, &mut scratch).expect("decode own encoding");
+        prop_assert_eq!(stale, raw);
     }
 }
 
@@ -127,7 +153,7 @@ fn lossless_degenerate_blocks_are_exact() {
         let back = if tag == TAG_RAW {
             stored
         } else {
-            decode_lossless(&stored, 12, 4, raw.len()).unwrap()
+            unshuffled(&stored, 12, 4, raw.len())
         };
         assert_eq!(back, raw);
     }

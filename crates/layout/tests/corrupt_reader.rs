@@ -231,19 +231,13 @@ fn v2_declared_size_overflow_rejected_before_allocating() {
     let head = read_head(&bytes).unwrap();
     let mut rec_start = table.start;
     for leaf in &head.leaves {
-        for si in 0..2 + head.descs.len() {
-            let raw_len = match si {
-                0 => {
-                    let layout = bat_layout::format::TreeletLayout::compute(
-                        leaf.num_nodes as usize,
-                        leaf.num_particles as usize,
-                        &head.descs,
-                    );
-                    layout.positions_off - layout.nodes_off
-                }
-                1 => leaf.num_particles as usize * 12,
-                _ => leaf.num_particles as usize * head.descs[si - 2].dtype.size(),
-            };
+        let layout = bat_layout::format::TreeletLayout::compute(
+            leaf.num_nodes as usize,
+            leaf.num_particles as usize,
+            &head.descs,
+        );
+        for (_, range) in layout.sections(&head.descs) {
+            let raw_len = range.len();
             let mut mangled = bytes.clone();
             mangled[rec_start + 1..rec_start + 5]
                 .copy_from_slice(&((raw_len as u32) + 1).to_le_bytes());

@@ -74,6 +74,26 @@ fn bytes_identical_to_seed_encoder() {
     }
 }
 
+/// `(n, rng seed, file length, FNV-1a of the whole file)` of the v2-lossless
+/// encoding of the same four data sets. The 20 000-point file carries both
+/// codec tags (4 888 `shuffle` and 15 452 `raw` sections). A change to a
+/// section codec or to the v2 block layout updates these on purpose.
+const GOLDEN_V2: [(usize, u64, usize, u64); 4] = [
+    (0, 1, 173, 0x5836_f685_8648_9264),
+    (257, 2, 1_040_466, 0xeaf0_4eaa_5c25_e9c0),
+    (5000, 3, 12_247_122, 0xffa2_3397_57a1_be3d),
+    (20_000, 4, 17_060_188, 0x8fae_fc2a_443b_2cd4),
+];
+
+#[test]
+fn v2_lossless_bytes_are_pinned() {
+    for (n, seed, len, fnv) in GOLDEN_V2 {
+        let bytes = bat_layout::format::write_bat_with(&golden_bat(n, seed), Codec::V2Lossless);
+        assert_eq!(bytes.len(), len, "v2 file length changed for n={n}");
+        assert_eq!(fnv1a(&bytes), fnv, "v2 file bytes changed for n={n}");
+    }
+}
+
 #[test]
 fn default_codec_is_v1_when_env_unset() {
     // `Bat::to_bytes` follows `BAT_TREELET_CODEC` and `BAT_INDEX_ATTRS`;
