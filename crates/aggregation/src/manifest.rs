@@ -1,36 +1,30 @@
 //! The commit manifest: the tail section of `.batmeta` that makes the
 //! metadata file a *commit marker* (DESIGN.md §11).
 //!
-//! The manifest is appended after the [`crate::MetaTree`] bytes. Old
-//! readers never see it ([`crate::MetaTree::decode`] reads exactly its own
-//! fields and ignores trailing bytes), but a verifier can prove, from the
-//! metadata file alone, (a) that the metadata bytes themselves are intact
-//! (`meta_crc`) and (b) the exact committed length and whole-file CRC32C
-//! of every leaf file the dataset references. A dataset is *committed* iff
-//! its `.batmeta` exists with a valid manifest and every listed file
-//! matches; anything else is a detectable partial state, never silent
-//! corruption.
+//! The manifest is appended after the [`crate::MetaTree`] bytes and is
+//! mandatory: every reader goes through the one commit reader
+//! (`libbat::verify::read_commit`), which proves from the metadata file
+//! alone (a) that the metadata bytes themselves are intact (`meta_crc`)
+//! and (b) the exact committed length and whole-file CRC32C of every leaf
+//! file the dataset references. A dataset is *committed* iff its
+//! `.batmeta` exists with a valid manifest and every listed file matches;
+//! anything else is a detectable partial state, never silent corruption.
 //!
-//! Layout (little-endian, tail-discoverable like the leaf-file footer):
+//! It is a [`bat_wire::trailer`] of kind "BATX" (version 1) behind the
+//! MetaTree bytes, with the body (little-endian)
 //!
 //! ```text
-//! u32 magic "BATX"       u32 version (=1)
-//! u64 meta_len           u32 meta_crc     (over the MetaTree bytes)
+//! u32 meta_crc            (over the MetaTree bytes)
 //! u32 num_files
 //! num_files × { str file, u64 len, u32 crc }
-//! u32 manifest_crc       (over every preceding manifest byte)
-//! u32 manifest_len       (whole manifest, including these 12 tail bytes)
-//! u32 magic "BATX"       (tail sentinel)
 //! ```
 
-use bat_wire::{crc32c, Decoder, Encoder, WireError, WireResult};
+use bat_wire::{crc32c, trailer, WireError, WireResult};
 
 /// Manifest magic: "BATX" (BAT commit).
 pub const MANIFEST_MAGIC: u32 = 0x4241_5458;
 /// Manifest format version.
 pub const MANIFEST_VERSION: u32 = 1;
-/// manifest_crc + manifest_len + magic.
-const TAIL_BYTES: usize = 12;
 
 /// One committed leaf file: what must be on disk for the dataset to be
 /// complete.
@@ -47,9 +41,7 @@ pub struct ManifestEntry {
 /// The decoded commit manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitManifest {
-    /// Length of the MetaTree bytes preceding the manifest.
-    pub meta_len: u64,
-    /// CRC32C of those bytes.
+    /// CRC32C of the MetaTree bytes the manifest follows.
     pub meta_crc: u32,
     /// Every leaf file the commit references, in metadata order.
     pub files: Vec<ManifestEntry>,
@@ -60,18 +52,14 @@ impl CommitManifest {
     /// committed files.
     pub fn new(meta_bytes: &[u8], files: Vec<ManifestEntry>) -> CommitManifest {
         CommitManifest {
-            meta_len: meta_bytes.len() as u64,
             meta_crc: crc32c(meta_bytes),
             files,
         }
     }
 
-    /// Serialize; the result is appended directly after the MetaTree bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_u32(MANIFEST_MAGIC);
-        enc.put_u32(MANIFEST_VERSION);
-        enc.put_u64(self.meta_len);
+    /// Serialize to follow `meta_len` bytes of MetaTree.
+    pub fn encode(&self, meta_len: u64) -> Vec<u8> {
+        let mut enc = trailer::begin(MANIFEST_MAGIC, MANIFEST_VERSION, meta_len);
         enc.put_u32(self.meta_crc);
         enc.put_u32(self.files.len() as u32);
         for f in &self.files {
@@ -79,97 +67,44 @@ impl CommitManifest {
             enc.put_u64(f.len);
             enc.put_u32(f.crc);
         }
-        let mut bytes = enc.finish();
-        let body_crc = crc32c(&bytes);
-        let total = bytes.len() + TAIL_BYTES;
-        bytes.extend_from_slice(&body_crc.to_le_bytes());
-        bytes.extend_from_slice(&(total as u32).to_le_bytes());
-        bytes.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
-        bytes
+        trailer::seal(enc, MANIFEST_MAGIC)
     }
 
-    /// Look for a manifest at the tail of a `.batmeta` byte buffer.
-    ///
-    /// `Ok(None)` means no manifest (a legacy metadata file); `Err` means
-    /// a manifest is present but damaged or inconsistent with the file —
-    /// a torn commit marker, which callers must treat as *not committed*.
-    /// On success also checks `meta_crc` against the leading bytes.
-    pub fn detect(meta_file: &[u8]) -> WireResult<Option<CommitManifest>> {
-        if meta_file.len() < TAIL_BYTES {
-            return Ok(None);
-        }
-        let tail = &meta_file[meta_file.len() - 8..];
-        if u32::from_le_bytes(tail[4..8].try_into().expect("len 4")) != MANIFEST_MAGIC {
-            return Ok(None);
-        }
-        let manifest_len = u32::from_le_bytes(tail[..4].try_into().expect("len 4")) as usize;
-        if manifest_len < TAIL_BYTES + 24 || manifest_len > meta_file.len() {
-            return Err(WireError::BadLength {
-                what: "commit manifest length",
-                len: manifest_len as u64,
-                remaining: meta_file.len(),
-            });
-        }
-        let manifest = &meta_file[meta_file.len() - manifest_len..];
-        let body = &manifest[..manifest.len() - TAIL_BYTES];
-        let stored = u32::from_le_bytes(
-            manifest[manifest.len() - 12..manifest.len() - 8]
-                .try_into()
-                .expect("len 4"),
-        );
-        if crc32c(body) != stored {
-            return Err(WireError::BadMagic {
-                expected: stored,
-                found: crc32c(body),
-            });
-        }
-        let mut dec = Decoder::new(body);
-        dec.expect_magic(MANIFEST_MAGIC)?;
-        let version = dec.get_u32("manifest version")?;
-        if version != MANIFEST_VERSION {
-            return Err(WireError::BadTag {
-                what: "manifest version",
-                tag: version as u64,
-            });
-        }
-        let meta_len = dec.get_u64("manifest meta len")?;
-        let meta_crc = dec.get_u32("manifest meta crc")?;
-        let n = dec.get_u32("manifest file count")? as usize;
-        if n > body.len() {
+    /// Parse the manifest at the tail of a `.batmeta` image and check
+    /// `meta_crc`; returns it with the MetaTree bytes it covers. A missing
+    /// manifest is an error like a damaged one: either way the commit
+    /// marker is torn and the dataset is not committed.
+    pub fn parse(meta_file: &[u8]) -> WireResult<(CommitManifest, &[u8])> {
+        let trailer::Trailer {
+            prefix_len,
+            mut fields,
+        } = trailer::open(meta_file, MANIFEST_MAGIC, MANIFEST_VERSION)?;
+        let meta_crc = fields.get_u32("manifest meta crc")?;
+        let n = fields.get_u32("manifest file count")? as usize;
+        if n > fields.remaining() {
             return Err(WireError::BadLength {
                 what: "manifest file count",
                 len: n as u64,
-                remaining: body.len(),
+                remaining: fields.remaining(),
             });
         }
         let mut files = Vec::with_capacity(n);
         for _ in 0..n {
-            let file = dec.get_str("manifest file name")?;
-            let len = dec.get_u64("manifest file len")?;
-            let crc = dec.get_u32("manifest file crc")?;
+            let file = fields.get_str("manifest file name")?;
+            let len = fields.get_u64("manifest file len")?;
+            let crc = fields.get_u32("manifest file crc")?;
             files.push(ManifestEntry { file, len, crc });
         }
-        // The manifest must account for the whole metadata file, and the
-        // MetaTree bytes it covers must checksum clean.
-        if meta_len as usize + manifest_len != meta_file.len() {
-            return Err(WireError::BadLength {
-                what: "manifest meta length",
-                len: meta_len,
-                remaining: meta_file.len(),
-            });
-        }
-        let meta_bytes = &meta_file[..meta_len as usize];
-        if crc32c(meta_bytes) != meta_crc {
-            return Err(WireError::BadMagic {
+        let meta_bytes = &meta_file[..prefix_len as usize];
+        let found = crc32c(meta_bytes);
+        if found != meta_crc {
+            return Err(WireError::BadChecksum {
+                what: "metadata",
                 expected: meta_crc,
-                found: crc32c(meta_bytes),
+                found,
             });
         }
-        Ok(Some(CommitManifest {
-            meta_len,
-            meta_crc,
-            files,
-        }))
+        Ok((CommitManifest { meta_crc, files }, meta_bytes))
     }
 }
 
@@ -195,28 +130,41 @@ mod tests {
             ],
         );
         let mut file = meta;
-        file.extend_from_slice(&manifest.encode());
+        file.extend_from_slice(&manifest.encode(file.len() as u64));
         (file, manifest)
     }
 
     #[test]
     fn roundtrip() {
         let (file, manifest) = sample();
-        let got = CommitManifest::detect(&file).unwrap().expect("present");
+        let (got, meta) = CommitManifest::parse(&file).unwrap();
         assert_eq!(got, manifest);
+        assert_eq!(meta, b"pretend this is a MetaTree");
     }
 
     #[test]
-    fn legacy_meta_without_manifest_is_none() {
-        assert_eq!(CommitManifest::detect(b"just a meta tree").unwrap(), None);
-        assert_eq!(CommitManifest::detect(b"").unwrap(), None);
+    fn no_manifest_is_a_typed_error() {
+        assert!(matches!(
+            CommitManifest::parse(b"just a meta tree"),
+            Err(WireError::BadMagic { .. })
+        ));
+        assert!(matches!(
+            CommitManifest::parse(b""),
+            Err(WireError::Truncated { .. })
+        ));
     }
 
     #[test]
     fn corrupt_meta_bytes_fail_the_meta_crc() {
         let (mut file, _) = sample();
         file[3] ^= 0x40; // damage the MetaTree region
-        assert!(CommitManifest::detect(&file).is_err());
+        assert!(matches!(
+            CommitManifest::parse(&file),
+            Err(WireError::BadChecksum {
+                what: "metadata",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -224,16 +172,19 @@ mod tests {
         let (mut file, _) = sample();
         let pos = file.len() - 20; // inside the manifest body
         file[pos] ^= 0xFF;
-        assert!(CommitManifest::detect(&file).is_err());
+        assert!(matches!(
+            CommitManifest::parse(&file),
+            Err(WireError::BadChecksum {
+                what: "trailer",
+                ..
+            })
+        ));
     }
 
     #[test]
     fn truncated_commit_marker_reads_as_uncommitted() {
         let (file, _) = sample();
         // A torn rename/write that loses the tail: no sentinel, no commit.
-        assert_eq!(
-            CommitManifest::detect(&file[..file.len() - 3]).unwrap(),
-            None
-        );
+        assert!(CommitManifest::parse(&file[..file.len() - 3]).is_err());
     }
 }

@@ -259,17 +259,25 @@ impl MetaTree {
         let Some(root) = self.root else {
             return Ok(Vec::new());
         };
+        // Every child link is untrusted: an index out of range or a cycle
+        // is a typed error, and no walk visits more nodes than the tree has.
+        let bad_link = |c: MetaChild| WireError::BadTag {
+            what: "metadata child link",
+            tag: c.pack() as u64,
+        };
+        let mut budget = self.inners.len() + self.leaves.len() + 1;
         let mut out = Vec::new();
         let mut stack = vec![root];
         while let Some(c) = stack.pop() {
-            let (bounds, bitmaps): (&Aabb, &[Bitmap32]) = match c {
+            budget = budget.checked_sub(1).ok_or_else(|| bad_link(c))?;
+            let (bounds, bitmaps, children) = match c {
                 MetaChild::Inner(i) => {
-                    let n = &self.inners[i as usize];
-                    (&n.bounds, &n.bitmaps)
+                    let n = self.inners.get(i as usize).ok_or_else(|| bad_link(c))?;
+                    (&n.bounds, &n.bitmaps, Some([n.left, n.right]))
                 }
                 MetaChild::Leaf(l) => {
-                    let leaf = &self.leaves[l as usize];
-                    (&leaf.bounds, &leaf.global_bitmaps)
+                    let leaf = self.leaves.get(l as usize).ok_or_else(|| bad_link(c))?;
+                    (&leaf.bounds, &leaf.global_bitmaps, None)
                 }
             };
             if let Some(qb) = &q.bounds {
@@ -277,15 +285,21 @@ impl MetaTree {
                     continue;
                 }
             }
-            if !masks.iter().all(|&(a, m)| bitmaps[a].overlaps(m)) {
+            let mut hit = true;
+            for &(a, m) in &masks {
+                let bitmap = bitmaps.get(a).ok_or(WireError::BadLength {
+                    what: "metadata node bitmaps",
+                    len: bitmaps.len() as u64,
+                    remaining: self.descs.len(),
+                })?;
+                hit &= bitmap.overlaps(m);
+            }
+            if !hit {
                 continue;
             }
             match c {
-                MetaChild::Inner(i) => {
-                    stack.push(self.inners[i as usize].left);
-                    stack.push(self.inners[i as usize].right);
-                }
                 MetaChild::Leaf(l) => out.push(l),
+                MetaChild::Inner(_) => stack.extend(children.into_iter().flatten()),
             }
         }
         out.sort_unstable();
@@ -650,6 +664,35 @@ mod tests {
                     assert!(c.contains(&(i as u32)), "leaf {i} dropped wrongly");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn corrupt_child_links_are_typed_errors() {
+        let reports = (0..6)
+            .map(|i| report(i, i as f32 * 0.1, i as f32 * 0.1 + 0.1, 0.0, 1.0, 10))
+            .collect();
+        let tree = MetaTree::build(descs(), reports);
+        let Some(MetaChild::Inner(root)) = tree.root else {
+            panic!("six leaves need inner nodes");
+        };
+        let MetaChild::Inner(child) = tree.inners[root as usize].left else {
+            panic!("the root's left subtree holds three leaves");
+        };
+        let mut out_of_range = tree.clone();
+        out_of_range.inners[child as usize].right = MetaChild::Leaf(99);
+        let mut dangling = tree.clone();
+        dangling.inners[child as usize].left = MetaChild::Inner(99);
+        let mut cycle = tree.clone();
+        cycle.inners[child as usize].right = MetaChild::Inner(root);
+        for (what, bad) in [
+            ("leaf out of range", out_of_range),
+            ("inner out of range", dangling),
+            ("cycle", cycle),
+        ] {
+            let decoded =
+                MetaTree::decode(&bad.encode()).expect("structure is not checked at decode");
+            assert!(decoded.candidate_leaves(&Query::new()).is_err(), "{what}");
         }
     }
 

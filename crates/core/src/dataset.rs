@@ -1,17 +1,21 @@
 //! Postprocess visualization reads over a written dataset (paper §V).
 //!
-//! [`Dataset::open`] loads the top-level metadata and lazily memory-maps
-//! the leaf files. Queries run against the whole timestep as if it were a
-//! single file ([`crate::plan::QueryPlan`]): the metadata tree culls leaf
-//! files by bounds and by the global root bitmaps, then each surviving
-//! file resolves the query with its own shallow tree, treelets, and exact
+//! [`Dataset::open`] loads the committed top-level metadata
+//! ([`crate::verify::read_commit`]) and lazily memory-maps the leaf files,
+//! serving each only while it has its committed length. Queries run
+//! against the whole timestep as if it were a single file
+//! ([`crate::plan::QueryPlan`]): the metadata tree culls leaf files by
+//! bounds and by the global root bitmaps, then each surviving file
+//! resolves the query with its own shallow tree, treelets, and exact
 //! checks. Progressive
 //! multiresolution reads (quality in `[0, 1]`, with an optional previous
 //! quality) work across all files, which is how the paper's prototype web
 //! viewer streams data (Fig. 4).
 
 use crate::plan::QueryPlan;
+use crate::verify::{committed_leaf, read_commit, Commit};
 use bat_aggregation::meta::MetaTree;
+use bat_aggregation::CommitManifest;
 use bat_iosim::ObjectStore;
 use bat_layout::reader::QueryStats;
 use bat_layout::source::FileSource;
@@ -77,6 +81,8 @@ impl ReadBackend {
 /// A written timestep opened for visualization/analysis reads.
 pub struct Dataset {
     meta: MetaTree,
+    /// The commit manifest: each leaf's committed length.
+    manifest: CommitManifest,
     dir: PathBuf,
     /// Lazily opened leaf files (mmap handles are cheap but opening all
     /// files of a large dataset up front is not).
@@ -91,20 +97,25 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Open dataset `basename` from `dir` (reads `basename.batmeta`).
+    /// Open dataset `basename` from `dir` (reads `basename.batmeta`). A
+    /// dataset that never committed is `NotFound`, a torn commit marker
+    /// `InvalidData`.
     pub fn open(dir: impl AsRef<Path>, basename: &str) -> io::Result<Dataset> {
-        let dir = dir.as_ref().to_path_buf();
-        let meta_bytes = std::fs::read(dir.join(crate::write::meta_file_name(basename)))?;
-        let meta = MetaTree::decode(&meta_bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        Ok(Dataset {
-            meta,
-            dir,
+        let dir = dir.as_ref();
+        Ok(Dataset::from_commit(dir, read_commit(dir, basename)?))
+    }
+
+    /// A dataset over a commit [`read_commit`] checked.
+    pub(crate) fn from_commit(dir: &Path, commit: Commit) -> Dataset {
+        Dataset {
+            meta: commit.meta,
+            manifest: commit.manifest,
+            dir: dir.to_path_buf(),
             files: Mutex::new(HashMap::new()),
             excluded: Vec::new(),
             cache: Mutex::new(CachePolicy::default()),
             backend: Mutex::new(ReadBackend::from_env()),
-        })
+        }
     }
 
     /// Select how leaf files are materialized. Already-opened files are
@@ -213,6 +224,7 @@ impl Dataset {
             CachePolicy::Attached(c) => opened.with_cache(Some(c.clone())),
             CachePolicy::Disabled => opened.with_cache(None),
         };
+        let opened = committed_leaf(opened, &self.manifest.files[leaf as usize])?;
         let f = std::sync::Arc::new(opened);
         files.insert(leaf, f.clone());
         Ok(files[&leaf].clone())

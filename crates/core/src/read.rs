@@ -18,7 +18,6 @@
 //! collective loop and one responder.
 
 use bat_aggregation::assign::assign_read_aggregators;
-use bat_aggregation::meta::MetaTree;
 use bat_comm::Comm;
 use bat_geom::Aabb;
 use bat_iosim::{PhaseTimes, WritePhase};
@@ -131,9 +130,7 @@ fn collective_query(
 ) -> io::Result<(ParticleSet, Option<bat_wire::WireError>)> {
     // --- Phase 1: all ranks read the metadata (Fig. 3a). ---
     let t0 = Instant::now();
-    let meta_bytes = std::fs::read(dir.join(crate::write::meta_file_name(basename)))?;
-    let meta =
-        MetaTree::decode(&meta_bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    let crate::verify::Commit { meta, manifest } = crate::verify::read_commit(dir, basename)?;
     // Reject malformed queries before any traffic is generated; silently
     // matching nothing would look identical to an honest empty result.
     let q = &q
@@ -144,12 +141,27 @@ fn collective_query(
     let file_owner = assign_read_aggregators(num_files, comm.size());
     times[WritePhase::Metadata] = t0.elapsed().as_secs_f64();
 
-    // --- Phase 2: open the files I aggregate (Fig. 3a). ---
+    // --- Phase 2: open the files I aggregate (Fig. 3a). A leaf that is
+    // missing or no longer its committed length is recorded, not returned:
+    // peers asking for it get an invalid reply and the loop still ends. ---
     let t0 = Instant::now();
+    let mut reply_err: Option<bat_wire::WireError> = None;
     let mut open_files: HashMap<u32, BatFile> = HashMap::new();
     for l in (0..num_files as u32).filter(|&l| file_owner[l as usize] == comm.rank() as u32) {
-        let path = dir.join(&meta.leaves[l as usize].file);
-        open_files.insert(l, BatFile::open(&path)?);
+        let entry = &manifest.files[l as usize];
+        match BatFile::open(dir.join(&entry.file))
+            .and_then(|f| crate::verify::committed_leaf(f, entry))
+        {
+            Ok(file) => {
+                open_files.insert(l, file);
+            }
+            Err(e) => {
+                reply_err.get_or_insert(bat_wire::WireError::Io {
+                    what: "read aggregator leaf",
+                    message: e.to_string(),
+                });
+            }
+        }
     }
     times[WritePhase::FileWrite] = t0.elapsed().as_secs_f64();
 
@@ -178,7 +190,6 @@ fn collective_query(
     // bounded: a dead peer is noticed between polls, and with a configured
     // receive timeout the whole loop carries a deadline (DESIGN.md §11).
     let mut result = ParticleSet::new(meta.descs.clone());
-    let mut reply_err: Option<bat_wire::WireError> = None;
     let mut barrier: Option<bat_comm::IBarrier> = None;
     let deadline = comm.timeout().map(|t| Instant::now() + 4 * t);
     // Serve one incoming query if present.
@@ -216,10 +227,11 @@ fn collective_query(
     while serve_pending() {}
     times[WritePhase::Transfer] = t0.elapsed().as_secs_f64();
 
-    // --- Phase 4: local queries against my own files (§IV-B). ---
+    // --- Phase 4: local queries against my own files (§IV-B); one that
+    // failed to open already recorded its error. ---
     let t0 = Instant::now();
-    for l in local_leaves {
-        if let Err(e) = open_files[&l].query(q, |p| result.push(p.position, p.attrs)) {
+    for file in local_leaves.iter().filter_map(|l| open_files.get(l)) {
+        if let Err(e) = file.query(q, |p| result.push(p.position, p.attrs)) {
             reply_err.get_or_insert(e);
         }
     }

@@ -5,8 +5,9 @@
 //! exactly which files are torn and which byte ranges inside them. The
 //! commit protocol makes this decidable:
 //!
-//! - `.batmeta` is the commit marker. Absent (or present only as a `.tmp`
-//!   sibling) → the write never committed. Present with a torn
+//! - `.batmeta` is the commit marker, and [`read_commit`] is the one place
+//!   it is read from disk. Absent (or present only as a `.tmp` sibling) →
+//!   the write never committed. Present with a missing or torn
 //!   [`CommitManifest`] → the commit itself was interrupted; the dataset
 //!   must be treated as uncommitted.
 //! - The manifest lists every leaf file with its committed length and
@@ -20,8 +21,8 @@
 //! verification rejected and answering queries from the rest.
 
 use crate::dataset::Dataset;
-use bat_aggregation::{CommitManifest, MetaTree};
-use bat_layout::{FileFooter, SectionMismatch};
+use bat_aggregation::{CommitManifest, ManifestEntry, MetaTree};
+use bat_layout::{BatFile, FileFooter, SectionMismatch};
 use bat_wire::crc32c;
 use std::fmt;
 use std::io;
@@ -100,9 +101,6 @@ pub struct LeafCheck {
 pub enum CommitState {
     /// `.batmeta` present with a valid manifest: the write committed.
     Committed,
-    /// `.batmeta` present but written before the commit protocol existed —
-    /// no manifest to check leaf files against (footers still checked).
-    Legacy,
     /// No `.batmeta` on disk: the write never reached its commit point.
     NotCommitted,
     /// `.batmeta` exists but its commit marker is torn or inconsistent —
@@ -122,8 +120,7 @@ pub struct VerifyReport {
 impl VerifyReport {
     /// Whether the dataset is committed and every leaf checks clean.
     pub fn is_clean(&self) -> bool {
-        matches!(self.commit, CommitState::Committed | CommitState::Legacy)
-            && self.leaves.iter().all(|l| l.status.is_ok())
+        self.commit == CommitState::Committed && self.leaves.iter().all(|l| l.status.is_ok())
     }
 
     /// The leaves that failed verification.
@@ -150,12 +147,78 @@ fn check_leaf(path: &Path, expected_len: u64, expected_crc: u32) -> LeafStatus {
         return LeafStatus::Ok;
     }
     // Whole-file CRC failed: use the footer to say where.
-    let sections = match FileFooter::detect(&bytes) {
-        Ok(Some(footer)) => footer.verify(&bytes[..footer.payload_len as usize]),
+    let sections = match FileFooter::parse(&bytes) {
+        Ok(footer) => footer.verify(&bytes),
         // Footer gone or itself damaged: report the mismatch unlocalized.
-        Ok(None) | Err(_) => Vec::new(),
+        Err(_) => Vec::new(),
     };
     LeafStatus::ChecksumMismatch { sections }
+}
+
+/// A committed dataset's top-level metadata, checked against its commit
+/// manifest by [`read_commit`].
+#[derive(Debug)]
+pub struct Commit {
+    /// The metadata tree.
+    pub meta: MetaTree,
+    /// The manifest: each leaf file's committed length and CRC32C, in
+    /// leaf order.
+    pub manifest: CommitManifest,
+}
+
+/// Read dataset `basename`'s commit marker from `dir`: the only place
+/// `.batmeta` is read from disk. The manifest is required, the metadata
+/// bytes must match its `meta_crc`, the [`MetaTree`] is decoded from
+/// exactly those bytes, and the manifest must list the tree's leaves.
+///
+/// A missing `.batmeta` is `NotFound` (the dataset never committed), any
+/// damage `InvalidData`; other I/O errors pass through.
+pub fn read_commit(dir: &Path, basename: &str) -> io::Result<Commit> {
+    let name = crate::write::meta_file_name(basename);
+    let bytes = std::fs::read(dir.join(&name))
+        .map_err(|e| io::Error::new(e.kind(), format!("{name}: {e}")))?;
+    let torn = |why: String| io::Error::new(io::ErrorKind::InvalidData, format!("{name}: {why}"));
+    let (manifest, meta_bytes) = CommitManifest::parse(&bytes).map_err(|e| torn(e.to_string()))?;
+    let meta =
+        MetaTree::decode(meta_bytes).map_err(|e| torn(format!("metadata undecodable: {e}")))?;
+    let listed = meta.leaves.iter().map(|l| &l.file);
+    if !listed.eq(manifest.files.iter().map(|f| &f.file)) {
+        return Err(torn(
+            "manifest file list disagrees with the metadata tree".into(),
+        ));
+    }
+    Ok(Commit { meta, manifest })
+}
+
+/// `file`, opened for leaf `entry`, if it still has the committed length.
+/// A leaf that changed length after the commit (a later write renamed
+/// over it, or it was truncated) is never served; its length is already
+/// known, so this costs no I/O.
+pub(crate) fn committed_leaf(file: BatFile, entry: &ManifestEntry) -> io::Result<BatFile> {
+    let found = file.byte_size() as u64;
+    if found == entry.len {
+        return Ok(file);
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "leaf file {}: {found} bytes on disk, {} committed; it changed after the \
+             commit (Dataset::open_degraded serves the intact leaves)",
+            entry.file, entry.len
+        ),
+    ))
+}
+
+/// Check every leaf the manifest lists.
+fn check_leaves(dir: &Path, manifest: &CommitManifest) -> Vec<LeafCheck> {
+    manifest
+        .files
+        .iter()
+        .map(|f| LeafCheck {
+            file: f.file.clone(),
+            status: check_leaf(&dir.join(&f.file), f.len, f.crc),
+        })
+        .collect()
 }
 
 /// Verify dataset `basename` in `dir` against its commit manifest.
@@ -164,116 +227,15 @@ fn check_leaf(path: &Path, expected_len: u64, expected_crc: u32) -> LeafStatus {
 /// environmental failures (e.g. the directory itself is unreadable).
 pub fn verify_dataset(dir: impl AsRef<Path>, basename: &str) -> io::Result<VerifyReport> {
     let dir = dir.as_ref();
-    let meta_path = dir.join(crate::write::meta_file_name(basename));
-    let meta_bytes = match std::fs::read(&meta_path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Ok(VerifyReport {
-                commit: CommitState::NotCommitted,
-                leaves: Vec::new(),
-            });
+    let (commit, leaves) = match read_commit(dir, basename) {
+        Ok(c) => (CommitState::Committed, check_leaves(dir, &c.manifest)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => (CommitState::NotCommitted, Vec::new()),
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            (CommitState::TornCommit(e.to_string()), Vec::new())
         }
         Err(e) => return Err(e),
     };
-
-    let manifest = match CommitManifest::detect(&meta_bytes) {
-        Ok(m) => m,
-        Err(e) => {
-            return Ok(VerifyReport {
-                commit: CommitState::TornCommit(e.to_string()),
-                leaves: Vec::new(),
-            });
-        }
-    };
-
-    match manifest {
-        Some(m) => {
-            // The manifest already proved the MetaTree bytes checksum
-            // clean; decoding them must succeed, and disagreement between
-            // the two is itself a torn commit.
-            let meta = match MetaTree::decode(&meta_bytes[..m.meta_len as usize]) {
-                Ok(t) => t,
-                Err(e) => {
-                    return Ok(VerifyReport {
-                        commit: CommitState::TornCommit(format!("metadata undecodable: {e}")),
-                        leaves: Vec::new(),
-                    });
-                }
-            };
-            if meta.leaves.len() != m.files.len()
-                || meta
-                    .leaves
-                    .iter()
-                    .zip(&m.files)
-                    .any(|(l, f)| l.file != f.file)
-            {
-                return Ok(VerifyReport {
-                    commit: CommitState::TornCommit(
-                        "manifest file list disagrees with the metadata tree".into(),
-                    ),
-                    leaves: Vec::new(),
-                });
-            }
-            let leaves = m
-                .files
-                .iter()
-                .map(|f| LeafCheck {
-                    file: f.file.clone(),
-                    status: check_leaf(&dir.join(&f.file), f.len, f.crc),
-                })
-                .collect();
-            Ok(VerifyReport {
-                commit: CommitState::Committed,
-                leaves,
-            })
-        }
-        None => {
-            // Legacy dataset: no manifest. Check what the files themselves
-            // allow — existence, and the per-section footer when present.
-            let meta = match MetaTree::decode(&meta_bytes) {
-                Ok(t) => t,
-                Err(e) => {
-                    return Ok(VerifyReport {
-                        commit: CommitState::TornCommit(format!("metadata undecodable: {e}")),
-                        leaves: Vec::new(),
-                    });
-                }
-            };
-            let leaves = meta
-                .leaves
-                .iter()
-                .map(|l| {
-                    let status = match std::fs::read(dir.join(&l.file)) {
-                        Err(e) if e.kind() == io::ErrorKind::NotFound => LeafStatus::Missing,
-                        Err(_) => LeafStatus::Unreadable,
-                        Ok(bytes) => match FileFooter::detect(&bytes) {
-                            Ok(Some(footer)) => {
-                                let bad = footer.verify(&bytes[..footer.payload_len as usize]);
-                                if bad.is_empty() {
-                                    LeafStatus::Ok
-                                } else {
-                                    LeafStatus::ChecksumMismatch { sections: bad }
-                                }
-                            }
-                            // Pre-footer file: nothing to check against.
-                            Ok(None) => LeafStatus::Ok,
-                            Err(_) => LeafStatus::ChecksumMismatch {
-                                sections: Vec::new(),
-                            },
-                        },
-                    };
-                    LeafCheck {
-                        file: l.file.clone(),
-                        status,
-                    }
-                })
-                .collect();
-            Ok(VerifyReport {
-                commit: CommitState::Legacy,
-                leaves,
-            })
-        }
-    }
+    Ok(VerifyReport { commit, leaves })
 }
 
 impl Dataset {
@@ -283,28 +245,18 @@ impl Dataset {
     /// dataset plus the verification report that drove the exclusions.
     ///
     /// Errs only when there is nothing consistent to open: the dataset
-    /// never committed, or its commit marker is torn.
+    /// never committed (`NotFound`), or its commit marker is torn
+    /// (`InvalidData`).
     pub fn open_degraded(
         dir: impl AsRef<Path>,
         basename: &str,
     ) -> io::Result<(Dataset, VerifyReport)> {
         let dir = dir.as_ref();
-        let report = verify_dataset(dir, basename)?;
-        match &report.commit {
-            CommitState::Committed | CommitState::Legacy => {}
-            CommitState::NotCommitted => {
-                return Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("dataset {basename}: not committed (no metadata on disk)"),
-                ));
-            }
-            CommitState::TornCommit(why) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("dataset {basename}: torn commit marker: {why}"),
-                ));
-            }
-        }
+        let commit = read_commit(dir, basename)?;
+        let report = VerifyReport {
+            commit: CommitState::Committed,
+            leaves: check_leaves(dir, &commit.manifest),
+        };
         let excluded: Vec<u32> = report
             .leaves
             .iter()
@@ -312,7 +264,7 @@ impl Dataset {
             .filter(|(_, l)| !l.status.is_ok())
             .map(|(i, _)| i as u32)
             .collect();
-        let ds = Dataset::open(dir, basename)?.with_excluded(excluded);
+        let ds = Dataset::from_commit(dir, commit).with_excluded(excluded);
         Ok((ds, report))
     }
 }

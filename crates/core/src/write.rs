@@ -456,9 +456,9 @@ fn commit_meta(
     files: Vec<ManifestEntry>,
 ) -> Result<(), MetaAbort> {
     let meta_bytes = meta.encode();
-    let manifest = CommitManifest::new(&meta_bytes, files);
+    let manifest = CommitManifest::new(&meta_bytes, files).encode(meta_bytes.len() as u64);
     let mut bytes = meta_bytes;
-    bytes.extend_from_slice(&manifest.encode());
+    bytes.extend_from_slice(&manifest);
 
     let name = meta_file_name(basename);
     let tmp = dir.join(format!("{name}.tmp"));

@@ -4,15 +4,12 @@
 //! The footer is a *trailing* section: it lives after the last treelet, in
 //! bytes the head's section table never indexes, so a version-1 reader
 //! opens a footered file unchanged and the golden byte hashes of the
-//! payload stay valid. Its layout (all little-endian):
+//! payload stay valid. It is a [`bat_wire::trailer`] of kind "BATC"
+//! (version 1) behind the payload, with the body
 //!
 //! ```text
-//! u32 magic "BATC"        u32 version (=1)
-//! u64 payload_len         u32 num_sections
+//! u32 num_sections
 //! num_sections × { u64 end_offset, u32 crc32c }
-//! u32 footer_crc          (crc32c of every preceding footer byte)
-//! u32 footer_len          (whole footer, including these 8 tail bytes)
-//! u32 magic "BATC"        (tail sentinel: footers are found from EOF)
 //! ```
 //!
 //! Sections partition the payload: section `i` spans
@@ -21,17 +18,13 @@
 //! verifier can report *which treelet* a flipped bit landed in.
 
 use crate::format::MAGIC;
-use bat_wire::{crc32c, Crc32c, Decoder, Encoder, WireError, WireResult};
+use bat_wire::{crc32c, trailer, Crc32c, WireError, WireResult};
 use std::io::{self, Write};
 
 /// Footer magic: "BATC" (BAT Checksums).
 pub const FOOTER_MAGIC: u32 = 0x4241_5443;
 /// Footer format version.
 pub const FOOTER_VERSION: u32 = 1;
-/// Fixed tail: footer_crc + footer_len + magic.
-const TAIL_BYTES: usize = 12;
-/// Fixed head of the footer: magic + version + payload_len + num_sections.
-const HEAD_BYTES: usize = 20;
 /// Bytes per section entry.
 const SECTION_BYTES: usize = 12;
 
@@ -47,10 +40,8 @@ pub struct SectionCrc {
 /// A decoded (or freshly computed) file footer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileFooter {
-    /// Length of the checksummed payload (the file minus the footer).
-    pub payload_len: u64,
-    /// Per-section checksums; ends are strictly increasing and the last
-    /// equals `payload_len`.
+    /// Per-section checksums; ends ascend and the last is the payload
+    /// length (the file minus the footer).
     pub sections: Vec<SectionCrc>,
 }
 
@@ -66,126 +57,62 @@ pub struct SectionMismatch {
 }
 
 impl FileFooter {
-    /// Total encoded size of a footer with `n` sections.
-    pub fn encoded_len(n: usize) -> usize {
-        HEAD_BYTES + n * SECTION_BYTES + TAIL_BYTES
+    /// Bytes the footer checksums (the file minus the footer).
+    pub fn payload_len(&self) -> u64 {
+        self.sections.last().map_or(0, |s| s.end)
     }
 
     /// Serialize the footer (self-checksummed, tail-discoverable).
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_u32(FOOTER_MAGIC);
-        enc.put_u32(FOOTER_VERSION);
-        enc.put_u64(self.payload_len);
+        let mut enc = trailer::begin(FOOTER_MAGIC, FOOTER_VERSION, self.payload_len());
         enc.put_u32(self.sections.len() as u32);
         for s in &self.sections {
             enc.put_u64(s.end);
             enc.put_u32(s.crc);
         }
-        let mut bytes = enc.finish();
-        let body_crc = crc32c(&bytes);
-        let total = bytes.len() + TAIL_BYTES;
-        bytes.extend_from_slice(&body_crc.to_le_bytes());
-        bytes.extend_from_slice(&(total as u32).to_le_bytes());
-        bytes.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());
-        debug_assert_eq!(bytes.len(), Self::encoded_len(self.sections.len()));
-        bytes
+        trailer::seal(enc, FOOTER_MAGIC)
     }
 
-    /// Look for a footer at the tail of `file`.
-    ///
-    /// Returns `Ok(None)` when the file simply has no footer (legacy files
-    /// written before the commit protocol — the tail sentinel is absent),
-    /// and `Err` when a footer is present but damaged or inconsistent.
-    pub fn detect(file: &[u8]) -> WireResult<Option<FileFooter>> {
-        if file.len() < TAIL_BYTES {
-            return Ok(None);
-        }
-        let tail = &file[file.len() - 8..];
-        let magic = u32::from_le_bytes(tail[4..8].try_into().expect("len 4"));
-        if magic != FOOTER_MAGIC {
-            return Ok(None);
-        }
-        let footer_len = u32::from_le_bytes(tail[..4].try_into().expect("len 4")) as usize;
-        if footer_len < HEAD_BYTES + TAIL_BYTES || footer_len > file.len() {
-            return Err(WireError::BadLength {
-                what: "file footer length",
-                len: footer_len as u64,
-                remaining: file.len(),
-            });
-        }
-        let footer = &file[file.len() - footer_len..];
-        let body = &footer[..footer.len() - TAIL_BYTES];
-        let stored_crc = u32::from_le_bytes(
-            footer[footer.len() - 12..footer.len() - 8]
-                .try_into()
-                .unwrap(),
-        );
-        if crc32c(body) != stored_crc {
-            return Err(WireError::BadMagic {
-                expected: stored_crc,
-                found: crc32c(body),
-            });
-        }
-        let mut dec = Decoder::new(body);
-        let magic = dec.get_u32("footer magic")?;
-        if magic != FOOTER_MAGIC {
-            return Err(WireError::BadMagic {
-                expected: FOOTER_MAGIC,
-                found: magic,
-            });
-        }
-        let version = dec.get_u32("footer version")?;
-        if version != FOOTER_VERSION {
-            return Err(WireError::BadTag {
-                what: "footer version",
-                tag: version as u64,
-            });
-        }
-        let payload_len = dec.get_u64("footer payload len")?;
-        let n = dec.get_u32("footer section count")? as usize;
-        if body.len() != HEAD_BYTES + n * SECTION_BYTES {
+    /// Parse the footer at the tail of `file`. A file without one is an
+    /// error like a damaged or inconsistent footer.
+    pub fn parse(file: &[u8]) -> WireResult<FileFooter> {
+        let trailer::Trailer {
+            prefix_len,
+            mut fields,
+        } = trailer::open(file, FOOTER_MAGIC, FOOTER_VERSION)?;
+        let n = fields.get_u32("footer section count")? as usize;
+        if fields.remaining() != n * SECTION_BYTES {
             return Err(WireError::BadLength {
                 what: "footer section table",
                 len: n as u64,
-                remaining: body.len(),
+                remaining: fields.remaining(),
             });
         }
         let mut sections = Vec::with_capacity(n);
-        let mut prev = 0u64;
-        for i in 0..n {
-            let end = dec.get_u64("section end")?;
-            let crc = dec.get_u32("section crc")?;
-            if end < prev || (i + 1 == n && end != payload_len) {
-                return Err(WireError::BadLength {
-                    what: "footer section bounds",
-                    len: end,
-                    remaining: payload_len as usize,
-                });
-            }
-            prev = end;
+        for _ in 0..n {
+            let end = fields.get_u64("section end")?;
+            let crc = fields.get_u32("section crc")?;
             sections.push(SectionCrc { end, crc });
         }
-        if payload_len as usize + footer_len != file.len() {
+        let footer = FileFooter { sections };
+        let ascending = footer.sections.windows(2).all(|w| w[0].end <= w[1].end);
+        if !ascending || footer.payload_len() != prefix_len {
             return Err(WireError::BadLength {
-                what: "footer payload length",
-                len: payload_len,
-                remaining: file.len(),
+                what: "footer section bounds",
+                len: footer.payload_len(),
+                remaining: prefix_len as usize,
             });
         }
-        Ok(Some(FileFooter {
-            payload_len,
-            sections,
-        }))
+        Ok(footer)
     }
 
-    /// Recompute every section checksum over `payload` (the file *without*
-    /// the footer) and report the sections that do not match.
-    pub fn verify(&self, payload: &[u8]) -> Vec<SectionMismatch> {
+    /// Recompute every section checksum over `file` (the footer after the
+    /// payload is not covered) and report the sections that do not match.
+    pub fn verify(&self, file: &[u8]) -> Vec<SectionMismatch> {
         let mut bad = Vec::new();
         let mut start = 0u64;
         for (i, s) in self.sections.iter().enumerate() {
-            let range = payload.get(start as usize..s.end as usize);
+            let range = file.get(start as usize..s.end as usize);
             let ok = range.is_some_and(|bytes| crc32c(bytes) == s.crc);
             if !ok {
                 bad.push(SectionMismatch {
@@ -279,7 +206,6 @@ impl<W: Write> CrcSectionWriter<W> {
             });
         }
         let footer = FileFooter {
-            payload_len: self.written,
             sections: self.sections,
         };
         let bytes = footer.encode();
@@ -341,16 +267,22 @@ mod tests {
     fn roundtrip_and_verify_clean() {
         let payload: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
         let file = footered(&payload, vec![100, 400, 1000]);
-        let footer = FileFooter::detect(&file).unwrap().expect("footer present");
-        assert_eq!(footer.payload_len, 1000);
+        let footer = FileFooter::parse(&file).unwrap();
+        assert_eq!(footer.payload_len(), 1000);
         assert_eq!(footer.sections.len(), 3);
-        assert!(footer.verify(&file[..1000]).is_empty());
+        assert!(footer.verify(&file).is_empty());
     }
 
     #[test]
-    fn legacy_file_without_footer_detects_as_none() {
-        assert_eq!(FileFooter::detect(b"no footer here").unwrap(), None);
-        assert_eq!(FileFooter::detect(b"").unwrap(), None);
+    fn no_footer_is_a_typed_error() {
+        assert!(matches!(
+            FileFooter::parse(b"no footer here"),
+            Err(WireError::BadMagic { .. })
+        ));
+        assert!(matches!(
+            FileFooter::parse(b""),
+            Err(WireError::Truncated { .. })
+        ));
     }
 
     #[test]
@@ -358,8 +290,8 @@ mod tests {
         let payload = vec![7u8; 1000];
         let mut file = footered(&payload, vec![100, 400, 1000]);
         file[450] ^= 0x01; // lands in section 2: [400, 1000)
-        let footer = FileFooter::detect(&file).unwrap().expect("footer intact");
-        let bad = footer.verify(&file[..1000]);
+        let footer = FileFooter::parse(&file).unwrap();
+        let bad = footer.verify(&file);
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].section, 2);
         assert_eq!((bad[0].start, bad[0].end), (400, 1000));
@@ -371,25 +303,29 @@ mod tests {
         let mut file = footered(&payload, vec![64]);
         let crc_pos = file.len() - 12; // footer self-crc
         file[crc_pos] ^= 0xFF;
-        assert!(FileFooter::detect(&file).is_err());
+        assert!(matches!(
+            FileFooter::parse(&file),
+            Err(WireError::BadChecksum { .. })
+        ));
     }
 
     #[test]
     fn truncated_file_loses_the_footer_cleanly() {
         let payload = vec![2u8; 256];
         let file = footered(&payload, vec![256]);
-        // Truncation chops the tail sentinel: reads as "no footer".
+        // Truncation chops the tail sentinel: the footer is gone, which is
+        // an error, never a footer-less file that checks clean.
         let truncated = &file[..file.len() - 5];
-        assert_eq!(FileFooter::detect(truncated).unwrap(), None);
+        assert!(FileFooter::parse(truncated).is_err());
     }
 
     #[test]
     fn empty_payload_gets_a_wellformed_footer() {
         let file = footered(&[], vec![]);
-        let footer = FileFooter::detect(&file).unwrap().expect("footer");
-        assert_eq!(footer.payload_len, 0);
+        let footer = FileFooter::parse(&file).unwrap();
+        assert_eq!(footer.payload_len(), 0);
         assert_eq!(footer.sections.len(), 1);
-        assert!(footer.verify(&[]).is_empty());
+        assert!(footer.verify(&file).is_empty());
     }
 
     #[test]

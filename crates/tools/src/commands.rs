@@ -117,16 +117,12 @@ pub fn verify(args: &[String]) -> Result<()> {
     // (commit tag, optional detail, commit itself counts as fatal)
     let (commit_tag, commit_detail, commit_fatal) = match &report.commit {
         CommitState::Committed => ("committed", None, false),
-        CommitState::Legacy => ("legacy", None, false),
         CommitState::NotCommitted => ("not-committed", None, true),
         CommitState::TornCommit(why) => ("torn-commit", Some(why.clone()), true),
     };
     if !json {
         match &report.commit {
             CommitState::Committed => println!("commit : ok (manifest present and intact)"),
-            CommitState::Legacy => {
-                println!("commit : legacy metadata (no manifest; footers checked where present)")
-            }
             CommitState::NotCommitted => {
                 eprintln!("FAIL: dataset never committed (no metadata on disk)")
             }
@@ -529,7 +525,6 @@ pub fn serve(args: &[String]) -> Result<()> {
     let mut addr = "127.0.0.1:4927".to_string();
     let mut options = bat_serve::ServeOptions::default();
     let mut smoke = false;
-    let mut backend: Option<libbat::ReadBackend> = None;
     let mut it = rest.iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -546,46 +541,14 @@ pub fn serve(args: &[String]) -> Result<()> {
                     "--deadline-ms",
                 )? as u64))
             }
-            "--cache-bytes" => {
-                let raw = it.next().ok_or("--cache-bytes needs a size")?;
-                // Same grammar as the BAT_CACHE_BYTES knob.
-                let bytes = knobs::parse_bytes(raw)
-                    .ok_or_else(|| format!("--cache-bytes: bad size '{raw}'"))?
-                    as usize;
-                options.cache = (bytes > 0).then(|| bat_serve::PageCache::new(bytes));
-            }
             "--smoke" => smoke = true,
-            "--backend" => {
-                let raw = it.next().ok_or("--backend needs a name")?;
-                backend = Some(match raw.as_str() {
-                    "mmap" => libbat::ReadBackend::Mmap,
-                    "range-file" => libbat::ReadBackend::RangeFile,
-                    "range-sim" => {
-                        libbat::ReadBackend::RangeSim(libbat::iosim::ObjectStore::global())
-                    }
-                    other => {
-                        return Err(format!(
-                            "--backend: unknown backend '{other}' \
-                             (mmap | range-file | range-sim)"
-                        ))
-                    }
-                });
-            }
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    // The budget actually in effect: the flag's private cache, else the
-    // process-global one (BAT_CACHE_BYTES), else none.
-    let cache_budget = options
-        .cache
-        .clone()
-        .or_else(bat_serve::cache::global)
-        .map_or(0, |c| c.budget());
+    // The budget in effect: the process-global cache (BAT_CACHE_BYTES).
+    let cache_budget = bat_serve::cache::global().map_or(0, |c| c.budget());
 
     let ds = Dataset::open(&dir, &basename).map_err(|e| format!("open dataset: {e}"))?;
-    if let Some(b) = backend {
-        ds.set_backend(b);
-    }
     let particles = ds.num_particles();
     let backend_name = ds.backend_name();
     let server = bat_stream::StreamServer::bind_with(&addr, ds, options.clone())
@@ -972,15 +935,14 @@ mod tests {
     }
 
     #[test]
-    fn retired_owned_backend_is_a_typed_error() {
-        // Arguments are parsed before the dataset is opened.
-        let bogus = |backend: &str| {
-            let argv = ["/nonexistent", "x", "--backend", backend];
-            serve(&argv.map(String::from)).unwrap_err()
-        };
-        let err = bogus("owned");
-        assert!(err.contains("unknown backend 'owned'"), "{err}");
-        assert!(err.contains("mmap | range-file | range-sim"), "{err}");
-        assert!(!bogus("mmap").contains("unknown backend"));
+    fn serve_takes_backend_and_cache_from_the_knobs_only() {
+        // Arguments are parsed before the dataset is opened; the read
+        // backend and the cache budget are BAT_READ_BACKEND and
+        // BAT_CACHE_BYTES, with no second parser behind a flag.
+        for flag in ["--backend", "--cache-bytes"] {
+            let argv = ["/nonexistent", "x", flag, "mmap"];
+            let err = serve(&argv.map(String::from)).unwrap_err();
+            assert_eq!(err, format!("unknown option '{flag}'"));
+        }
     }
 }

@@ -74,9 +74,9 @@ USAGE:
     batcli stats  [--json]            (no dataset: instrumented demo write/read,
                                        prints the per-phase metrics breakdown)
     batcli serve  <dir> <basename> [--addr HOST:PORT] [--workers N] [--queue N]
-                                   [--deadline-ms MS] [--cache-bytes N[k|m|g]]
-                                   [--backend mmap|range-file|range-sim]
-                                   [--smoke]
+                                   [--deadline-ms MS] [--smoke]
+                                   (read backend and cache budget: BAT_READ_BACKEND,
+                                    BAT_CACHE_BYTES)
     batcli shard-serve <dir> <basename> [--shards N] [--addr HOST:PORT]
                                    [--workers N] [--queue N] [--deadline-ms MS]
                                    [--smoke]   (spawns N shard worker processes)

@@ -14,6 +14,7 @@ pub mod block;
 pub mod crc;
 mod decode;
 mod encode;
+pub mod trailer;
 
 pub use block::{page_align, pages_spanned, Block, PAGE_SIZE};
 pub use crc::{crc32c, Crc32c};
@@ -53,6 +54,15 @@ pub enum WireError {
         /// The expected magic value.
         expected: u32,
         /// The value actually read.
+        found: u32,
+    },
+    /// A stored checksum did not match the bytes it covers.
+    BadChecksum {
+        /// What was being checked.
+        what: &'static str,
+        /// The stored CRC32C.
+        expected: u32,
+        /// The CRC32C of the bytes as read.
         found: u32,
     },
     /// A tag/enum discriminant was out of range.
@@ -103,6 +113,14 @@ impl fmt::Display for WireError {
                     "bad magic: expected {expected:#010x}, found {found:#010x}"
                 )
             }
+            WireError::BadChecksum {
+                what,
+                expected,
+                found,
+            } => write!(
+                f,
+                "checksum mismatch in {what}: stored {expected:#010x}, computed {found:#010x}"
+            ),
             WireError::BadTag { what, tag } => write!(f, "bad tag for {what}: {tag}"),
             WireError::Io { what, message } => write!(f, "i/o error reading {what}: {message}"),
         }

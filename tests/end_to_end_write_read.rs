@@ -550,10 +550,11 @@ fn custom_layout_sink() {
     let files = reports[0].files;
     assert!(files >= 1);
 
-    // The metadata is a normal .batmeta: ranges/bitmaps support culling.
-    let meta_bytes =
-        std::fs::read(scratch.path.join(libbat::write::meta_file_name("custom"))).unwrap();
-    let meta = bat_aggregation::meta::MetaTree::decode(&meta_bytes).unwrap();
+    // The metadata is a normal committed .batmeta: ranges/bitmaps support
+    // culling.
+    let meta = libbat::verify::read_commit(&scratch.path, "custom")
+        .unwrap()
+        .meta;
     assert_eq!(meta.leaves.len(), files);
     assert_eq!(meta.total_particles, 1200 * n as u64);
     let candidates = meta
