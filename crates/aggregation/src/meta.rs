@@ -12,6 +12,7 @@
 use bat_geom::Aabb;
 use bat_layout::format::{get_aabb, put_aabb};
 use bat_layout::query::Query;
+use bat_layout::radix::{self, NodeRef};
 use bat_layout::{AttributeDesc, Bitmap32};
 use bat_wire::{Decoder, Encoder, WireError, WireResult};
 
@@ -19,32 +20,6 @@ use bat_wire::{Decoder, Encoder, WireError, WireResult};
 pub const META_MAGIC: u32 = 0x4241_544D;
 /// Metadata format version.
 pub const META_VERSION: u32 = 1;
-
-/// Child reference in the metadata tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetaChild {
-    /// Index into the inner-node array.
-    Inner(u32),
-    /// Index into the leaf array.
-    Leaf(u32),
-}
-
-impl MetaChild {
-    fn pack(self) -> u32 {
-        match self {
-            MetaChild::Inner(i) => i,
-            MetaChild::Leaf(i) => i | (1 << 31),
-        }
-    }
-
-    fn unpack(v: u32) -> MetaChild {
-        if v & (1 << 31) != 0 {
-            MetaChild::Leaf(v & !(1 << 31))
-        } else {
-            MetaChild::Inner(v)
-        }
-    }
-}
 
 /// One leaf file of the dataset.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,18 +40,19 @@ pub struct MetaLeaf {
 
 /// Inner node of the metadata k-d tree.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetaInner {
+struct MetaInner {
     /// Left child reference.
-    pub left: MetaChild,
+    left: NodeRef,
     /// Right child reference.
-    pub right: MetaChild,
+    right: NodeRef,
     /// Bounds of the subtree.
-    pub bounds: Aabb,
+    bounds: Aabb,
     /// Per-attribute bitmaps (global bins), merged bottom-up.
-    pub bitmaps: Vec<Bitmap32>,
+    bitmaps: Vec<Bitmap32>,
 }
 
-/// The top-level metadata: one per dataset timestep.
+/// The top-level metadata: one per dataset timestep. Its k-d tree is
+/// checked once, when built or decoded; walks over it then trust it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetaTree {
     /// Attribute schema of the dataset.
@@ -88,11 +64,11 @@ pub struct MetaTree {
     /// Total particles across all leaf files.
     pub total_particles: u64,
     /// Inner k-d nodes over the leaves.
-    pub inners: Vec<MetaInner>,
+    inners: Vec<MetaInner>,
     /// Leaf file records.
     pub leaves: Vec<MetaLeaf>,
     /// Root reference; `None` for an empty dataset.
-    pub root: Option<MetaChild>,
+    root: Option<NodeRef>,
 }
 
 /// What each aggregator reports to rank 0 about its written file.
@@ -228,15 +204,6 @@ impl MetaTree {
         tree
     }
 
-    /// Leaf indices whose bounds overlap `bounds`.
-    pub fn overlapping_leaves(&self, bounds: &Aabb) -> Vec<u32> {
-        let mut out: Vec<u32> = (0..self.leaves.len() as u32)
-            .filter(|&i| self.leaves[i as usize].bounds.overlaps(bounds))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Leaf files that *may* contain matches for a query, culled by bounds
     /// and by the global root bitmaps (never drops a real match).
     pub fn candidate_leaves(&self, q: &Query) -> WireResult<Vec<u32>> {
@@ -256,54 +223,37 @@ impl MetaTree {
             }
             masks.push((f.attr, mask));
         }
-        let Some(root) = self.root else {
-            return Ok(Vec::new());
-        };
-        // Every child link is untrusted: an index out of range or a cycle
-        // is a typed error, and no walk visits more nodes than the tree has.
-        let bad_link = |c: MetaChild| WireError::BadTag {
-            what: "metadata child link",
-            tag: c.pack() as u64,
-        };
-        let mut budget = self.inners.len() + self.leaves.len() + 1;
         let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(c) = stack.pop() {
-            budget = budget.checked_sub(1).ok_or_else(|| bad_link(c))?;
-            let (bounds, bitmaps, children) = match c {
-                MetaChild::Inner(i) => {
-                    let n = self.inners.get(i as usize).ok_or_else(|| bad_link(c))?;
-                    (&n.bounds, &n.bitmaps, Some([n.left, n.right]))
+        radix::walk(
+            self.root,
+            |i| self.children(i),
+            |c| {
+                let (bounds, bitmaps) = match c {
+                    NodeRef::Inner(i) => (
+                        &self.inners[i as usize].bounds,
+                        &self.inners[i as usize].bitmaps,
+                    ),
+                    NodeRef::Leaf(l) => (
+                        &self.leaves[l as usize].bounds,
+                        &self.leaves[l as usize].global_bitmaps,
+                    ),
+                };
+                let hit = q.bounds.as_ref().is_none_or(|qb| qb.overlaps(bounds))
+                    && masks.iter().all(|&(a, m)| bitmaps[a].overlaps(m));
+                if let (NodeRef::Leaf(l), true) = (c, hit) {
+                    out.push(l);
                 }
-                MetaChild::Leaf(l) => {
-                    let leaf = self.leaves.get(l as usize).ok_or_else(|| bad_link(c))?;
-                    (&leaf.bounds, &leaf.global_bitmaps, None)
-                }
-            };
-            if let Some(qb) = &q.bounds {
-                if !qb.overlaps(bounds) {
-                    continue;
-                }
-            }
-            let mut hit = true;
-            for &(a, m) in &masks {
-                let bitmap = bitmaps.get(a).ok_or(WireError::BadLength {
-                    what: "metadata node bitmaps",
-                    len: bitmaps.len() as u64,
-                    remaining: self.descs.len(),
-                })?;
-                hit &= bitmap.overlaps(m);
-            }
-            if !hit {
-                continue;
-            }
-            match c {
-                MetaChild::Leaf(l) => out.push(l),
-                MetaChild::Inner(_) => stack.extend(children.into_iter().flatten()),
-            }
-        }
+                hit
+            },
+        );
         out.sort_unstable();
         Ok(out)
+    }
+
+    /// An inner node's `[left, right]` child links.
+    fn children(&self, i: u32) -> [NodeRef; 2] {
+        let n = &self.inners[i as usize];
+        [n.left, n.right]
     }
 
     /// Serialize to the `.batmeta` byte form.
@@ -380,7 +330,7 @@ impl MetaTree {
         let root = if root_raw == u32::MAX {
             None
         } else {
-            Some(MetaChild::unpack(root_raw))
+            Some(NodeRef::unpack(root_raw))
         };
         let ni = dec.get_usize("meta inner count")?;
         if ni > data.len() {
@@ -392,8 +342,8 @@ impl MetaTree {
         }
         let mut inners = Vec::with_capacity(ni);
         for _ in 0..ni {
-            let left = MetaChild::unpack(dec.get_u32("meta left")?);
-            let right = MetaChild::unpack(dec.get_u32("meta right")?);
+            let left = NodeRef::unpack(dec.get_u32("meta left")?);
+            let right = NodeRef::unpack(dec.get_u32("meta right")?);
             let bounds = get_aabb(&mut dec)?;
             let mut bitmaps = Vec::with_capacity(na);
             for _ in 0..na {
@@ -437,7 +387,7 @@ impl MetaTree {
                 global_bitmaps,
             });
         }
-        Ok(MetaTree {
+        let tree = MetaTree {
             descs,
             global_ranges,
             domain,
@@ -445,16 +395,20 @@ impl MetaTree {
             inners,
             leaves,
             root,
-        })
+        };
+        radix::check_tree(root, tree.inners.len(), tree.leaves.len(), |i| {
+            tree.children(i)
+        })?;
+        Ok(tree)
     }
 }
 
 /// Recursive median k-d build over leaf indices; returns the child ref and
 /// fills `tree.inners`. Inner bitmaps/bounds merge children bottom-up.
-fn build_meta_node(tree: &mut MetaTree, idx: &mut [u32]) -> MetaChild {
+fn build_meta_node(tree: &mut MetaTree, idx: &mut [u32]) -> NodeRef {
     debug_assert!(!idx.is_empty());
     if idx.len() == 1 {
-        return MetaChild::Leaf(idx[0]);
+        return NodeRef::Leaf(idx[0]);
     }
     let mut bounds = Aabb::empty();
     for &i in idx.iter() {
@@ -469,18 +423,18 @@ fn build_meta_node(tree: &mut MetaTree, idx: &mut [u32]) -> MetaChild {
     let (lo, hi) = idx.split_at_mut(mid);
     let node_idx = tree.inners.len();
     tree.inners.push(MetaInner {
-        left: MetaChild::Leaf(u32::MAX),
-        right: MetaChild::Leaf(u32::MAX),
+        left: NodeRef::Leaf(u32::MAX),
+        right: NodeRef::Leaf(u32::MAX),
         bounds,
         bitmaps: Vec::new(),
     });
     let left = build_meta_node(tree, lo);
     let right = build_meta_node(tree, hi);
     let merged: Vec<Bitmap32> = {
-        let get = |c: MetaChild| -> Vec<Bitmap32> {
+        let get = |c: NodeRef| -> Vec<Bitmap32> {
             match c {
-                MetaChild::Inner(i) => tree.inners[i as usize].bitmaps.clone(),
-                MetaChild::Leaf(l) => tree.leaves[l as usize].global_bitmaps.clone(),
+                NodeRef::Inner(i) => tree.inners[i as usize].bitmaps.clone(),
+                NodeRef::Leaf(l) => tree.leaves[l as usize].global_bitmaps.clone(),
             }
         };
         get(left)
@@ -493,7 +447,7 @@ fn build_meta_node(tree: &mut MetaTree, idx: &mut [u32]) -> MetaChild {
     n.left = left;
     n.right = right;
     n.bitmaps = merged;
-    MetaChild::Inner(node_idx as u32)
+    NodeRef::Inner(node_idx as u32)
 }
 
 #[cfg(test)]
@@ -587,12 +541,18 @@ mod tests {
                 report(2, 0.7, 1.0, 0.0, 1.0, 10),
             ],
         );
-        let hits = tree.overlapping_leaves(&Aabb::new(Vec3::splat(0.45), Vec3::splat(0.5)));
+        // The linear scan over the leaves is the reference.
+        let overlapping = |b: &Aabb| -> Vec<u32> {
+            (0..tree.leaves.len() as u32)
+                .filter(|&i| tree.leaves[i as usize].bounds.overlaps(b))
+                .collect()
+        };
+        let hits = overlapping(&Aabb::new(Vec3::splat(0.45), Vec3::splat(0.5)));
         assert_eq!(hits, vec![1]);
-        let all = tree.overlapping_leaves(&Aabb::new(Vec3::splat(-1.0), Vec3::splat(2.0)));
+        let all = overlapping(&Aabb::new(Vec3::splat(-1.0), Vec3::splat(2.0)));
         assert_eq!(all, vec![0, 1, 2]);
-        // The linear scan is the reference for the tree walk every read
-        // path culls with: a bounds-only query picks exactly these leaves.
+        // It is the reference for the tree walk every read path culls
+        // with: a bounds-only query picks exactly these leaves.
         for (lo, hi) in [
             (0.45, 0.5),
             (-1.0, 2.0),
@@ -602,7 +562,7 @@ mod tests {
         ] {
             let b = Aabb::new(Vec3::splat(lo), Vec3::splat(hi));
             let walked = tree.candidate_leaves(&Query::new().with_bounds(b)).unwrap();
-            assert_eq!(walked, tree.overlapping_leaves(&b), "box {lo}..{hi}");
+            assert_eq!(walked, overlapping(&b), "box {lo}..{hi}");
         }
     }
 
@@ -673,27 +633,44 @@ mod tests {
             .map(|i| report(i, i as f32 * 0.1, i as f32 * 0.1 + 0.1, 0.0, 1.0, 10))
             .collect();
         let tree = MetaTree::build(descs(), reports);
-        let Some(MetaChild::Inner(root)) = tree.root else {
+        let Some(NodeRef::Inner(root)) = tree.root else {
             panic!("six leaves need inner nodes");
         };
-        let MetaChild::Inner(child) = tree.inners[root as usize].left else {
+        let NodeRef::Inner(child) = tree.inners[root as usize].left else {
             panic!("the root's left subtree holds three leaves");
         };
-        let mut out_of_range = tree.clone();
-        out_of_range.inners[child as usize].right = MetaChild::Leaf(99);
-        let mut dangling = tree.clone();
-        dangling.inners[child as usize].left = MetaChild::Inner(99);
-        let mut cycle = tree.clone();
-        cycle.inners[child as usize].right = MetaChild::Inner(root);
+        let with = |edit: &dyn Fn(&mut MetaTree)| {
+            let mut bad = tree.clone();
+            edit(&mut bad);
+            bad
+        };
+        let child = child as usize;
         for (what, bad) in [
-            ("leaf out of range", out_of_range),
-            ("inner out of range", dangling),
-            ("cycle", cycle),
+            (
+                "leaf out of range",
+                with(&|t| t.inners[child].right = NodeRef::Leaf(99)),
+            ),
+            (
+                "inner out of range",
+                with(&|t| t.inners[child].left = NodeRef::Inner(99)),
+            ),
+            (
+                "cycle",
+                with(&|t| t.inners[child].right = NodeRef::Inner(root)),
+            ),
+            (
+                "shared child",
+                with(&|t| t.inners[child].right = t.inners[child].left),
+            ),
+            (
+                "orphaned root and right subtree",
+                with(&|t| t.root = Some(NodeRef::Inner(child as u32))),
+            ),
+            ("no root over six leaves", with(&|t| t.root = None)),
         ] {
-            let decoded =
-                MetaTree::decode(&bad.encode()).expect("structure is not checked at decode");
-            assert!(decoded.candidate_leaves(&Query::new()).is_err(), "{what}");
+            assert!(MetaTree::decode(&bad.encode()).is_err(), "{what}");
         }
+        assert_eq!(MetaTree::decode(&tree.encode()).unwrap(), tree);
     }
 
     #[test]

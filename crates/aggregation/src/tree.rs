@@ -2,6 +2,7 @@
 
 use crate::rank::RankInfo;
 use bat_geom::{Aabb, Axis};
+use bat_layout::radix::NodeRef;
 
 /// Aggregation tree parameters.
 ///
@@ -51,18 +52,9 @@ pub struct AggInner {
     /// Bounds of all ranks below this node.
     pub bounds: Aabb,
     /// Left child reference.
-    pub left: AggChild,
+    pub left: NodeRef,
     /// Right child reference.
-    pub right: AggChild,
-}
-
-/// Child reference inside the aggregation tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggChild {
-    /// Index into the inner-node array.
-    Inner(u32),
-    /// Index into the leaf array.
-    Leaf(u32),
+    pub right: NodeRef,
 }
 
 /// A leaf: the set of ranks whose data one aggregator receives and writes
@@ -90,7 +82,7 @@ pub struct AggregationTree {
     /// Balanced leaves (one output file each).
     pub leaves: Vec<AggLeaf>,
     /// Root reference; `None` when no rank has particles.
-    pub root: Option<AggChild>,
+    pub root: Option<NodeRef>,
     /// Bounds of all populated ranks.
     pub domain: Aabb,
 }
@@ -147,40 +139,6 @@ impl AggregationTree {
     pub fn balance(&self) -> BalanceStats {
         balance_of(&self.leaves)
     }
-
-    /// Indices of leaves whose bounds overlap `bounds` (used by the read
-    /// pipeline to find the files a rank needs, paper Fig. 3b).
-    pub fn overlapping_leaves(&self, bounds: &Aabb) -> Vec<u32> {
-        let mut out = Vec::new();
-        let Some(root) = self.root else { return out };
-        let mut stack = vec![root];
-        while let Some(c) = stack.pop() {
-            match c {
-                AggChild::Leaf(l) => {
-                    if self.leaves[l as usize].bounds.overlaps(bounds) {
-                        out.push(l);
-                    }
-                }
-                AggChild::Inner(i) => {
-                    let n = &self.inners[i as usize];
-                    if n.bounds.overlaps(bounds) {
-                        stack.push(n.left);
-                        stack.push(n.right);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// The leaf a given rank belongs to, if any.
-    pub fn leaf_of_rank(&self, rank: u32) -> Option<u32> {
-        self.leaves
-            .iter()
-            .position(|l| l.ranks.contains(&rank))
-            .map(|i| i as u32)
-    }
 }
 
 /// Balance statistics over any leaf set.
@@ -210,7 +168,7 @@ pub fn balance_of(leaves: &[AggLeaf]) -> BalanceStats {
     }
 }
 
-fn make_leaf(tree: &mut AggregationTree, ranks: Vec<RankInfo>, cfg: &AggConfig) -> AggChild {
+fn make_leaf(tree: &mut AggregationTree, ranks: Vec<RankInfo>, cfg: &AggConfig) -> NodeRef {
     let mut bounds = Aabb::empty();
     let mut particles = 0u64;
     for r in &ranks {
@@ -225,7 +183,7 @@ fn make_leaf(tree: &mut AggregationTree, ranks: Vec<RankInfo>, cfg: &AggConfig) 
         aggregator: 0,
     };
     tree.leaves.push(leaf);
-    AggChild::Leaf(tree.leaves.len() as u32 - 1)
+    NodeRef::Leaf(tree.leaves.len() as u32 - 1)
 }
 
 /// The best candidate split over the given ranks: `(axis, pos, cost, ratio)`.
@@ -346,7 +304,7 @@ fn build_subtree(ranks: Vec<RankInfo>, cfg: &AggConfig) -> BuiltNode {
 }
 
 /// Serial left-to-right flatten so leaf indices match a serial build.
-fn flatten(tree: &mut AggregationTree, node: BuiltNode, cfg: &AggConfig) -> AggChild {
+fn flatten(tree: &mut AggregationTree, node: BuiltNode, cfg: &AggConfig) -> NodeRef {
     match node {
         BuiltNode::Leaf(ranks) => make_leaf(tree, ranks, cfg),
         BuiltNode::Inner {
@@ -361,14 +319,14 @@ fn flatten(tree: &mut AggregationTree, node: BuiltNode, cfg: &AggConfig) -> AggC
                 axis,
                 pos,
                 bounds,
-                left: AggChild::Leaf(u32::MAX), // patched below
-                right: AggChild::Leaf(u32::MAX),
+                left: NodeRef::Leaf(u32::MAX), // patched below
+                right: NodeRef::Leaf(u32::MAX),
             });
             let l = flatten(tree, *left, cfg);
             let r = flatten(tree, *right, cfg);
             tree.inners[node_idx].left = l;
             tree.inners[node_idx].right = r;
-            AggChild::Inner(node_idx as u32)
+            NodeRef::Inner(node_idx as u32)
         }
     }
 }
@@ -520,8 +478,12 @@ mod tests {
         );
         // The dense corner must be covered by several leaves.
         let corner = Aabb::new(Vec3::ZERO, Vec3::new(0.25, 0.25, 1.0));
-        let corner_leaves = tree.overlapping_leaves(&corner);
-        assert!(corner_leaves.len() >= 2, "{corner_leaves:?}");
+        let corner_leaves = tree
+            .leaves
+            .iter()
+            .filter(|l| l.bounds.overlaps(&corner))
+            .count();
+        assert!(corner_leaves >= 2, "{corner_leaves} leaves over the corner");
     }
 
     #[test]
@@ -587,35 +549,6 @@ mod tests {
         // split cost at each node; end-to-end we accept a small tolerance
         // since greedy choices interact.
         assert!(t2.balance().stddev_bytes <= t1.balance().stddev_bytes * 1.25);
-    }
-
-    #[test]
-    fn overlapping_leaves_query() {
-        let ranks = grid_ranks(4, 4, 4, |_, _, _| 10_000);
-        let cfg = AggConfig::new(10_000 * 100 * 4, 100);
-        let tree = AggregationTree::build(&ranks, &cfg);
-        // The whole domain overlaps every leaf.
-        let all = tree.overlapping_leaves(&Aabb::unit());
-        assert_eq!(all.len(), tree.leaves.len());
-        // A tiny corner box overlaps few.
-        let few = tree.overlapping_leaves(&Aabb::new(Vec3::ZERO, Vec3::splat(0.1)));
-        assert!(few.len() < all.len());
-        assert!(!few.is_empty());
-        // Disjoint box overlaps none.
-        let none = tree.overlapping_leaves(&Aabb::new(Vec3::splat(5.0), Vec3::splat(6.0)));
-        assert!(none.is_empty());
-    }
-
-    #[test]
-    fn leaf_of_rank_lookup() {
-        let ranks = grid_ranks(4, 4, 1, |_, _, _| 5000);
-        let cfg = AggConfig::new(5000 * 100 * 2, 100);
-        let tree = AggregationTree::build(&ranks, &cfg);
-        for r in &ranks {
-            let li = tree.leaf_of_rank(r.rank).expect("rank in a leaf");
-            assert!(tree.leaves[li as usize].ranks.contains(&r.rank));
-        }
-        assert!(tree.leaf_of_rank(999).is_none());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use bat_comm::Comm;
 use bat_geom::Aabb;
 use bat_iosim::{PhaseTimes, WritePhase};
 use bat_layout::{BatFile, ColumnarParticles, ParticleSet, Query};
-use bat_wire::{Decoder, Encoder};
+use bat_wire::{Block, Decoder, Encoder};
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::io;
@@ -33,6 +33,9 @@ use std::time::Instant;
 const TAG_QUERY: u32 = 2;
 /// Tag for query replies.
 const TAG_REPLY: u32 = 3;
+/// Magic of a reply that answers no particles but says why: "BATE", then
+/// the error text. Any other reply is a columnar particle frame.
+const REPLY_ERR_MAGIC: u32 = 0x4241_5445;
 
 /// Result of a collective read on one rank.
 #[derive(Debug, Clone)]
@@ -143,25 +146,23 @@ fn collective_query(
 
     // --- Phase 2: open the files I aggregate (Fig. 3a). A leaf that is
     // missing or no longer its committed length is recorded, not returned:
-    // peers asking for it get an invalid reply and the loop still ends. ---
+    // its open error is kept, peers asking for it get that error as their
+    // reply, and the loop still ends. ---
     let t0 = Instant::now();
     let mut reply_err: Option<bat_wire::WireError> = None;
-    let mut open_files: HashMap<u32, BatFile> = HashMap::new();
+    let mut open_files: HashMap<u32, Result<BatFile, String>> = HashMap::new();
     for l in (0..num_files as u32).filter(|&l| file_owner[l as usize] == comm.rank() as u32) {
         let entry = &manifest.files[l as usize];
-        match BatFile::open(dir.join(&entry.file))
+        let opened = BatFile::open(dir.join(&entry.file))
             .and_then(|f| crate::verify::committed_leaf(f, entry))
-        {
-            Ok(file) => {
-                open_files.insert(l, file);
-            }
-            Err(e) => {
-                reply_err.get_or_insert(bat_wire::WireError::Io {
-                    what: "read aggregator leaf",
-                    message: e.to_string(),
-                });
-            }
+            .map_err(|e| format!("leaf {}: {e}", entry.file));
+        if let Err(message) = &opened {
+            reply_err.get_or_insert(bat_wire::WireError::Io {
+                what: "read aggregator leaf",
+                message: message.clone(),
+            });
         }
+        open_files.insert(l, opened);
     }
     times[WritePhase::FileWrite] = t0.elapsed().as_secs_f64();
 
@@ -208,7 +209,7 @@ fn collective_query(
         // out of the message and bulk-append it.
         if outstanding > 0 && comm.iprobe(None, TAG_REPLY).is_some() {
             let msg = comm.recv(None, TAG_REPLY);
-            if let Err(e) = ColumnarParticles::parse_frame(&msg.block())
+            if let Err(e) = parse_reply(&msg.block(), msg.src)
                 .and_then(|view| result.extend_from_columns(&view))
             {
                 reply_err.get_or_insert(e);
@@ -230,7 +231,10 @@ fn collective_query(
     // --- Phase 4: local queries against my own files (§IV-B); one that
     // failed to open already recorded its error. ---
     let t0 = Instant::now();
-    for file in local_leaves.iter().filter_map(|l| open_files.get(l)) {
+    for file in local_leaves
+        .iter()
+        .filter_map(|l| open_files[l].as_ref().ok())
+    {
         if let Err(e) = file.query(q, |p| result.push(p.position, p.attrs)) {
             reply_err.get_or_insert(e);
         }
@@ -263,22 +267,44 @@ fn check_liveness(comm: &dyn Comm, deadline: Option<Instant>) -> io::Result<()> 
 /// Answer one query message (`leaf`, then [`Query::encode`]) against the
 /// served files.
 ///
-/// A malformed query or an unservable/corrupt leaf yields an intentionally
-/// empty (invalid) reply frame, which the requester records as a reply
-/// error — the protocol still completes and no rank panics on untrusted
-/// bytes (DESIGN.md §11).
-fn serve_query(open_files: &HashMap<u32, BatFile>, payload: &[u8]) -> Bytes {
-    let reply = || -> bat_wire::WireResult<Bytes> {
+/// A malformed query or an unservable/corrupt leaf is answered with an
+/// error reply carrying the cause (for a leaf that failed to open, its
+/// file, this rank and the open error), which the requester records as a
+/// reply error — the protocol still completes and no rank panics on
+/// untrusted bytes (DESIGN.md §11).
+fn serve_query(open_files: &HashMap<u32, Result<BatFile, String>>, payload: &[u8]) -> Bytes {
+    let reply = || -> Result<Bytes, String> {
         let mut dec = Decoder::new(payload);
-        let leaf = dec.get_u32("query leaf")?;
-        let q = Query::decode(&mut dec)?;
-        let file = open_files.get(&leaf).ok_or(bat_wire::WireError::BadTag {
-            what: "query for a leaf this rank does not serve",
-            tag: leaf as u64,
-        })?;
+        let leaf = dec.get_u32("query leaf").map_err(|e| e.to_string())?;
+        let q = Query::decode(&mut dec).map_err(|e| e.to_string())?;
+        let file = match open_files.get(&leaf) {
+            Some(opened) => opened.as_ref().map_err(String::clone)?,
+            None => return Err(format!("leaf {leaf} is not served by this rank")),
+        };
         let mut out = ParticleSet::new(file.head().descs.clone());
-        file.query(&q, |p| out.push(p.position, p.attrs))?;
+        file.query(&q, |p| out.push(p.position, p.attrs))
+            .map_err(|e| e.to_string())?;
         Ok(ColumnarParticles::encode_frame(&out))
     };
-    reply().unwrap_or_default()
+    reply().unwrap_or_else(|cause| {
+        let mut enc = Encoder::new();
+        enc.put_u32(REPLY_ERR_MAGIC);
+        enc.put_str(&cause);
+        Bytes::from(enc.finish())
+    })
+}
+
+/// Read a reply from rank `src`: its particles, or the error it carries.
+fn parse_reply(block: &Block, src: usize) -> bat_wire::WireResult<ColumnarParticles> {
+    let mut dec = Decoder::new(block.as_slice());
+    if dec.get_u32("reply magic")? != REPLY_ERR_MAGIC {
+        return ColumnarParticles::parse_frame(block);
+    }
+    Err(bat_wire::WireError::Io {
+        what: "query reply",
+        message: format!(
+            "rank {src} could not answer: {}",
+            dec.get_str("reply error")?
+        ),
+    })
 }

@@ -218,104 +218,6 @@ pub fn write_particles(
     write_particles_in_transit(comm, set, bounds, cfg, dir, basename, |_, _| {})
 }
 
-/// As [`write_particles`], additionally invoking `hook(leaf_index, &bat)`
-/// on every aggregator once its BAT is built, *before* it is written — the
-/// paper's in-transit visualization/analysis entry point (§III-C: "the
-/// tree can be used for in transit visualization and analysis on the
-/// aggregators before or instead of being written to disk").
-pub fn write_particles_in_transit(
-    comm: &dyn Comm,
-    set: ParticleSet,
-    bounds: Aabb,
-    cfg: &WriteConfig,
-    dir: &Path,
-    basename: &str,
-    mut hook: impl FnMut(u32, &bat_layout::Bat),
-) -> io::Result<WriteReport> {
-    let bat_cfg = cfg.bat;
-    write_pipeline(
-        comm,
-        set,
-        bounds,
-        cfg,
-        dir,
-        basename,
-        |leaf_idx, merged, leaf_bounds| {
-            let bat = BatBuilder::new(bat_cfg).build(merged, leaf_bounds);
-            hook(leaf_idx, &bat);
-            let local_bitmaps = (0..bat.descs().len()).map(|a| bat.root_bitmap(a)).collect();
-            let ranges = bat.attr_ranges.clone();
-            (LeafData::Bat(Box::new(bat)), ranges, local_bitmaps)
-        },
-    )
-}
-
-/// A user-defined aggregator-side layout (paper §VII future work: "Allowing
-/// users to build their own data layout would ease adoption of our method
-/// for simulation-analysis pipelines that already use a specific layout").
-///
-/// The adaptive aggregation, transfer, and metadata machinery are reused
-/// unchanged; only the bytes written per leaf file come from the sink. The
-/// top-level metadata still carries exact global attribute ranges and
-/// conservative root bitmaps (computed generically from the merged
-/// particles), so metadata-level spatial/attribute culling keeps working —
-/// but the leaf files themselves are opaque to [`crate::Dataset`] and the
-/// parallel read pipeline; reading them back is the layout owner's job.
-pub trait LayoutSink: Sync {
-    /// Produce the leaf file's bytes for the merged particles of one
-    /// aggregation leaf.
-    fn build(&self, leaf_idx: u32, set: &ParticleSet, bounds: Aabb) -> Vec<u8>;
-}
-
-/// As [`write_particles`], but writing each leaf with a user-supplied
-/// [`LayoutSink`] instead of the BAT (§VII).
-pub fn write_particles_with_sink(
-    comm: &dyn Comm,
-    set: ParticleSet,
-    bounds: Aabb,
-    cfg: &WriteConfig,
-    dir: &Path,
-    basename: &str,
-    sink: &impl LayoutSink,
-) -> io::Result<WriteReport> {
-    write_pipeline(
-        comm,
-        set,
-        bounds,
-        cfg,
-        dir,
-        basename,
-        |leaf_idx, merged, leaf_bounds| {
-            let bytes = sink.build(leaf_idx, &merged, leaf_bounds);
-            // Generic metadata stats: exact local ranges, bitmaps binned over
-            // them (identical semantics to the BAT's root bitmaps).
-            let ranges: Vec<(f64, f64)> = (0..merged.num_attrs())
-                .map(|a| merged.attr(a).value_range())
-                .collect();
-            let bitmaps = ranges
-                .iter()
-                .enumerate()
-                .map(|(a, &(lo, hi))| {
-                    bat_layout::Bitmap32::from_values(
-                        (0..merged.len()).map(|i| merged.value(a, i)),
-                        lo,
-                        hi,
-                    )
-                })
-                .collect();
-            (LeafData::Raw(bytes), ranges, bitmaps)
-        },
-    )
-}
-
-/// Bytes destined for one leaf file: a built BAT is streamed to disk head
-/// first, then treelet by treelet (never materializing the file in memory);
-/// a [`LayoutSink`] hands over an opaque buffer.
-enum LeafData {
-    Bat(Box<bat_layout::Bat>),
-    Raw(Vec<u8>),
-}
-
 /// Durably write one leaf file with the commit protocol (DESIGN.md §11):
 /// stream to a `.tmp` sibling through a [`CrcSectionWriter`] (per-section
 /// CRC32C over the head and each treelet, plus the trailing footer), fsync,
@@ -328,41 +230,24 @@ enum LeafData {
 fn write_leaf_file(
     dir: &Path,
     file_name: &str,
-    data: &LeafData,
+    bat: &bat_layout::Bat,
     torn: Option<u64>,
 ) -> io::Result<(u64, u32)> {
     let tmp = dir.join(format!("{file_name}.tmp"));
     let committed = (|| -> io::Result<(u64, u32)> {
         let file = std::fs::File::create(&tmp)?;
-        let buf = io::BufWriter::new(file);
-        let (buf, total, crc) = match data {
-            LeafData::Bat(bat) => {
-                let writer = bat.writer();
-                let ends = bat_layout::footer::bat_section_ends(&writer);
-                let mut cw = CrcSectionWriter::new(buf, ends);
-                match torn {
-                    Some(n) => {
-                        let mut tw = bat_faults::TornWriter::new(&mut cw, n, "write.leaf");
-                        bat_obs::time("bat.compact_ns", || writer.write_to(&mut tw))?;
-                    }
-                    None => bat_obs::time("bat.compact_ns", || writer.write_to(&mut cw))?,
-                }
-                bat_obs::counter_add("bat.compact_bytes", writer.file_size() as u64);
-                let (buf, _footer, total, crc) = cw.finish()?;
-                (buf, total, crc)
+        let writer = bat.writer();
+        let ends = bat_layout::footer::bat_section_ends(&writer);
+        let mut cw = CrcSectionWriter::new(io::BufWriter::new(file), ends);
+        match torn {
+            Some(n) => {
+                let mut tw = bat_faults::TornWriter::new(&mut cw, n, "write.leaf");
+                bat_obs::time("bat.compact_ns", || writer.write_to(&mut tw))?;
             }
-            LeafData::Raw(bytes) => {
-                let mut cw = CrcSectionWriter::new(buf, vec![bytes.len() as u64]);
-                match torn {
-                    Some(n) => {
-                        bat_faults::TornWriter::new(&mut cw, n, "write.leaf").write_all(bytes)?
-                    }
-                    None => cw.write_all(bytes)?,
-                }
-                let (buf, _footer, total, crc) = cw.finish()?;
-                (buf, total, crc)
-            }
-        };
+            None => bat_obs::time("bat.compact_ns", || writer.write_to(&mut cw))?,
+        }
+        bat_obs::counter_add("bat.compact_bytes", writer.file_size() as u64);
+        let (buf, _footer, total, crc) = cw.finish()?;
         let file = buf.into_inner().map_err(io::IntoInnerError::into_error)?;
         bat_faults::fire_io("write.leaf.sync")?;
         file.sync_all()?;
@@ -539,25 +424,24 @@ fn wire_io_err(stage: &str, err: Option<WireError>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// The shared two-phase pipeline; `leaf_builder` maps one leaf's merged
-/// particles to `(leaf data, local attribute ranges, root bitmaps)`.
+/// As [`write_particles`], additionally invoking `hook(leaf_index, &bat)`
+/// on every aggregator once its BAT is built, *before* it is written — the
+/// paper's in-transit visualization/analysis entry point (§III-C: "the
+/// tree can be used for in transit visualization and analysis on the
+/// aggregators before or instead of being written to disk").
 ///
 /// Corrupt wire payloads and file-write failures never panic a rank:
 /// errors are recorded, the protocol (sends, receives, and every trailing
 /// collective) runs to completion so no healthy rank is left blocked, and
 /// then all ranks return `Err` together.
-fn write_pipeline(
+pub fn write_particles_in_transit(
     comm: &dyn Comm,
     set: ParticleSet,
     bounds: Aabb,
     cfg: &WriteConfig,
     dir: &Path,
     basename: &str,
-    mut leaf_builder: impl FnMut(
-        u32,
-        ParticleSet,
-        Aabb,
-    ) -> (LeafData, Vec<(f64, f64)>, Vec<bat_layout::Bitmap32>),
+    mut hook: impl FnMut(u32, &bat_layout::Bat),
 ) -> io::Result<WriteReport> {
     // Spin up the execution engine before timing starts, honoring
     // `BAT_THREADS` (see README "Thread count"): first touch initializes
@@ -732,23 +616,24 @@ fn write_pipeline(
 
     // --- Phase 4: build the layout on each aggregator (§III-C). ---
     let t0 = Instant::now();
-    let mut compacted: Option<LeafData> = None;
+    let mut compacted: Option<bat_layout::Bat> = None;
     let mut report: Option<LeafReport> = None;
     if let (Some(duty), Some(merged)) = (&assignment.duty, received.take()) {
         let particles = merged.len() as u64;
-        let (data, local_ranges, local_bitmaps) = leaf_builder(duty.leaf_idx, merged, duty.bounds);
+        let bat = BatBuilder::new(cfg.bat).build(merged, duty.bounds);
+        hook(duty.leaf_idx, &bat);
         report = Some(LeafReport {
             file: duty.file.clone(),
             bounds: duty.bounds,
             particles,
             aggregator: comm.rank() as u32,
-            local_ranges,
-            local_bitmaps,
+            local_ranges: bat.attr_ranges.clone(),
+            local_bitmaps: (0..bat.descs().len()).map(|a| bat.root_bitmap(a)).collect(),
             // Filled in by phase 5 once the file is committed.
             file_len: 0,
             file_crc: 0,
         });
-        compacted = Some(data);
+        compacted = Some(bat);
     }
     let el = t0.elapsed();
     if assignment.duty.is_some() {
@@ -756,9 +641,10 @@ fn write_pipeline(
     }
     times[WritePhase::LayoutBuild] = el.as_secs_f64();
 
-    // --- Phase 5: write leaf files (streamed; see `LeafData`). ---
+    // --- Phase 5: write leaf files, streamed head first, then treelet by
+    // treelet (never materializing the file in memory). ---
     let t0 = Instant::now();
-    if let (Some(data), Some(duty)) = (&compacted, &assignment.duty) {
+    if let (Some(bat), Some(duty)) = (&compacted, &assignment.duty) {
         let mut injected = false;
         let torn = match bat_faults::fire("write.leaf") {
             Some(Fault::Kill) => {
@@ -778,7 +664,7 @@ fn write_pipeline(
                 "leaf write failed",
             ))
         } else {
-            write_leaf_file(dir, &duty.file, data, torn)
+            write_leaf_file(dir, &duty.file, bat, torn)
         };
         match written {
             Ok((len, crc)) => {

@@ -123,12 +123,6 @@ impl Xoshiro256 {
             }
         }
     }
-
-    /// Normal with the given mean and standard deviation.
-    #[inline]
-    pub fn normal_with(&mut self, mean: f64, stddev: f64) -> f64 {
-        mean + stddev * self.normal()
-    }
 }
 
 #[cfg(test)]

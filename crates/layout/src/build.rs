@@ -135,13 +135,6 @@ impl Bat {
         Ok(writer.file_size() as u64)
     }
 
-    /// Compact and open for querying in one step — the in-transit analysis
-    /// path (§III-C: the tree "can be used for in transit visualization and
-    /// analysis on the aggregators before or instead of being written").
-    pub fn to_file(&self) -> crate::BatFile {
-        crate::BatFile::from_bytes(self.to_bytes()).expect("a just-built BAT is always valid")
-    }
-
     /// Per-inner-shallow-node bitmaps for attribute `a` (union of treelet
     /// roots in each node's leaf range), bottom-up. Index = shallow node id.
     pub fn shallow_bitmaps(&self, a: usize) -> Vec<Bitmap32> {

@@ -398,7 +398,7 @@ pub(crate) fn check_section(
 /// Decode one stored section into `out`, which it fills exactly whatever
 /// it held before (`out.len()` is the section's decoded length). `scratch`
 /// is working space for [`decode_lossless`]. A section that breaks
-/// [`check_section`]'s rule is a typed error.
+/// `check_section`'s rule is a typed error.
 pub fn decode_section(
     kind: SectionKind,
     tag: u8,

@@ -915,59 +915,75 @@ pub fn read_head_bounded(data: &[u8], file_len: usize) -> WireResult<FileHead> {
 
     let dict = BitmapDictionary::decode(&mut dec)?;
 
-    // v2: the section codec table, validated hard before anything is
-    // decoded from it — per-leaf counts must be consistent with the file
-    // totals, the implied decoded block must fit the allocation cap, every
-    // section must pass `codec::check_section` (a registered tag legal for
-    // its kind; `raw` exactly its decoded size, `shuffle` never larger),
-    // and the stored block must fit the file. A corrupt table is rejected
-    // here, before any block allocation.
-    let codecs = if version == VERSION_V2 {
-        let mut recs = Vec::with_capacity(num_leaves);
-        for leaf in &leaves {
-            if leaf.num_particles as u64 > num_particles {
-                return Err(WireError::BadLength {
-                    what: "treelet particle count",
-                    len: leaf.num_particles as u64,
-                    remaining: num_particles as usize,
-                });
+    // The shallow tree is checked once, here: one tree over the treelets,
+    // every bitmap id inside the dictionary. Planning then trusts it.
+    crate::radix::check_tree(NodeRef::root_of(num_leaves), num_inners, num_leaves, |i| {
+        let n = &inners[i as usize];
+        [n.left, n.right]
+    })?;
+    if let Some(&id) = inners
+        .iter()
+        .flat_map(|n| &n.bitmap_ids)
+        .find(|&&id| id as usize >= dict.len())
+    {
+        return Err(WireError::BadTag {
+            what: "shallow bitmap dictionary id",
+            tag: id as u64,
+        });
+    }
+
+    // Every stored treelet block must lie inside the file. v2 also has its
+    // section codec table, validated hard before anything is decoded from
+    // it — per-leaf counts must be consistent with the file totals, the
+    // implied decoded block must fit the allocation cap, and every section
+    // must pass `codec::check_section` (a registered tag legal for its
+    // kind; `raw` exactly its decoded size, `shuffle` never larger). A
+    // corrupt table is rejected here, before any block allocation.
+    let mut codecs = (version == VERSION_V2).then(|| Vec::with_capacity(num_leaves));
+    for leaf in &leaves {
+        let layout =
+            TreeletLayout::compute(leaf.num_nodes as usize, leaf.num_particles as usize, &descs);
+        let stored = match &mut codecs {
+            None => layout.size,
+            Some(recs) => {
+                if leaf.num_particles as u64 > num_particles {
+                    return Err(WireError::BadLength {
+                        what: "treelet particle count",
+                        len: leaf.num_particles as u64,
+                        remaining: num_particles as usize,
+                    });
+                }
+                if layout.size > codec::MAX_DECODED_BLOCK {
+                    return Err(WireError::BadLength {
+                        what: "decoded treelet block",
+                        len: layout.size as u64,
+                        remaining: codec::MAX_DECODED_BLOCK,
+                    });
+                }
+                let sections = layout
+                    .sections(&descs)
+                    .map(|(kind, range)| {
+                        let tag = dec.get_u8("section codec tag")?;
+                        let stored_len = dec.get_u32("section stored length")?;
+                        codec::check_section(kind, tag, stored_len as usize, range.len())?;
+                        Ok(SectionRec { tag, stored_len })
+                    })
+                    .collect::<WireResult<Vec<_>>>()?;
+                let rec = TreeletCodecRec { sections };
+                let stored = rec.stored_size();
+                recs.push(rec);
+                stored
             }
-            let layout = TreeletLayout::compute(
-                leaf.num_nodes as usize,
-                leaf.num_particles as usize,
-                &descs,
-            );
-            if layout.size > codec::MAX_DECODED_BLOCK {
-                return Err(WireError::BadLength {
-                    what: "decoded treelet block",
-                    len: layout.size as u64,
-                    remaining: codec::MAX_DECODED_BLOCK,
-                });
-            }
-            let sections = layout
-                .sections(&descs)
-                .map(|(kind, range)| {
-                    let tag = dec.get_u8("section codec tag")?;
-                    let stored_len = dec.get_u32("section stored length")?;
-                    codec::check_section(kind, tag, stored_len as usize, range.len())?;
-                    Ok(SectionRec { tag, stored_len })
-                })
-                .collect::<WireResult<Vec<_>>>()?;
-            let rec = TreeletCodecRec { sections };
-            let end = leaf.offset + rec.stored_size() as u64;
-            if end > file_len as u64 {
-                return Err(WireError::BadLength {
-                    what: "stored treelet block",
-                    len: end,
-                    remaining: file_len,
-                });
-            }
-            recs.push(rec);
+        };
+        let end = leaf.offset.saturating_add(stored as u64);
+        if end > file_len as u64 {
+            return Err(WireError::BadLength {
+                what: "stored treelet block",
+                len: end,
+                remaining: file_len,
+            });
         }
-        Some(recs)
-    } else {
-        None
-    };
+    }
 
     // Attribute-index directory: present when head bytes remain after the
     // dictionary / codec table. The directory is advisory — any validation
@@ -1344,5 +1360,44 @@ mod tests {
             read_head(&bytes),
             Err(WireError::BadLength { .. })
         ));
+    }
+
+    #[test]
+    fn corrupt_shallow_tree_rejected_at_open() {
+        // The shallow tree is checked when the head is decoded: a cycle in
+        // its child links, a bitmap id past the dictionary or a v1 block
+        // past the end of the file fails the open, not a later plan.
+        let bat = sample_bat(3000);
+        let bytes = write_bat(&bat);
+        let head = read_head(&bytes).unwrap();
+        assert!(head.inners.len() >= 2 && !head.descs.is_empty());
+        let na = head.descs.len();
+        // Fixed header (76 bytes), then the attribute table, the shallow
+        // inner records and the leaf records.
+        let inners = 76 + head.descs.iter().map(attr_entry_bytes).sum::<usize>();
+        let leaves = inners + head.inners.len() * ShallowInnerRec::byte_size(na);
+        let patch = |at: usize, with: &[u8]| {
+            let mut bad = bytes.clone();
+            bad[at..at + with.len()].copy_from_slice(with);
+            bad
+        };
+        let root = NodeRef::Inner(0).pack().to_le_bytes();
+        let past_dict = (head.dict.len() as u16).to_le_bytes();
+        let huge_nodes = 1_000_000u32.to_le_bytes();
+        for (what, bad) in [
+            (
+                "the root's right child is the root",
+                patch(inners + 4, &root),
+            ),
+            (
+                "bitmap id past the dictionary",
+                patch(inners + 32, &past_dict),
+            ),
+            ("v1 block past the end", patch(leaves + 20, &huge_nodes)),
+        ] {
+            assert!(read_head(&bad).is_err(), "{what}");
+            assert!(crate::BatFile::from_bytes(bad).is_err(), "{what}");
+        }
+        assert!(crate::BatFile::from_bytes(bytes).is_ok());
     }
 }

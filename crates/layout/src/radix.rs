@@ -13,9 +13,13 @@
 //! first differing bit after a node's common prefix determines the split
 //! axis (bit position mod 3) and plane.
 
+use bat_wire::{WireError, WireResult};
 use rayon::prelude::*;
 
-/// Reference to a child node: inner index or leaf index.
+/// Reference to a child node: inner index or leaf index. The one child-link
+/// type of every k-d tree in the workspace — the radix tree built here, a
+/// file's shallow tree, the aggregation tree and the `.batmeta` tree — and
+/// of their one `u32` packing (bit 31 set = leaf).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeRef {
     /// Index into the internal-node array.
@@ -47,6 +51,76 @@ impl NodeRef {
             NodeRef::Inner(v)
         }
     }
+
+    /// The root of a tree whose inner node 0 is the root: none without
+    /// leaves, the only leaf when there is one, else inner node 0.
+    pub fn root_of(num_leaves: usize) -> Option<NodeRef> {
+        match num_leaves {
+            0 => None,
+            1 => Some(NodeRef::Leaf(0)),
+            _ => Some(NodeRef::Inner(0)),
+        }
+    }
+}
+
+/// Depth-first walk from `root`, right subtree first. `visit` sees every
+/// node reached and returns whether to descend into it (ignored for
+/// leaves); `children` gives an inner node's `[left, right]` links. Walks
+/// trust the tree: run [`check_tree`] on decoded bytes first.
+pub fn walk(
+    root: Option<NodeRef>,
+    children: impl Fn(u32) -> [NodeRef; 2],
+    mut visit: impl FnMut(NodeRef) -> bool,
+) {
+    let mut stack: Vec<NodeRef> = root.into_iter().collect();
+    while let Some(c) = stack.pop() {
+        if let (NodeRef::Inner(i), true) = (c, visit(c)) {
+            stack.extend(children(i));
+        }
+    }
+}
+
+/// Check that `root` and the child links of `num_inners` inner nodes form
+/// one binary tree over `num_leaves` leaves: every link is in range and
+/// every inner node and leaf is reached exactly once from the root, which
+/// rules out cycles, shared children and orphans (and leaves the root
+/// absent only when there is nothing to reach). The one structural check
+/// for trees decoded from untrusted bytes; walks after it index freely.
+pub fn check_tree(
+    root: Option<NodeRef>,
+    num_inners: usize,
+    num_leaves: usize,
+    children: impl Fn(u32) -> [NodeRef; 2],
+) -> WireResult<()> {
+    let mut seen = vec![false; num_inners + num_leaves];
+    let mut bad = None;
+    walk(root, children, |c| {
+        let slot = match c {
+            NodeRef::Inner(i) if (i as usize) < num_inners => i as usize,
+            NodeRef::Leaf(l) if (l as usize) < num_leaves => num_inners + l as usize,
+            _ => seen.len(),
+        };
+        if seen.get(slot) == Some(&false) {
+            seen[slot] = true;
+            return true;
+        }
+        bad.get_or_insert(c);
+        false
+    });
+    if let Some(c) = bad {
+        return Err(WireError::BadTag {
+            what: "tree child link (out of range or reached twice)",
+            tag: c.pack() as u64,
+        });
+    }
+    match seen.iter().filter(|&&s| !s).count() {
+        0 => Ok(()),
+        unreached => Err(WireError::BadLength {
+            what: "tree nodes unreached from the root",
+            len: unreached as u64,
+            remaining: seen.len(),
+        }),
+    }
 }
 
 /// One internal node of the radix tree.
@@ -77,11 +151,7 @@ pub struct RadixTree {
 impl RadixTree {
     /// The root reference (a leaf when there is a single key).
     pub fn root(&self) -> NodeRef {
-        if self.num_leaves == 1 {
-            NodeRef::Leaf(0)
-        } else {
-            NodeRef::Inner(0)
-        }
+        NodeRef::root_of(self.num_leaves).expect("a radix tree has a key")
     }
 
     /// Build the tree over MSB-aligned, sorted, distinct keys.
@@ -343,5 +413,50 @@ mod tests {
         ] {
             assert_eq!(NodeRef::unpack(r.pack()), r);
         }
+    }
+
+    #[test]
+    fn check_tree_accepts_built_trees_and_rejects_bad_links() {
+        let mut keys = vec![0b000u64, 0b001, 0b011, 0b100, 0b110];
+        msb_align(&mut keys, 3);
+        let tree = RadixTree::build(&keys);
+        let check = |root: Option<NodeRef>, nodes: &[RadixNode], leaves: usize| {
+            check_tree(root, nodes.len(), leaves, |i| {
+                [nodes[i as usize].left, nodes[i as usize].right]
+            })
+        };
+        assert!(check(Some(tree.root()), &tree.nodes, 5).is_ok());
+        assert!(check(Some(NodeRef::Leaf(0)), &[], 1).is_ok());
+        assert!(check(None, &[], 0).is_ok());
+
+        let NodeRef::Inner(child) = tree.nodes[0].left else {
+            panic!("the root's left subtree holds three keys");
+        };
+        let edited = |edit: &dyn Fn(&mut [RadixNode])| {
+            let mut nodes = tree.nodes.clone();
+            edit(&mut nodes);
+            nodes
+        };
+        let c = child as usize;
+        for (what, nodes) in [
+            (
+                "leaf out of range",
+                edited(&|n| n[c].right = NodeRef::Leaf(5)),
+            ),
+            (
+                "inner out of range",
+                edited(&|n| n[c].left = NodeRef::Inner(4)),
+            ),
+            ("cycle", edited(&|n| n[c].right = NodeRef::Inner(0))),
+            ("shared child", edited(&|n| n[c].right = n[c].left)),
+        ] {
+            assert!(check(Some(tree.root()), &nodes, 5).is_err(), "{what}");
+        }
+        assert!(
+            check(Some(NodeRef::Inner(child)), &tree.nodes, 5).is_err(),
+            "orphans"
+        );
+        assert!(check(None, &tree.nodes, 5).is_err(), "no root over leaves");
+        assert!(check(None, &[], 1).is_err(), "no root over one leaf");
     }
 }

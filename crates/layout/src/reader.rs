@@ -14,7 +14,7 @@ use crate::cache::{self, PageCache};
 use crate::codec::SectionKind;
 use crate::format::{self, FileHead, LeafRec, TreeletLayout};
 use crate::query::{contribution, quality_to_depth, PointRecord, Query};
-use crate::radix::NodeRef;
+use crate::radix::{self, NodeRef};
 use crate::source::{ByteSource, RangeConfig, RangeReader};
 use crate::treelet::NO_CHILD;
 use bat_geom::{Aabb, Vec3};
@@ -262,8 +262,8 @@ impl BatFile {
     ///
     /// Only the file head is fetched here — typically one request for the
     /// first page plus one for the rest of the head. Treelet blocks are
-    /// fetched on demand during execution, or ahead of it by
-    /// [`BatFile::prefetch`] in coalesced range requests.
+    /// fetched on demand during execution, or ahead of it in coalesced
+    /// range requests by the prefetch [`BatFile::execute_plan`] runs.
     pub fn from_source(source: Arc<dyn ByteSource>) -> WireResult<BatFile> {
         BatFile::from_source_with(source, RangeConfig::default())
     }
@@ -431,71 +431,43 @@ impl BatFile {
             plan.masks.push((f.attr, mask));
         }
 
-        let root = match self.head.leaves.len() {
-            0 => return Ok(Self::finish_plan(plan)),
-            1 => NodeRef::Leaf(0),
-            _ => NodeRef::Inner(0),
-        };
-
-        let mut stack = vec![root];
-        // Every shallow node is visited at most once in a well-formed tree;
-        // corrupt child links that form a cycle exhaust this budget and
-        // surface as an error instead of an infinite loop.
-        let mut budget = self.head.inners.len() + self.head.leaves.len() + 1;
-        while let Some(nref) = stack.pop() {
-            if budget == 0 {
-                return Err(WireError::BadTag {
-                    what: "shallow tree traversal budget (cycle in child links)",
-                    tag: plan.shallow_nodes_visited,
-                });
-            }
-            budget -= 1;
-            match nref {
+        // The head's shallow tree was checked when the file was opened.
+        let inners = &self.head.inners;
+        let children = |i: u32| [inners[i as usize].left, inners[i as usize].right];
+        radix::walk(
+            NodeRef::root_of(self.head.leaves.len()),
+            children,
+            |c| match c {
                 NodeRef::Inner(i) => {
                     plan.shallow_nodes_visited += 1;
-                    let node = self.head.inners.get(i as usize).ok_or(WireError::BadTag {
-                        what: "shallow inner index",
-                        tag: i as u64,
-                    })?;
-                    if let Some(qb) = &q.bounds {
-                        if !qb.overlaps(&node.bounds) {
-                            plan.pruned_bounds += 1;
-                            continue;
-                        }
+                    let node = &inners[i as usize];
+                    if q.bounds
+                        .as_ref()
+                        .is_some_and(|qb| !qb.overlaps(&node.bounds))
+                    {
+                        plan.pruned_bounds += 1;
+                        return false;
                     }
-                    let mut bitmaps_pass = true;
-                    for &(a, m) in &plan.masks {
-                        let id = node.bitmap_ids[a];
-                        let bm = self.head.dict.try_get(id).ok_or(WireError::BadTag {
-                            what: "bitmap dictionary id",
-                            tag: id as u64,
-                        })?;
-                        if !bm.overlaps(m) {
-                            bitmaps_pass = false;
-                            break;
-                        }
-                    }
-                    if !bitmaps_pass {
+                    let dict = &self.head.dict;
+                    if plan
+                        .masks
+                        .iter()
+                        .any(|&(a, m)| !dict.get(node.bitmap_ids[a]).overlaps(m))
+                    {
                         plan.pruned_bitmap += 1;
-                        continue;
+                        return false;
                     }
                     if !plan.masks.is_empty() {
                         plan.shallow_bitmap_hits += 1;
                     }
-                    stack.push(node.left);
-                    stack.push(node.right);
+                    true
                 }
                 NodeRef::Leaf(l) => {
-                    if self.head.leaves.get(l as usize).is_none() {
-                        return Err(WireError::BadTag {
-                            what: "treelet index",
-                            tag: l as u64,
-                        });
-                    }
                     plan.treelets.push(l);
+                    false
                 }
-            }
-        }
+            },
+        );
 
         // Exact B-tree refinement: when the query filters an indexed
         // attribute, rank-search the index for an exact match count; a
@@ -707,11 +679,9 @@ impl BatFile {
             .par_iter()
             .map(|&t| {
                 let _prio = cache::set_thread_priority(priority);
-                if let Some(leaf) = self.head.leaves.get(t as usize) {
-                    let layout = self.treelet_layout(leaf);
-                    let _ =
-                        self.treelet_block(leaf, t, &layout, &mut None, &mut QueryStats::default());
-                }
+                let leaf = &self.head.leaves[t as usize];
+                let layout = self.treelet_layout(leaf);
+                let _ = self.treelet_block(leaf, t, &layout, &mut None, &mut QueryStats::default());
             })
             .collect();
     }
@@ -738,17 +708,11 @@ impl BatFile {
                     continue;
                 }
             }
-            let Some(leaf) = self.head.leaves.get(t as usize) else {
-                continue;
-            };
             // Stored size: compressed bytes for v2, layout size for v1 —
             // a remote prefetch only ever moves the on-disk bytes.
-            let Some(size) = self.head.stored_block_size(t as usize) else {
-                continue;
-            };
-            if leaf.offset as usize + size <= self.backing.len() {
-                wanted.push((t, leaf.offset, size));
-            }
+            let size = self.head.stored_block_size(t as usize);
+            let offset = self.head.leaves[t as usize].offset;
+            wanted.push((t, offset, size.expect("a planned treelet is in the head")));
         }
         reader.prefetch_blocks(&wanted);
     }
@@ -769,14 +733,7 @@ impl BatFile {
         stats: &mut QueryStats,
         cb: &mut impl FnMut(PointRecord<'_>),
     ) -> WireResult<()> {
-        let leaf = self
-            .head
-            .leaves
-            .get(treelet as usize)
-            .ok_or(WireError::BadTag {
-                what: "treelet index",
-                tag: treelet as u64,
-            })?;
+        let leaf = &self.head.leaves[treelet as usize];
         // Keeps a cache-resident copy of the block alive for the duration
         // of the scan; borrowed by the view when the cache path is taken.
         let mut storage: Option<Arc<Vec<u8>>> = None;
@@ -792,8 +749,10 @@ impl BatFile {
         let prev = quality_to_depth(q.prev_quality, leaf.max_depth);
 
         let mut stack: Vec<u32> = vec![0];
-        // Same cycle guard as the shallow traversal: a well-formed treelet
-        // visits each node once, so corrupt left/right links cannot hang.
+        // Treelet blocks are checked lazily, node by node as the walk
+        // reaches them (checking whole blocks would add O(nodes) to every
+        // coarse read): a well-formed treelet visits each node once, so
+        // corrupt left/right links that form a cycle exhaust this budget.
         let mut budget = view.num_nodes() + 1;
         while let Some(ni) = stack.pop() {
             if budget == 0 {
@@ -935,23 +894,12 @@ impl BatFile {
         storage: &'a mut Option<Arc<Vec<u8>>>,
         stats: &mut QueryStats,
     ) -> WireResult<(&'a [u8], usize)> {
-        let codec = match &self.head.codecs {
-            Some(table) => Some(table.get(treelet as usize).ok_or(WireError::BadTag {
-                what: "treelet codec table index",
-                tag: treelet as u64,
-            })?),
-            None => None,
-        };
+        // The head checked at open that every stored block lies inside
+        // the file.
+        let codec = self.head.codec_rec(treelet as usize);
         let stored = codec.map_or(layout.size, |rec| rec.stored_size());
         let start = leaf.offset as usize;
         let end = start + stored;
-        if end > self.backing.len() {
-            return Err(WireError::Truncated {
-                what: "treelet block",
-                needed: end,
-                remaining: self.backing.len(),
-            });
-        }
         if let Some(cache) = &self.cache {
             if let Some(arc) = cache.get(self.file_id, treelet) {
                 // A stale entry can only disagree in length if the file

@@ -52,11 +52,7 @@ impl ShallowTree {
 
     /// Root reference; `None` for an empty tree.
     pub fn root(&self) -> Option<NodeRef> {
-        match self.leaf_ranges.len() {
-            0 => None,
-            1 => Some(NodeRef::Leaf(0)),
-            _ => Some(NodeRef::Inner(0)),
-        }
+        NodeRef::root_of(self.leaf_ranges.len())
     }
 
     /// Build over the *sorted* Morton codes of all particles.

@@ -8,7 +8,7 @@
 //! executor's chunk frames go straight into the session's socket writer.
 //! A full wait line surfaces to the client as `Busy { retry_after }`, a
 //! deadline or execution failure as a typed `Error`; both leave the
-//! session open. What runs under the permit is an [`Executor`]: the
+//! session open. What runs under the permit is an `Executor`: the
 //! in-process planner behind [`StreamServer`], or a shard fan-out behind
 //! [`crate::ShardFront`].
 

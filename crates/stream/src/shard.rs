@@ -881,7 +881,7 @@ impl ShardRouter {
         });
     }
 
-    /// [`ShardRouter::relay`] with every chunk decoded for `sink`: the
+    /// `ShardRouter::relay` with every chunk decoded for `sink`: the
     /// decode-at-the-edge adapter for callers that want points, not
     /// frames.
     pub fn query(

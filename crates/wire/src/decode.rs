@@ -163,16 +163,6 @@ impl<'a> Decoder<'a> {
             .map_err(|_| WireError::BadUtf8 { what })
     }
 
-    /// Length-prefixed `u16` vector.
-    pub fn get_u16_vec(&mut self, what: &'static str) -> WireResult<Vec<u16>> {
-        let len = self.get_len(2, what)?;
-        let raw = self.take(len * 2, what)?;
-        Ok(raw
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes([c[0], c[1]]))
-            .collect())
-    }
-
     /// Length-prefixed `u32` vector.
     pub fn get_u32_vec(&mut self, what: &'static str) -> WireResult<Vec<u32>> {
         let len = self.get_len(4, what)?;

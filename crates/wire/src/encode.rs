@@ -91,12 +91,6 @@ impl Encoder {
         self.buf.push(v as u8);
     }
 
-    /// `usize` encoded as `u64` for cross-platform stability.
-    #[inline]
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
     /// Length-prefixed raw bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
@@ -106,20 +100,6 @@ impl Encoder {
     /// Length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
-    }
-
-    /// Raw bytes with no length prefix (caller knows the length).
-    pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Length-prefixed slice of `u16`.
-    pub fn put_u16_slice(&mut self, v: &[u16]) {
-        self.put_u64(v.len() as u64);
-        self.buf.reserve(v.len() * 2);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
     }
 
     /// Length-prefixed slice of `u32`.
@@ -167,13 +147,5 @@ impl Encoder {
         if rem != 0 {
             self.buf.resize(self.buf.len() + (align - rem), 0);
         }
-    }
-
-    /// Overwrite a previously written `u64` at byte offset `pos`.
-    ///
-    /// Used to back-patch offset tables (e.g. treelet addresses) once the
-    /// pointed-to data has been laid out.
-    pub fn patch_u64(&mut self, pos: usize, v: u64) {
-        self.buf[pos..pos + 8].copy_from_slice(&v.to_le_bytes());
     }
 }

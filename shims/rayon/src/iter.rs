@@ -2,7 +2,7 @@
 //! `len()` items by index, and `map`, `zip`, `enumerate` and
 //! `with_min_len` compose that index function into one [`Par`] closure.
 //! `collect` hands task `t` the `t`-th `chunks_mut` slice of the output
-//! (chunks sized by [`crate::pool::chunk_len`]), so results land in input
+//! (chunks sized by `pool::chunk_len`), so results land in input
 //! order whichever thread runs which chunk. The one by-value source,
 //! `Vec<T>`, moves each item out of a `Mutex<Option<T>>`. If a task
 //! panics, items already collected leak (never drop twice) and the panic

@@ -229,4 +229,53 @@ fn collective_read_with_an_unservable_leaf_errs_on_every_rank() {
     for (rank, r) in reads.iter().enumerate() {
         assert!(r.is_err(), "rank {rank} must err, got {r:?}");
     }
+    // The asking rank learns which leaf its owner could not serve, and why.
+    let asked = reads[0].as_ref().unwrap_err().to_string();
+    let file = &meta.leaves[victim].file;
+    assert!(asked.contains(file.as_str()), "{asked}");
+    assert!(
+        asked.contains("rank 1") && asked.contains("No such file"),
+        "{asked}"
+    );
+}
+
+/// A `.batmeta` whose tree is malformed but whose manifest was re-sealed
+/// over it (a valid `meta_crc`) is rejected when it is opened: the tree's
+/// structure is checked at decode, not by the first query that walks it.
+#[test]
+fn resealed_batmeta_with_a_shared_child_fails_to_open() {
+    use bat_aggregation::manifest::CommitManifest;
+    let _serial = serial();
+    let scratch = ScratchDir::new("commit-reseal");
+    write_ok(&scratch.path, "r", 1_500);
+    let path = scratch.path.join(meta_file_name("r"));
+    let original = std::fs::read(&path).unwrap();
+    let (manifest, meta_bytes) = CommitManifest::parse(&original).unwrap();
+    let meta = bat_aggregation::MetaTree::decode(meta_bytes).unwrap();
+
+    // Fixed header (48 bytes), the attribute table, then the root link, the
+    // inner count and inner node 0's `[left, right]` links.
+    let mut descs = bat_wire::Encoder::new();
+    for d in &meta.descs {
+        d.encode(&mut descs);
+    }
+    let root_at = 48 + descs.finish().len() + 16 * meta.descs.len();
+    let word = |at: usize| u32::from_le_bytes(meta_bytes[at..at + 4].try_into().unwrap());
+    let inners = u64::from_le_bytes(meta_bytes[root_at + 4..root_at + 12].try_into().unwrap());
+    assert_eq!(word(root_at), 0, "the root is inner node 0");
+    assert_eq!(inners as usize, meta.leaves.len() - 1);
+
+    // Inner node 0's right link now names its left child a second time.
+    let mut patched = meta_bytes.to_vec();
+    let left = word(root_at + 12);
+    patched[root_at + 16..root_at + 20].copy_from_slice(&left.to_le_bytes());
+    let resealed = CommitManifest::new(&patched, manifest.files);
+    let trailer = resealed.encode(patched.len() as u64);
+    patched.extend_from_slice(&trailer);
+    std::fs::write(&path, &patched).unwrap();
+
+    let err = Dataset::open(&scratch.path, "r")
+        .err()
+        .expect("must not open");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
 }

@@ -513,67 +513,3 @@ fn v2_lossless_compresses_the_cosmology_payload() {
         "v2-lossless stored/raw payload ratio {ratio:.4} ({stored} / {raw} B)"
     );
 }
-
-#[test]
-fn custom_layout_sink() {
-    use libbat::write::{write_particles_with_sink, LayoutSink};
-
-    /// A trivial user layout: raw encoded particle set with a magic header.
-    struct RawSink;
-    impl LayoutSink for RawSink {
-        fn build(&self, _leaf: u32, set: &bat_layout::ParticleSet, _bounds: Aabb) -> Vec<u8> {
-            let mut enc = bat_wire::Encoder::new();
-            enc.put_u32(0xCAFE);
-            set.encode(&mut enc);
-            enc.finish()
-        }
-    }
-
-    let scratch = ScratchDir::new("sink");
-    let n = 6;
-    let grid = RankGrid::new_3d(n, Aabb::unit());
-    let dir = scratch.path.clone();
-    let reports = Cluster::run(n, move |comm| {
-        let set = uniform::generate_rank(&grid, comm.rank(), 1200, 3);
-        let cfg = WriteConfig::with_target_size(80_000, set.bytes_per_particle() as u64);
-        write_particles_with_sink(
-            &comm,
-            set,
-            grid.bounds_of(comm.rank()),
-            &cfg,
-            &dir,
-            "custom",
-            &RawSink,
-        )
-        .expect("sink write succeeds")
-    });
-    let files = reports[0].files;
-    assert!(files >= 1);
-
-    // The metadata is a normal committed .batmeta: ranges/bitmaps support
-    // culling.
-    let meta = libbat::verify::read_commit(&scratch.path, "custom")
-        .unwrap()
-        .meta;
-    assert_eq!(meta.leaves.len(), files);
-    assert_eq!(meta.total_particles, 1200 * n as u64);
-    let candidates = meta
-        .candidate_leaves(&bat_layout::Query::new().with_filter(0, 1e9, 2e9))
-        .unwrap();
-    assert!(
-        candidates.is_empty(),
-        "out-of-range filter culls all leaves"
-    );
-
-    // The leaf files hold the user's layout, decodable by its owner.
-    let mut total = 0u64;
-    for leaf in &meta.leaves {
-        let bytes = std::fs::read(scratch.path.join(&leaf.file)).unwrap();
-        let mut dec = bat_wire::Decoder::new(&bytes);
-        assert_eq!(dec.get_u32("magic").unwrap(), 0xCAFE);
-        let set = bat_layout::ParticleSet::decode(&mut dec).unwrap();
-        assert_eq!(set.len() as u64, leaf.particles);
-        total += set.len() as u64;
-    }
-    assert_eq!(total, 1200 * n as u64);
-}
