@@ -193,49 +193,6 @@ pub trait Comm: Send + Sync {
         self.send_raw(dst, tag, payload);
     }
 
-    /// Send with bounded retry on transient transport failures.
-    ///
-    /// The `comm.send.retry` failpoint models a transient transport error:
-    /// each triggered `error` burns one attempt (exponential backoff,
-    /// counted in `comm.retries`); `kill` dies in place. Exhausting the
-    /// attempts marks this rank dead — the failure cascades to peers like
-    /// any other liveness fault — and returns [`CommError::SendFailed`].
-    fn send_with_retry(&self, dst: usize, tag: u32, payload: Bytes) -> Result<(), CommError> {
-        const ATTEMPTS: u32 = 4;
-        check_user_tag(tag);
-        let mut backoff = Duration::from_millis(1);
-        for attempt in 0..ATTEMPTS {
-            match bat_faults::fire("comm.send.retry") {
-                None => {
-                    self.isend_internal(dst, tag, payload);
-                    return Ok(());
-                }
-                Some(bat_faults::Fault::Kill) => {
-                    self.mark_dead();
-                    return Err(CommError::SendFailed {
-                        rank: self.rank(),
-                        dst,
-                        tag,
-                        attempts: attempt + 1,
-                    });
-                }
-                Some(_) if attempt + 1 < ATTEMPTS => {
-                    bat_obs::counter_add("comm.retries", 1);
-                    std::thread::sleep(backoff);
-                    backoff *= 2;
-                }
-                Some(_) => break,
-            }
-        }
-        self.mark_dead();
-        Err(CommError::SendFailed {
-            rank: self.rank(),
-            dst,
-            tag,
-            attempts: ATTEMPTS,
-        })
-    }
-
     /// Post a nonblocking receive for `(src, tag)`; `src = None` matches any
     /// source. Complete it with [`RecvRequest::wait`] or poll with
     /// [`RecvRequest::test`].
@@ -394,18 +351,6 @@ pub trait Comm: Send + Sync {
         op: &dyn Fn(u64, u64) -> u64,
     ) -> Result<u64, CommError> {
         collectives::try_allreduce_u64(self, value, op)
-    }
-
-    /// Gather a `u64` from every rank at `root`.
-    fn gather_u64(&self, root: usize, value: u64) -> Option<Vec<u64>> {
-        self.with_timeout(None)
-            .try_gather_u64(root, value)
-            .unwrap_or_else(|e| panic!("unbounded gather failed: {e}"))
-    }
-
-    /// Bounded [`Comm::gather_u64`].
-    fn try_gather_u64(&self, root: usize, value: u64) -> Result<Option<Vec<u64>>, CommError> {
-        collectives::try_gather_u64(self, root, value)
     }
 
     /// Gather everyone's payload on every rank (gather at 0 + broadcast).

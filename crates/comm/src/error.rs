@@ -29,18 +29,6 @@ pub enum CommError {
         /// The tag it was waiting on.
         tag: u32,
     },
-    /// A [`crate::Comm::send_with_retry`] exhausted its attempts (or was
-    /// killed mid-send). The sending rank has already marked itself dead.
-    SendFailed {
-        /// The sending rank.
-        rank: usize,
-        /// The destination it was sending to.
-        dst: usize,
-        /// The tag it was sending on.
-        tag: u32,
-        /// How many attempts were made.
-        attempts: u32,
-    },
 }
 
 impl fmt::Display for CommError {
@@ -65,15 +53,6 @@ impl fmt::Display for CommError {
                 f,
                 "rank {rank}: peer rank {peer} died before sending (tag {tag})"
             ),
-            CommError::SendFailed {
-                rank,
-                dst,
-                tag,
-                attempts,
-            } => write!(
-                f,
-                "rank {rank}: send to rank {dst} (tag {tag}) failed after {attempts} attempts"
-            ),
         }
     }
 }
@@ -84,7 +63,7 @@ impl From<CommError> for io::Error {
     fn from(e: CommError) -> io::Error {
         let kind = match &e {
             CommError::Timeout { .. } => io::ErrorKind::TimedOut,
-            CommError::PeerDead { .. } | CommError::SendFailed { .. } => io::ErrorKind::BrokenPipe,
+            CommError::PeerDead { .. } => io::ErrorKind::BrokenPipe,
         };
         io::Error::new(kind, e.to_string())
     }

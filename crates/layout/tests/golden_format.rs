@@ -5,11 +5,14 @@
 //! on-disk encoding — intentional or not — trips this test; a format bump
 //! must update the hashes *and* the format `VERSION` together.
 
+mod common;
+
 use bat_geom::rng::Xoshiro256;
 use bat_geom::{Aabb, Vec3};
 use bat_layout::build::Bat;
 use bat_layout::codec::Codec;
 use bat_layout::{AttributeDesc, BatBuilder, BatConfig, ParticleSet};
+use common::fnv1a;
 
 /// v1 bytes, pinned regardless of `BAT_TREELET_CODEC` / `BAT_INDEX_ATTRS`
 /// — the goldens guard the *v1, index-free* encoding; CI reruns this suite
@@ -27,16 +30,6 @@ fn index_free_writes_are_byte_identical() {
     let spec_none =
         bat_layout::format::write_bat_indexed(&bat, Codec::V1, &bat_layout::IndexSpec::None);
     assert_eq!(plain, spec_none);
-}
-
-/// FNV-1a 64-bit over a byte slice (stable, dependency-free).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn golden_bat(n: usize, seed: u64) -> Bat {

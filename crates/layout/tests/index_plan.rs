@@ -2,6 +2,8 @@
 //! across every backing, and a corrupted index must degrade to the bitmap
 //! plan (typed, never a panic) while the file keeps serving.
 
+mod common;
+
 use bat_geom::rng::Xoshiro256;
 use bat_geom::{Aabb, Vec3};
 use bat_layout::build::Bat;
@@ -13,6 +15,7 @@ use bat_layout::{
     AttributeDesc, BatBuilder, BatConfig, BatFile, IndexSpec, ParticleSet, PlanStrategy, Query,
 };
 use bat_obs::knobs::{self, EnvGuard};
+use common::fnv1a;
 use std::sync::Arc;
 
 /// Force `BAT_PLAN_STRATEGY` until the guard drops. A file snapshots the
@@ -63,15 +66,6 @@ fn planted(n: usize, seed: u64) -> (ParticleSet, Aabb) {
 fn build(n: usize, seed: u64) -> Bat {
     let (set, domain) = planted(n, seed);
     BatBuilder::new(BatConfig::default()).build(set, domain)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// FNV over the full result stream: particle index, position bits, and

@@ -6,20 +6,13 @@
 //! particle, a single-leaf cluster, and sets large enough to cross every
 //! kernel's sequential cutoff).
 
+mod common;
+
 use bat_geom::rng::Xoshiro256;
 use bat_geom::{Aabb, Vec3};
 use bat_layout::{AttributeDesc, BatBuilder, BatConfig, ParticleSet};
+use common::fnv1a;
 use proptest::prelude::*;
-
-/// FNV-1a 64-bit over a byte slice (same function as `golden_format.rs`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
 

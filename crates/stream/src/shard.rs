@@ -498,7 +498,6 @@ pub fn run_shard(comm: &dyn Comm, ds: &Dataset) -> std::io::Result<()> {
             Ok(m) => m,
             Err(CommError::Timeout { .. }) => continue,
             Err(CommError::PeerDead { .. }) => return Ok(()),
-            Err(e) => return Err(e.into()),
         };
         match Ctrl::decode(&msg.payload)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?

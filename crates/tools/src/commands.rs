@@ -514,44 +514,83 @@ fn stats_demo(args: &[String]) -> Result<()> {
     Ok(())
 }
 
-/// `bat serve` — serve a dataset to stream clients through the bounded
-/// bat-serve front-end (worker pool, bounded queue, treelet cache).
-pub fn serve(args: &[String]) -> Result<()> {
-    let (dir, basename) = match (args.first(), args.get(1)) {
-        (Some(d), Some(b)) => (d.clone(), b.clone()),
-        _ => return Err("expected <dir> <basename>".into()),
+/// What `serve` and `shard-serve` share: `<dir> <basename>`, `--addr`, the
+/// admission gate (`--workers`, `--queue`, `--deadline-ms`) and `--smoke`;
+/// `--shards` where `shards` (`shard-serve`'s default) is `Some`.
+struct ServeArgs {
+    dir: String,
+    basename: String,
+    addr: String,
+    options: bat_serve::ServeOptions,
+    shards: Option<usize>,
+    smoke: bool,
+}
+
+/// Parse [`ServeArgs`]. Counts are integers: a fraction, a negative number
+/// or a count below its minimum is a usage error, never clamped.
+fn serve_args(args: &[String], addr: &str, shards: Option<usize>) -> Result<ServeArgs> {
+    let [dir, basename, rest @ ..] = args else {
+        return Err("expected <dir> <basename>".into());
     };
-    let rest = &args[2..];
-    let mut addr = "127.0.0.1:4927".to_string();
-    let mut options = bat_serve::ServeOptions::default();
-    let mut smoke = false;
-    let mut it = rest.iter().peekable();
+    let mut parsed = ServeArgs {
+        dir: dir.clone(),
+        basename: basename.clone(),
+        addr: addr.to_string(),
+        options: bat_serve::ServeOptions::default(),
+        shards,
+        smoke: false,
+    };
+    let (mut it, options) = (rest.iter(), &mut parsed.options);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
-            "--workers" => {
-                options.workers = Some(next_f64(&mut it, "--workers")?.max(1.0) as usize)
-            }
-            "--queue" => {
-                options.queue_depth = Some(next_f64(&mut it, "--queue")?.max(1.0) as usize)
-            }
+            "--addr" => parsed.addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
+            "--shards" if shards.is_some() => parsed.shards = Some(next_count(&mut it, a, 1)?),
+            "--workers" => options.workers = Some(next_count(&mut it, a, 1)?),
+            "--queue" => options.queue_depth = Some(next_count(&mut it, a, 0)?),
             "--deadline-ms" => {
-                options.deadline = Some(std::time::Duration::from_millis(next_f64(
-                    &mut it,
-                    "--deadline-ms",
-                )? as u64))
+                let ms = next_count(&mut it, a, 0)? as u64;
+                options.deadline = Some(std::time::Duration::from_millis(ms))
             }
-            "--smoke" => smoke = true,
+            "--smoke" => parsed.smoke = true,
             other => return Err(format!("unknown option '{other}'")),
         }
     }
+    Ok(parsed)
+}
+
+/// The next argument as an integer of at least `min`.
+fn next_count(it: &mut std::slice::Iter<String>, opt: &str, min: usize) -> Result<usize> {
+    let raw = it.next().ok_or_else(|| format!("{opt} needs a value"))?;
+    match raw.parse::<usize>() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!(
+            "{opt} needs an integer of at least {min}, got '{raw}'"
+        )),
+    }
+}
+
+/// `--smoke`: one local client asks the front at `addr` for a coarse pass,
+/// proving the serving path end to end; returns the points it streamed.
+fn smoke(addr: std::net::SocketAddr) -> Result<u64> {
+    let mut client = bat_stream::StreamClient::connect(addr)
+        .map_err(|e| format!("smoke client connect: {e}"))?;
+    client
+        .request_with_retry(&Query::new().with_quality(0.2), 8, |_| {})
+        .map_err(|e| format!("smoke request: {e}"))
+}
+
+/// `bat serve` — serve a dataset to stream clients through the bounded
+/// bat-serve front-end (worker pool, bounded queue, treelet cache).
+pub fn serve(args: &[String]) -> Result<()> {
+    let args = serve_args(args, "127.0.0.1:4927", None)?;
+    let (addr, options) = (&args.addr, &args.options);
     // The budget in effect: the process-global cache (BAT_CACHE_BYTES).
     let cache_budget = bat_serve::cache::global().map_or(0, |c| c.budget());
 
-    let ds = Dataset::open(&dir, &basename).map_err(|e| format!("open dataset: {e}"))?;
+    let ds = Dataset::open(&args.dir, &args.basename).map_err(|e| format!("open dataset: {e}"))?;
     let particles = ds.num_particles();
     let backend_name = ds.backend_name();
-    let server = bat_stream::StreamServer::bind_with(&addr, ds, options.clone())
+    let server = bat_stream::StreamServer::bind_with(addr, ds, options.clone())
         .map_err(|e| format!("bind {addr}: {e}"))?;
     let bound = server
         .local_addr()
@@ -574,23 +613,17 @@ pub fn serve(args: &[String]) -> Result<()> {
             b => format!("{b} B"),
         },
     );
-    if smoke {
-        // Smoke mode: prove the serving loop end to end with one local
-        // client, then drain and exit (used by CI and the tests).
-        let mut client = bat_stream::StreamClient::connect(bound)
-            .map_err(|e| format!("smoke client connect: {e}"))?;
-        let n = client
-            .request_with_retry(&Query::new().with_quality(0.2), 8, |_| {})
-            .map_err(|e| format!("smoke request: {e}"))?;
-        drop(client);
-        handle.shutdown();
-        println!("smoke: streamed {n} points, server drained cleanly");
-        return Ok(());
+    if !args.smoke {
+        // Serve until killed; the handle's Drop path still drains cleanly.
+        loop {
+            std::thread::park();
+        }
     }
-    // Serve until killed; the handle's Drop path still drains cleanly.
-    loop {
-        std::thread::park();
-    }
+    // Prove the serving loop, then drain and exit (CI and the tests).
+    let n = smoke(bound)?;
+    handle.shutdown();
+    println!("smoke: streamed {n} points, server drained cleanly");
+    Ok(())
 }
 
 fn next_f64(it: &mut std::iter::Peekable<std::slice::Iter<String>>, opt: &str) -> Result<f64> {
@@ -620,35 +653,17 @@ fn next_list(
 /// contiguous slice of the aggregation tree's leaves and connected over a
 /// Unix-socket bat-comm cluster.
 pub fn shard_serve(args: &[String]) -> Result<()> {
-    let (dir, basename) = match (args.first(), args.get(1)) {
-        (Some(d), Some(b)) => (d.clone(), b.clone()),
-        _ => return Err("expected <dir> <basename>".into()),
-    };
-    let rest = &args[2..];
-    let mut addr = "127.0.0.1:4928".to_string();
-    let mut shards = 2usize;
-    let mut smoke = false;
-    let mut options = bat_serve::ServeOptions::default();
-    let mut it = rest.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
-            "--shards" => shards = next_f64(&mut it, "--shards")?.max(1.0) as usize,
-            "--workers" => {
-                options.workers = Some(next_f64(&mut it, "--workers")?.max(1.0) as usize)
-            }
-            "--queue" => {
-                options.queue_depth = Some(next_f64(&mut it, "--queue")?.max(1.0) as usize)
-            }
-            "--deadline-ms" => {
-                options.deadline = Some(std::time::Duration::from_millis(next_f64(
-                    &mut it,
-                    "--deadline-ms",
-                )? as u64))
-            }
-            "--smoke" => smoke = true,
-            other => return Err(format!("unknown option '{other}'")),
-        }
+    let args = serve_args(args, "127.0.0.1:4928", Some(2))?;
+    let (dir, basename, addr) = (&args.dir, &args.basename, &args.addr);
+    let shards = args.shards.expect("shard-serve takes --shards");
+    // Open (and so check) the dataset before any worker process exists.
+    let ds = Dataset::open(dir, basename).map_err(|e| format!("open dataset: {e}"))?;
+    let particles = ds.num_particles();
+    let leaves = ds.meta().leaves.len();
+    if shards > leaves {
+        return Err(format!(
+            "--shards {shards} exceeds the dataset's {leaves} leaf files"
+        ));
     }
 
     // The cluster: rank 0 (this process) is the router hub; ranks 1..=N
@@ -701,11 +716,8 @@ pub fn shard_serve(args: &[String]) -> Result<()> {
         )
     };
 
-    let ds = Dataset::open(&dir, &basename).map_err(|e| format!("open dataset: {e}"))?;
-    let particles = ds.num_particles();
-    let leaves = ds.meta().leaves.len();
     let router = std::sync::Arc::new(bat_stream::ShardRouter::new(comm, std::sync::Arc::new(ds)));
-    let front = bat_stream::ShardFront::bind(&addr, router.clone(), options)
+    let front = bat_stream::ShardFront::bind(addr, router.clone(), args.options)
         .map_err(|e| format!("bind {addr}: {e}"))?;
     let bound = front.local_addr().map_err(|e| format!("local addr: {e}"))?;
     let handle = front.spawn().map_err(|e| format!("start front: {e}"))?;
@@ -713,41 +725,25 @@ pub fn shard_serve(args: &[String]) -> Result<()> {
         "shard-serving {particles} particles ({leaves} leaves) on {bound} across {shards} shard processes"
     );
 
-    let teardown =
-        |handle: bat_stream::ServerHandle,
-         supervisor: bat_stream::Supervisor,
-         router: std::sync::Arc<bat_stream::ShardRouter>,
-         children: std::sync::Arc<std::sync::Mutex<Vec<Option<std::process::Child>>>>| {
-            handle.shutdown();
-            // Stop supervision before the shutdown broadcast, or exiting
-            // workers would be "lost" and respawned mid-teardown.
-            supervisor.stop();
-            router.shutdown();
-            for c in children.lock().unwrap().iter_mut() {
-                if let Some(c) = c.as_mut() {
-                    c.wait().ok();
-                }
-            }
-            std::fs::remove_dir_all(&sock_dir).ok();
-        };
-
-    if smoke {
-        // Smoke mode: one local client proves the fan-out path end to
-        // end, then everything drains (used by CI and the tests).
-        let mut client = bat_stream::StreamClient::connect(bound)
-            .map_err(|e| format!("smoke client connect: {e}"))?;
-        let n = client
-            .request_with_retry(&Query::new().with_quality(0.2), 8, |_| {})
-            .map_err(|e| format!("smoke request: {e}"))?;
-        drop(client);
-        teardown(handle, supervisor, router, children);
-        println!("smoke: streamed {n} points through {shards} shards, drained cleanly");
-        return Ok(());
+    if !args.smoke {
+        // Serve until killed.
+        loop {
+            std::thread::park();
+        }
     }
-    // Serve until killed.
-    loop {
-        std::thread::park();
+    // Prove the fan-out path, then drain everything (CI and the tests).
+    let n = smoke(bound)?;
+    handle.shutdown();
+    // Stop supervision before the shutdown broadcast, or exiting workers
+    // would be "lost" and respawned mid-teardown.
+    supervisor.stop();
+    router.shutdown();
+    for c in children.lock().unwrap().iter_mut().flatten() {
+        c.wait().ok();
     }
+    std::fs::remove_dir_all(&sock_dir).ok();
+    println!("smoke: streamed {n} points through {shards} shards, drained cleanly");
+    Ok(())
 }
 
 /// `bat shard-worker` — internal: one shard process of a `shard-serve`
@@ -808,12 +804,16 @@ mod tests {
     use libbat::write::{write_particles, WriteConfig};
 
     fn make_dataset(tag: &str) -> (std::path::PathBuf, String) {
+        make_dataset_of(tag, 4, 2000)
+    }
+
+    fn make_dataset_of(tag: &str, ranks: usize, per_rank: u64) -> (std::path::PathBuf, String) {
         let dir = std::env::temp_dir().join(format!("bat-tools-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let grid = RankGrid::new_3d(4, bat_geom::Aabb::unit());
+        let grid = RankGrid::new_3d(ranks, bat_geom::Aabb::unit());
         let d = dir.clone();
-        Cluster::run(4, move |comm| {
-            let set = uniform::generate_rank(&grid, comm.rank(), 2000, 3);
+        Cluster::run(ranks, move |comm| {
+            let set = uniform::generate_rank(&grid, comm.rank(), per_rank, 3);
             let cfg = WriteConfig::with_target_size(100_000, set.bytes_per_particle() as u64);
             write_particles(&comm, set, grid.bounds_of(comm.rank()), &cfg, &d, "t").unwrap();
         });
@@ -944,5 +944,46 @@ mod tests {
             let err = serve(&argv.map(String::from)).unwrap_err();
             assert_eq!(err, format!("unknown option '{flag}'"));
         }
+    }
+
+    #[test]
+    fn serve_counts_are_integers_parsed_before_anything_runs() {
+        // Parsed before the dataset is opened: a bad count errs on a path
+        // that does not exist, and is never clamped into range.
+        let bad = [
+            ("--workers", "0"),
+            ("--workers", "1.5"),
+            ("--queue", "-1"),
+            ("--deadline-ms", "-5"),
+            ("--deadline-ms", "2.5"),
+        ];
+        for (flag, value) in bad {
+            let argv = ["/nonexistent", "x", flag, value].map(String::from);
+            for run in [serve, shard_serve] {
+                let err = run(&argv).unwrap_err();
+                assert!(err.starts_with(flag), "{flag} {value}: {err}");
+            }
+        }
+        for value in ["0", "2.5", "-1"] {
+            let argv = ["/nonexistent", "x", "--shards", value].map(String::from);
+            let err = shard_serve(&argv).unwrap_err();
+            assert!(err.starts_with("--shards"), "{value}: {err}");
+        }
+        let argv = ["/nonexistent", "x", "--shards", "2"].map(String::from);
+        assert_eq!(serve(&argv).unwrap_err(), "unknown option '--shards'");
+    }
+
+    #[test]
+    fn shard_serve_checks_the_dataset_before_it_spawns_workers() {
+        let argv = ["/nonexistent", "x", "--shards", "2"].map(String::from);
+        let err = shard_serve(&argv).unwrap_err();
+        assert!(err.starts_with("open dataset"), "{err}");
+        // One writing rank, one leaf file: two shards would own nothing.
+        let (dir, base) = make_dataset_of("shard-serve", 1, 300);
+        let leaves = Dataset::open(&dir, &base).unwrap().meta().leaves.len();
+        assert_eq!(leaves, 1);
+        let err = shard_serve(&args(&dir, &base, &["--shards", "2"])).unwrap_err();
+        assert_eq!(err, "--shards 2 exceeds the dataset's 1 leaf files");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

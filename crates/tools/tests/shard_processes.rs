@@ -10,46 +10,23 @@
 mod common;
 
 use bat_comm::{Cluster, ClusterConfig};
-use bat_geom::{Aabb, Vec3};
 use bat_layout::Query;
 use bat_obs::knobs::{self, EnvGuard};
-use bat_serve::{QueryPlan, ServeOptions};
+use bat_serve::ServeOptions;
 use bat_stream::{
     supervise, RequestError, ServerHandle, ShardFront, ShardRouter, StreamClient, Supervisor,
     SupervisorConfig, ERR_SHARD,
 };
-use common::{build_test_dataset, fnv1a, BuildOpts, ScratchDir, Workload};
+use common::{build_test_dataset, serial, served, wire_reference, BuildOpts, ScratchDir, Workload};
 use libbat::Dataset;
 use std::path::Path;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// One fabric at a time: the tests share the host's cores with the worker
-/// processes they spawn, and the failover test has wall-clock bounds.
-fn lock() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const HEARTBEAT: Duration = Duration::from_millis(250);
 const MISSED_BEATS: u32 = 2;
-
-/// A full scan, a progressive pass, and two bounded interactive queries
-/// (one attribute-filtered).
-fn query_mix() -> Vec<Query> {
-    vec![
-        Query::new(),
-        Query::new().with_quality(0.3),
-        Query::new()
-            .with_quality(0.8)
-            .with_bounds(Aabb::new(Vec3::splat(0.1), Vec3::splat(0.7))),
-        Query::new()
-            .with_bounds(Aabb::new(Vec3::ZERO, Vec3::new(1.0, 0.5, 1.0)))
-            .with_filter(0, 0.2, 0.9),
-    ]
-}
 
 /// 40 k uniform particles from 16 ranks under a target size below one
 /// rank's payload: one leaf file per rank, so even four shards own four
@@ -74,48 +51,6 @@ fn dataset() -> ScratchDir {
         .len();
     assert_eq!(leaves, 16, "one leaf per writing rank");
     scratch
-}
-
-/// (FNV-1a of the point stream in arrival order, point count).
-type Digest = (u64, u64);
-
-fn push_point(bytes: &mut Vec<u8>, pos: Vec3, attrs: impl Iterator<Item = f64>) {
-    for c in [pos.x, pos.y, pos.z] {
-        bytes.extend_from_slice(&c.to_le_bytes());
-    }
-    for a in attrs {
-        bytes.extend_from_slice(&a.to_le_bytes());
-    }
-}
-
-/// What one process answers for [`query_mix`]: the stream every fabric
-/// must reproduce bit for bit.
-fn single_process_digests(dir: &Path) -> Vec<Digest> {
-    let ds = Dataset::open(dir, "s").unwrap();
-    query_mix()
-        .iter()
-        .map(|q| {
-            let mut bytes = Vec::new();
-            let stats = QueryPlan::new(&ds, q)
-                .expect("plan")
-                .execute(None, |p| {
-                    push_point(&mut bytes, p.position, p.attrs.iter().copied())
-                })
-                .expect("single-process execute");
-            (fnv1a(bytes), stats.points_returned)
-        })
-        .collect()
-}
-
-/// One request without client-side retry: any typed failure is returned.
-fn request_digest(client: &mut StreamClient, q: &Query) -> Result<Digest, RequestError> {
-    let mut bytes = Vec::new();
-    let points = client.request(q, |c| {
-        for (i, p) in c.positions.iter().enumerate() {
-            push_point(&mut bytes, *p, (0..c.num_attrs).map(|a| c.attr(i, a)));
-        }
-    })?;
-    Ok((fnv1a(bytes), points))
 }
 
 /// The worker processes of one fabric; whatever is still running when the
@@ -245,15 +180,14 @@ fn spawn_worker(data: &Path, cfg: &ClusterConfig, shard: usize) -> std::io::Resu
 
 #[test]
 fn worker_processes_merge_to_the_single_process_stream() {
-    let _serial = lock();
+    let _serial = serial();
     let data = dataset();
-    let expected = single_process_digests(&data.path);
-    assert!(expected.iter().all(|&(_, points)| points > 0));
+    let (mix, expected) = wire_reference(&data.path);
     for shards in [1, 2, 4] {
         let fabric = Fabric::start(&data.path, shards, 1);
         let mut client = fabric.client();
-        for (q, want) in query_mix().iter().zip(&expected) {
-            let got = request_digest(&mut client, q).expect("healthy fabric answers");
+        for (q, want) in mix.iter().zip(&expected) {
+            let got = served(&mut client, q).expect("healthy fabric answers");
             assert_eq!(got, *want, "{shards} worker process(es), {q:?}");
         }
         drop(client);
@@ -266,12 +200,12 @@ fn worker_processes_merge_to_the_single_process_stream() {
 /// `Ok` assembled from the surviving shard's leaves.
 #[test]
 fn sigkilled_worker_without_a_replica_is_a_typed_bounded_error() {
-    let _serial = lock();
+    let _serial = serial();
     let data = dataset();
-    let total = single_process_digests(&data.path)[0].1;
+    let total = Dataset::open(&data.path, "s").unwrap().num_particles();
     let fabric = Fabric::start(&data.path, 2, 1);
     let mut client = fabric.client();
-    assert_eq!(request_digest(&mut client, &Query::new()).unwrap().1, total);
+    assert_eq!(served(&mut client, &Query::new()).unwrap().points, total);
 
     fabric.sigkill(1);
     let killed = Instant::now();
@@ -307,12 +241,11 @@ fn sigkilled_worker_without_a_replica_is_a_typed_bounded_error() {
 /// replaces the process and re-admits it within a few heartbeats.
 #[test]
 fn supervised_replicas_ride_out_a_sigkill_and_the_worker_comes_back() {
-    let _serial = lock();
+    let _serial = serial();
     let data = dataset();
-    let expected = single_process_digests(&data.path);
+    let (mix, expected) = wire_reference(&data.path);
     let fabric = Fabric::start(&data.path, 4, 2);
     let mut client = fabric.client();
-    let mix = query_mix();
     let victim = 2;
 
     let mut killed = None;
@@ -322,7 +255,7 @@ fn supervised_replicas_ride_out_a_sigkill_and_the_worker_comes_back() {
             killed = Some(Instant::now());
         }
         for (q, want) in mix.iter().zip(&expected) {
-            let got = request_digest(&mut client, q).expect("a replica covers the dead worker");
+            let got = served(&mut client, q).expect("a replica covers the dead worker");
             assert_eq!(got, *want, "failover changed the stream of {q:?}");
         }
     }
@@ -355,7 +288,7 @@ fn supervised_replicas_ride_out_a_sigkill_and_the_worker_comes_back() {
     );
 
     for (q, want) in mix.iter().zip(&expected) {
-        let got = request_digest(&mut client, q).expect("healed fabric answers");
+        let got = served(&mut client, q).expect("healed fabric answers");
         assert_eq!(got, *want, "healed fabric, {q:?}");
     }
     drop(client);

@@ -10,23 +10,21 @@ use bat_geom::Aabb;
 use bat_layout::Query;
 use bat_obs::knobs::{self, EnvGuard};
 use bat_workloads::{uniform, RankGrid};
-use common::{fnv1a, ScratchDir};
+use common::{direct, fnv1a, ScratchDir};
 use libbat::read::read_particles;
 use libbat::write::{leaf_file_name, meta_file_name, write_particles, WriteConfig};
 use libbat::Dataset;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 const RANKS: usize = 4;
 
 /// Writes in this binary share the process-global fault registry and the
 /// write knobs, so they run one at a time.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+fn serial() -> common::Serial {
+    common::serial_resetting(bat_faults::reset)
 }
 
 /// Write `per_rank` uniform points per rank (v1 treelets, no indexes)
@@ -59,21 +57,6 @@ fn write_ok(dir: &Path, basename: &str, per_rank: u64) {
     for (rank, r) in write(dir, basename, per_rank).into_iter().enumerate() {
         r.unwrap_or_else(|e| panic!("rank {rank} write failed: {e}"));
     }
-}
-
-/// `(points, FNV-1a over every returned point's position and attributes)`
-/// of a full query, in plan order.
-fn full_query(ds: &Dataset) -> io::Result<(u64, u64)> {
-    let mut bytes = Vec::new();
-    let stats = ds.query(&Query::new(), |p| {
-        for c in [p.position.x, p.position.y, p.position.z] {
-            bytes.extend_from_slice(&c.to_le_bytes());
-        }
-        for a in p.attrs {
-            bytes.extend_from_slice(&a.to_le_bytes());
-        }
-    })?;
-    Ok((stats.points_returned, fnv1a(bytes)))
 }
 
 /// The trailing `[…][crc32c][total_len][magic]` trailer of a file.
@@ -115,7 +98,6 @@ fn killed_recommit_never_serves_uncommitted_leaves() {
     let before = Dataset::open(&scratch.path, "r").unwrap();
     assert_eq!(before.num_particles(), RANKS as u64 * 1_500);
 
-    bat_faults::reset();
     bat_faults::configure_site(
         "write.meta.rename.before",
         FaultAction::Kill,
@@ -140,12 +122,15 @@ fn killed_recommit_never_serves_uncommitted_leaves() {
 
     let fresh = Dataset::open(&scratch.path, "r").expect("the old commit still opens");
     for (name, ds) in [("fresh", &fresh), ("pre-opened", &before)] {
-        match full_query(ds) {
+        match direct(ds, &Query::new()) {
             Err(e) => {
                 assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{name}: {e}");
                 assert!(e.to_string().contains("open_degraded"), "{name}: {e}");
             }
-            Ok((n, _)) => panic!("{name} handle served {n} points of an uncommitted write"),
+            Ok(d) => panic!(
+                "{name} handle served {} points of an uncommitted write",
+                d.points
+            ),
         }
     }
 }
@@ -161,8 +146,8 @@ fn batmeta_flips_and_truncations_are_typed_errors_or_identical() {
     write_ok(&scratch.path, "m", 1_500);
     let path = scratch.path.join(meta_file_name("m"));
     let original = std::fs::read(&path).unwrap();
-    let reference = full_query(&Dataset::open(&scratch.path, "m").unwrap()).unwrap();
-    assert_eq!(reference.0, RANKS as u64 * 1_500);
+    let reference = direct(&Dataset::open(&scratch.path, "m").unwrap(), &Query::new()).unwrap();
+    assert_eq!(reference.points, RANKS as u64 * 1_500);
 
     let flips = (0..original.len()).flat_map(|byte| {
         [0, 3, 7].map(|bit| {
@@ -176,7 +161,7 @@ fn batmeta_flips_and_truncations_are_typed_errors_or_identical() {
     for bytes in flips.chain(cuts) {
         std::fs::write(&path, &bytes).unwrap();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            Dataset::open(&scratch.path, "m").and_then(|ds| full_query(&ds))
+            Dataset::open(&scratch.path, "m").and_then(|ds| direct(&ds, &Query::new()))
         }));
         match outcome {
             Err(_) => panics += 1,

@@ -21,28 +21,13 @@ use common::ScratchDir;
 use libbat::write::{write_particles, WriteConfig, WriteReport};
 use libbat::{verify_dataset, CommitState, Dataset};
 use std::io;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-/// The fault registry is process-global, so the matrix runs serialized.
-/// The guard resets the registry on acquire *and* on drop, so a failed
-/// test never leaks faults into the next one.
-struct FaultLock(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-fn faults() -> FaultLock {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let guard = LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner());
-    bat_faults::reset();
-    FaultLock(guard)
-}
-
-impl Drop for FaultLock {
-    fn drop(&mut self) {
-        bat_faults::reset();
-    }
+/// The fault registry is process-global, so the matrix runs serialized;
+/// it is reset on acquire and on drop, so a failed test never leaks faults
+/// into the next one.
+fn faults() -> common::Serial {
+    common::serial_resetting(bat_faults::reset)
 }
 
 const RANKS: usize = 4;
@@ -313,6 +298,34 @@ fn exhausted_send_retries_abandon_the_write() {
     );
     let results = run_write(&scratch.path, "ts");
     assert_all_err(&results);
+    assert_uncommitted(&scratch.path, "ts");
+}
+
+#[test]
+fn killed_shuffle_sender_abandons_the_write() {
+    let _guard = faults();
+    let scratch = ScratchDir::new("cc-shuffle-kill");
+    // A kill is a crash, not a transient: rank 1 dies at its first shuffle
+    // send without retrying, and the survivors observe the death through
+    // their bounded receives.
+    bat_faults::configure("write.shuffle.send=kill@rank=1").expect("fault spec");
+    let reg = std::sync::Arc::new(bat_obs::Registry::new());
+    let _on = bat_obs::enable();
+    let _scope = bat_obs::scope(reg.clone());
+    let started = std::time::Instant::now();
+    let results = run_write(&scratch.path, "ts");
+    assert_all_err(&results);
+    assert!(
+        started.elapsed() < Duration::from_secs(60),
+        "survivors must err within the deadline, took {:?}",
+        started.elapsed()
+    );
+    assert!(reg.counter("faults.triggered").get() >= 1, "never killed");
+    assert_eq!(
+        reg.counter("write.retries").get(),
+        0,
+        "a kill must not retry"
+    );
     assert_uncommitted(&scratch.path, "ts");
 }
 

@@ -7,32 +7,13 @@
 mod common;
 
 use bat_iosim::{ObjectStore, ObjectStoreConfig};
-use bat_layout::Query;
-use common::{build_test_dataset, fnv1a, BuildOpts, Workload};
+use common::{build_test_dataset, query_mix, BuildOpts, Digest, Workload};
 use libbat::{verify_dataset, Dataset, ReadBackend};
 
-/// FNV-1a over a query's full result stream in arrival order.
-fn query_fnv(ds: &Dataset, q: &Query) -> u64 {
-    let mut bytes: Vec<u8> = Vec::new();
-    ds.query(q, |p| {
-        bytes.extend_from_slice(&p.index.to_le_bytes());
-        bytes.extend_from_slice(&p.position.x.to_bits().to_le_bytes());
-        bytes.extend_from_slice(&p.position.y.to_bits().to_le_bytes());
-        bytes.extend_from_slice(&p.position.z.to_bits().to_le_bytes());
-        for a in p.attrs {
-            bytes.extend_from_slice(&a.to_bits().to_le_bytes());
-        }
-    })
-    .expect("query succeeds");
-    fnv1a(bytes)
-}
-
-fn query_mix() -> Vec<Query> {
-    vec![
-        Query::new(),
-        Query::new().with_quality(0.4),
-        Query::new().with_filter(0, 0.1, 0.9),
-    ]
+/// Every query of the mix through `Dataset::query`.
+fn digests(ds: &Dataset) -> Vec<Digest> {
+    let mix = query_mix(ds);
+    mix.iter().map(|q| common::direct(ds, q).unwrap()).collect()
 }
 
 #[test]
@@ -66,25 +47,20 @@ fn degraded_open_serves_identically_on_range_backends() {
     // Reference: the degraded stream over mmap, with skips counted.
     let reg = std::sync::Arc::new(bat_obs::Registry::new());
     let _on = bat_obs::enable();
-    let reference: Vec<u64> = {
+    let reference = {
         let _scope = bat_obs::scope(reg.clone());
         let (ds, report) = Dataset::open_degraded(&scratch.path, "s").expect("degraded open");
         assert!(!report.is_clean());
         assert_eq!(ds.excluded_leaves().len(), 1);
         ds.set_backend(ReadBackend::Mmap);
-        query_mix().iter().map(|q| query_fnv(&ds, q)).collect()
+        digests(&ds)
     };
     let mmap_skips = reg.counter("read.degraded_skips").get();
     assert!(
         mmap_skips >= 1,
         "the full query must skip the excluded leaf"
     );
-    let total = Dataset::open_degraded(&scratch.path, "s")
-        .expect("degraded open")
-        .0
-        .count(&Query::new())
-        .expect("count");
-    assert!(total > 0, "surviving leaves must still serve");
+    assert!(reference[0].points > 0, "surviving leaves must still serve");
 
     // The same degraded dataset behind each range backend: identical
     // streams, skips counted identically.
@@ -101,9 +77,9 @@ fn degraded_open_serves_identically_on_range_backends() {
         let (ds, _) = Dataset::open_degraded(&scratch.path, "s").expect("degraded open");
         assert_eq!(ds.excluded_leaves().len(), 1, "{name}: exclusions differ");
         ds.set_backend(backend);
-        let got: Vec<u64> = query_mix().iter().map(|q| query_fnv(&ds, q)).collect();
         assert_eq!(
-            got, reference,
+            digests(&ds),
+            reference,
             "{name}: degraded stream differs from mmap reference"
         );
         assert_eq!(

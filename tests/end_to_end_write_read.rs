@@ -388,12 +388,7 @@ fn auto_target_size_roundtrip() {
 
 /// FNV-1a over a file's bytes; enough to detect any single-byte drift.
 fn hash_file(path: &std::path::Path) -> u64 {
-    let bytes = std::fs::read(path).unwrap();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    common::fnv1a(std::fs::read(path).unwrap())
 }
 
 /// Sorted (name, size, hash) triples for every regular file in `dir`.

@@ -22,14 +22,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The tests below put transient values into the process environment
-/// (a v2 codec, a fault spec, a 2 s receive deadline…) that the other
-/// tests' writers, clusters and datasets would pick up: one at a time.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
+// The tests below put transient values into the process environment (a v2
+// codec, a fault spec, a 2 s receive deadline…) that the other tests'
+// writers, clusters and datasets would pick up, so each holds
+// `common::serial()`.
 
 /// The typed value a spelling must come out as: the normalized string
 /// from [`Knob::get`], or the number from [`Knob::uint`].
@@ -198,7 +194,7 @@ fn cases() -> Vec<Case> {
 /// upper-cased inside whitespace), and one invalid value per knob.
 #[test]
 fn every_knob_parses_its_documented_values() {
-    let _serial = lock();
+    let _serial = common::serial();
     let cases = cases();
     let covered: Vec<&str> = cases.iter().map(|c| c.0.name).collect();
     let table: Vec<&str> = ENV_KNOBS.iter().map(|k| k.name).collect();
@@ -271,7 +267,7 @@ fn every_knob_parses_its_documented_values() {
 /// ones the table documents.
 #[test]
 fn consumer_defaults_match_the_table() {
-    let _serial = lock();
+    let _serial = common::serial();
     let _env = EnvGuard::set(&[
         (&knobs::TREELET_CODEC, None),
         (&knobs::READ_BACKEND, None),
@@ -302,7 +298,7 @@ fn consumer_defaults_match_the_table() {
 /// reads (`Codec::from_env`, called by `BatWriter::new`) stays v1.
 #[test]
 fn deleted_lossy_codec_falls_back_to_v1() {
-    let _serial = lock();
+    let _serial = common::serial();
     let _env = EnvGuard::set(&[(&knobs::TREELET_CODEC, Some("v2-lossy"))]);
     let reg = Arc::new(bat_obs::Registry::new());
     let _on = bat_obs::enable();
@@ -330,7 +326,7 @@ fn indexed_file_bytes() -> Vec<u8> {
 /// afterwards changes nothing, setting it before forces the strategy.
 #[test]
 fn plan_strategy_is_read_when_the_file_is_opened() {
-    let _serial = lock();
+    let _serial = common::serial();
     let bytes = indexed_file_bytes();
     // Dense predicate: `auto` stays on the bitmap plan, `index` is forced.
     let q = Query::new().with_filter(0, -1.0, 1.0e9);
@@ -356,7 +352,7 @@ fn plan_strategy_is_read_when_the_file_is_opened() {
 /// the variable says 20 s by the time it queries.
 #[test]
 fn router_reads_its_silence_wait_when_it_is_built() {
-    let _serial = lock();
+    let _serial = common::serial();
     let scratch = build_test_dataset(
         &Workload::Uniform {
             per_rank: 1500,
@@ -413,7 +409,7 @@ fn head_version(dir: &Path) -> u32 {
 /// process, the codec variable changed in between, give a v1 and a v2 file.
 #[test]
 fn codec_flip_between_two_writes_in_one_process() {
-    let _serial = lock();
+    let _serial = common::serial();
     let write = |tag: &'static str, codec: Option<&str>| {
         let _env = EnvGuard::set(&[(&knobs::TREELET_CODEC, codec)]);
         let workload = Workload::Uniform {

@@ -21,27 +21,13 @@ use bat_iosim::{ObjectStore, ObjectStoreConfig};
 use bat_layout::Query;
 use common::{build_test_dataset, BuildOpts, ScratchDir, Workload};
 use libbat::{Dataset, ReadBackend};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
-/// The fault registry is process-global, so the matrix runs serialized.
-/// The guard resets the registry on acquire *and* on drop, so a failed
-/// test never leaks faults into the next one.
-struct FaultLock(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-fn faults() -> FaultLock {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let guard = LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner());
-    bat_faults::reset();
-    FaultLock(guard)
-}
-
-impl Drop for FaultLock {
-    fn drop(&mut self) {
-        bat_faults::reset();
-    }
+/// The fault registry is process-global, so the matrix runs serialized;
+/// it is reset on acquire and on drop, so a failed test never leaks faults
+/// into the next one.
+fn faults() -> common::Serial {
+    common::serial_resetting(bat_faults::reset)
 }
 
 /// One shared dataset for the whole matrix (the faults are injected in the

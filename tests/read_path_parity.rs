@@ -11,18 +11,16 @@
 
 mod common;
 
+use bat_layout::Query;
 use bat_obs::{Registry, Snapshot};
 use bat_serve::ServeOptions;
 use bat_stream::{StreamClient, StreamServer};
 use common::{build_test_dataset, query_mix, BuildOpts, ScratchDir, Workload};
 use libbat::{verify_dataset, Dataset};
 use std::net::SocketAddr;
-use std::sync::{Mutex, MutexGuard};
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+fn lock() -> common::Serial {
+    common::serial_resetting(bat_faults::reset)
 }
 
 fn sample(tag: &'static str, codec: Option<&'static str>) -> ScratchDir {
@@ -56,13 +54,13 @@ fn recorded(run: impl FnOnce()) -> Snapshot {
     Registry::global().snapshot()
 }
 
-/// Run the query mix from one client; returns the chunk frames it got.
-fn run_mix(addr: SocketAddr) -> u64 {
+/// Run `mix` from one client; returns the chunk frames it got.
+fn run_mix(addr: SocketAddr, mix: &[Query]) -> u64 {
     let mut client = StreamClient::connect(addr).expect("connect");
     let mut chunks = 0;
-    for q in query_mix() {
+    for q in mix {
         client
-            .request_with_retry(&q, 64, |_| chunks += 1)
+            .request_with_retry(q, 64, |_| chunks += 1)
             .expect("request succeeds");
     }
     chunks
@@ -70,11 +68,11 @@ fn run_mix(addr: SocketAddr) -> u64 {
 
 /// `run_mix` against a single-process server over `ds`; shutdown joins
 /// the sessions, so every counter has landed when this returns.
-fn serve_mix(ds: Dataset) -> u64 {
+fn serve_mix(ds: Dataset, mix: &[Query]) -> u64 {
     let handle = StreamServer::bind_with("127.0.0.1:0", ds, options())
         .and_then(StreamServer::spawn)
         .expect("start server");
-    let chunks = run_mix(handle.addr());
+    let chunks = run_mix(handle.addr(), mix);
     handle.shutdown();
     chunks
 }
@@ -88,17 +86,25 @@ fn counters_agree_across_direct_served_and_sharded_paths() {
         ds.set_cache(None);
         ds
     };
+    let mix = query_mix(&open());
 
     let direct = recorded(|| {
         let ds = open();
-        for q in query_mix() {
-            ds.query(&q, |_| {}).expect("direct query");
+        for q in &mix {
+            ds.query(q, |_| {}).expect("direct query");
         }
     });
     let (mut served_chunks, mut sharded_chunks) = (0, 0);
-    let served = recorded(|| served_chunks = serve_mix(open()));
+    let served = recorded(|| served_chunks = serve_mix(open(), &mix));
     let sharded = recorded(|| {
-        sharded_chunks = common::with_shard_front(&scratch.path, "s", 2, options(), run_mix)
+        sharded_chunks = common::with_shard_front(
+            &scratch.path,
+            "s",
+            2,
+            options(),
+            |_| {},
+            |addr| run_mix(addr, &mix),
+        )
     });
 
     let count = |snap: &Snapshot, name: &str| snap.counter(name).unwrap_or(0);
@@ -118,7 +124,7 @@ fn counters_agree_across_direct_served_and_sharded_paths() {
         count(&direct, "bitmap.hits") > 0,
         "the filtered query must exercise the exact filter"
     );
-    let requests = query_mix().len() as u64;
+    let requests = mix.len() as u64;
     assert_eq!(count(&direct, "stream.requests"), 0);
     assert_eq!(count(&served, "stream.requests"), requests);
     assert_eq!(count(&sharded, "stream.requests"), requests);
@@ -164,15 +170,16 @@ fn degraded_skips_are_counted_on_the_served_path() {
         assert_eq!(ds.excluded_leaves().len(), 1);
         ds
     };
+    let mix = query_mix(&open());
 
     let direct = recorded(|| {
         let ds = open();
-        for q in query_mix() {
-            ds.query(&q, |_| {}).expect("direct query");
+        for q in &mix {
+            ds.query(q, |_| {}).expect("direct query");
         }
     });
     let served = recorded(|| {
-        serve_mix(open());
+        serve_mix(open(), &mix);
     });
     let skips = direct.counter("read.degraded_skips").unwrap_or(0);
     assert!(skips >= 1, "the full query must skip the excluded leaf");
@@ -187,7 +194,6 @@ fn degraded_skips_are_counted_on_the_served_path() {
 #[test]
 fn expired_deadline_returns_before_the_warm_up_decodes_anything() {
     use bat_faults::FaultAction;
-    use bat_layout::Query;
     use bat_serve::PageCache;
     use bat_stream::{RequestError, ERR_DEADLINE};
     use std::time::Duration;
@@ -198,7 +204,6 @@ fn expired_deadline_returns_before_the_warm_up_decodes_anything() {
     let scratch = sample("parity-deadline", Some("v2-lossless"));
     let cache = PageCache::new(8 << 20);
     let ds = Dataset::open(&scratch.path, "s").expect("open");
-    bat_faults::reset();
     // Every execution stalls 60 ms on the worker; the 10 ms deadline
     // (started at submission) has expired before the plan runs.
     bat_faults::configure_site("serve.exec", FaultAction::Delay(60), None, None, None, None);
@@ -255,7 +260,6 @@ fn expired_deadline_returns_before_the_warm_up_decodes_anything() {
 #[test]
 fn a_deadline_that_expires_waiting_for_a_permit_touches_no_treelet() {
     use bat_faults::FaultAction;
-    use bat_layout::Query;
     use bat_serve::PageCache;
     use bat_stream::{RequestError, ERR_DEADLINE};
     use std::time::Duration;
@@ -264,7 +268,6 @@ fn a_deadline_that_expires_waiting_for_a_permit_touches_no_treelet() {
     let scratch = sample("parity-wait", Some("v2-lossless"));
     let cache = PageCache::new(8 << 20);
     let ds = Dataset::open(&scratch.path, "s").expect("open");
-    bat_faults::reset();
     // Only the first execution stalls: 400 ms under the only permit.
     bat_faults::configure_site(
         "serve.exec",
@@ -306,7 +309,6 @@ fn a_deadline_that_expires_waiting_for_a_permit_touches_no_treelet() {
         assert_eq!(holder.join().unwrap(), ERR_DEADLINE, "the stalled holder");
         handle.shutdown();
     });
-    bat_faults::reset();
     assert_eq!(snap.counter("serve.queued"), Some(2), "both were admitted");
     assert_eq!(snap.counter("serve.rejected"), None);
     assert_eq!(snap.counter("serve.deadline_expired"), Some(2));

@@ -5,37 +5,19 @@
 
 mod common;
 
-use bat_geom::{Aabb, Vec3};
 use bat_layout::Query;
 use bat_serve::{PageCache, ServeOptions};
 use bat_stream::{RequestError, StreamClient, StreamServer, ERR_BAD_QUERY, ERR_DEADLINE};
-use common::{query_mix, BuildOpts, ScratchDir, Workload};
+use common::{query_mix, served, wire_reference, BuildOpts, Digest, ScratchDir, Workload};
 use libbat::Dataset;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 const RANKS: usize = 4;
 const PER_RANK: u64 = 1_500;
 
-/// The `faults` cases arm delays in the process-global fault registry, so
-/// every test in this binary serializes behind one lock that resets the
-/// registry on acquire and on drop.
-struct FaultLock(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-fn lock() -> FaultLock {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let guard = LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner());
-    bat_faults::reset();
-    FaultLock(guard)
-}
-
-impl Drop for FaultLock {
-    fn drop(&mut self) {
-        bat_faults::reset();
-    }
+fn lock() -> common::Serial {
+    common::serial_resetting(bat_faults::reset)
 }
 
 fn write_sample(dir: &std::path::Path) {
@@ -52,35 +34,17 @@ fn write_sample(dir: &std::path::Path) {
     );
 }
 
-/// The exact bit stream a served query produced: every position and
-/// attribute value in arrival order.
-fn stream_bits(client: &mut StreamClient, q: &Query) -> Vec<u64> {
-    let mut bits = Vec::new();
-    client
-        .request_with_retry(q, 64, |c| {
-            for (i, p) in c.positions.iter().enumerate() {
-                bits.push(p.x.to_bits() as u64);
-                bits.push(p.y.to_bits() as u64);
-                bits.push(p.z.to_bits() as u64);
-                for a in 0..c.num_attrs {
-                    bits.push(c.attr(i, a).to_bits());
-                }
-            }
-        })
-        .expect("request succeeds");
-    bits
-}
-
 /// Serve the dataset under one (cache, workers) configuration and collect
-/// each query's bit stream from `clients` concurrent connections, each
-/// running the mix twice (cold then warm).
+/// each query's digest from `clients` concurrent connections, each running
+/// the mix twice (cold then warm).
 fn serve_and_collect(
     dir: &std::path::Path,
     cache: Option<Arc<PageCache>>,
     workers: usize,
     clients: usize,
-) -> Vec<Vec<u64>> {
+) -> Vec<Digest> {
     let ds = Dataset::open(dir, "s").unwrap();
+    let mix = Arc::new(query_mix(&ds));
     // `None` must mean *no* cache even when BAT_CACHE_BYTES is exported
     // (the CI eviction-stress job does exactly that).
     ds.set_cache(cache.clone());
@@ -98,53 +62,27 @@ fn serve_and_collect(
 
     let threads: Vec<_> = (0..clients)
         .map(|_| {
+            let mix = mix.clone();
             std::thread::spawn(move || {
                 let mut client = StreamClient::connect(addr).unwrap();
-                let mut runs = Vec::new();
-                for rep in 0..2 {
-                    for (qi, q) in query_mix().iter().enumerate() {
-                        let bits = stream_bits(&mut client, q);
-                        assert!(!bits.is_empty(), "query {qi} returned nothing");
-                        if rep == 0 {
-                            runs.push(bits);
-                        } else {
-                            assert_eq!(
-                                runs[qi], bits,
-                                "query {qi}: warm rerun diverged from cold run"
-                            );
-                        }
-                    }
-                }
-                runs
+                let mut run = || -> Vec<Digest> {
+                    let digests = mix.iter().map(|q| served(&mut client, q).unwrap());
+                    digests.collect()
+                };
+                let cold = run();
+                assert_eq!(run(), cold, "warm rerun diverged from cold run");
+                cold
             })
         })
         .collect();
 
-    let mut per_client: Vec<Vec<Vec<u64>>> =
-        threads.into_iter().map(|t| t.join().unwrap()).collect();
-    let reference = per_client.pop().unwrap();
+    let mut per_client: Vec<Vec<Digest>> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+    let first = per_client.pop().unwrap();
     for other in &per_client {
-        assert_eq!(
-            other, &reference,
-            "concurrent clients saw different streams"
-        );
+        assert_eq!(other, &first, "concurrent clients saw different streams");
     }
     handle.shutdown();
-    reference
-}
-
-/// The exact bit stream `Dataset::query` hands its callback, in the
-/// layout of [`stream_bits`].
-fn direct_bits(ds: &Dataset, q: &Query) -> Vec<u64> {
-    let mut bits = Vec::new();
-    ds.query(q, |p| {
-        bits.push(p.position.x.to_bits() as u64);
-        bits.push(p.position.y.to_bits() as u64);
-        bits.push(p.position.z.to_bits() as u64);
-        bits.extend(p.attrs.iter().map(|a| a.to_bits()));
-    })
-    .expect("direct query succeeds");
-    bits
+    first
 }
 
 #[test]
@@ -153,13 +91,10 @@ fn byte_identical_across_cache_and_pool_configs() {
     let scratch = ScratchDir::new("serve-ident");
     write_sample(&scratch.path);
 
-    // Reference: direct (serverless) execution with the cache disabled.
-    // Every served stream must equal it bit for bit, in order — bounded
-    // and filtered queries included, since every path runs one plan.
-    let ds = Dataset::open(&scratch.path, "s").unwrap();
-    ds.set_cache(None);
-    let direct: Vec<Vec<u64>> = query_mix().iter().map(|q| direct_bits(&ds, q)).collect();
-    drop(ds);
+    // Reference: the planner's own answer with the cache disabled. Every
+    // served stream must equal it bit for bit, in order, whatever the
+    // cache, the pool size or the number of concurrent clients.
+    let (_, want) = wire_reference(&scratch.path);
 
     let configs: Vec<(&str, Option<Arc<PageCache>>, usize)> = vec![
         ("cache-off/1w", None, 1),
@@ -170,55 +105,12 @@ fn byte_identical_across_cache_and_pool_configs() {
         ("cache-1page/4w", Some(PageCache::new(4096)), 4),
     ];
     for (name, cache, workers) in configs {
-        let streams = serve_and_collect(&scratch.path, cache, workers, 3);
+        let got = serve_and_collect(&scratch.path, cache, workers, 3);
         assert_eq!(
-            streams, direct,
-            "{name}: served bits diverged from Dataset::query"
+            got, want,
+            "{name}: served stream diverged from the planner's"
         );
     }
-
-    // The sharded front merges per-leaf shard streams back into the same
-    // plan order, so it too reproduces the direct stream exactly.
-    let options = ServeOptions {
-        workers: Some(2),
-        queue_depth: Some(64),
-        deadline: None,
-        cache: None,
-    };
-    let sharded = common::with_shard_front(&scratch.path, "s", 2, options.clone(), |addr| {
-        let mut client = StreamClient::connect(addr).unwrap();
-        query_mix()
-            .iter()
-            .map(|q| stream_bits(&mut client, q))
-            .collect::<Vec<_>>()
-    });
-    assert_eq!(sharded, direct, "sharded bits diverged from Dataset::query");
-
-    // The mix's box sits inside leaf 0, where plan order and leaf order
-    // agree. An off-centre box is covered most by the *last* leaf, so the
-    // plan visits files out of leaf order — and every path must follow it.
-    let skewed = Query::new().with_bounds(Aabb::new(Vec3::splat(0.3), Vec3::ONE));
-    let ds = Dataset::open(&scratch.path, "s").unwrap();
-    ds.set_cache(None);
-    let order: Vec<u32> = bat_serve::QueryPlan::new(&ds, &skewed)
-        .unwrap()
-        .file_order()
-        .collect();
-    assert!(
-        order.windows(2).any(|w| w[0] > w[1]),
-        "fixture must reorder files, got {order:?}"
-    );
-    let direct = direct_bits(&ds, &skewed);
-    assert!(!direct.is_empty());
-    let ask = |addr| stream_bits(&mut StreamClient::connect(addr).unwrap(), &skewed);
-    let handle = StreamServer::bind_with("127.0.0.1:0", ds, options.clone())
-        .unwrap()
-        .spawn()
-        .unwrap();
-    assert_eq!(ask(handle.addr()), direct, "served plan order");
-    handle.shutdown();
-    let sharded = common::with_shard_front(&scratch.path, "s", 2, options, ask);
-    assert_eq!(sharded, direct, "sharded plan order");
 }
 
 #[test]

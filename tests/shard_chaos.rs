@@ -11,19 +11,17 @@
 mod common;
 
 mod chaos {
-    use crate::common::{build_test_dataset, fnv1a, BuildOpts, Workload};
+    use crate::common::{build_test_dataset, routed, wire_reference, BuildOpts, Workload};
     use bat_comm::{Cluster, TransportKind};
-    use bat_layout::Query;
     use bat_obs::knobs::{self, EnvGuard};
-    use bat_serve::QueryPlan;
-    use bat_stream::{run_shard, ShardRouter};
+    use bat_stream::{run_shard, ShardRouter, ROUTER_RANK};
     use libbat::Dataset;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    /// One shard cluster at a time per process (process-global fault
-    /// registry and policy env knobs).
-    static SERIAL: Mutex<()> = Mutex::new(());
+    /// Every round runs this many queries of the mix: the full read and
+    /// the coarsest progressive pass.
+    const QUERIES: usize = 2;
 
     /// Deterministic 64-bit LCG (Knuth MMIX constants) — no external
     /// randomness, the whole schedule follows from the seed.
@@ -47,34 +45,9 @@ mod chaos {
         knobs::CHAOS_SEED.uint().unwrap_or(0xBA7C_4A05)
     }
 
-    fn queries() -> Vec<Query> {
-        vec![Query::new(), Query::new().with_quality(0.5)]
-    }
-
-    /// The per-point byte stream a query must reproduce, hashed.
-    fn expected_digests(ds: &Dataset) -> Vec<u64> {
-        queries()
-            .iter()
-            .map(|q| {
-                let plan = QueryPlan::new(ds, q).expect("plan");
-                let mut bytes: Vec<u8> = Vec::new();
-                plan.execute(None, |p| {
-                    for c in [p.position.x, p.position.y, p.position.z] {
-                        bytes.extend_from_slice(&c.to_le_bytes());
-                    }
-                    for a in p.attrs {
-                        bytes.extend_from_slice(&a.to_le_bytes());
-                    }
-                })
-                .expect("execute");
-                fnv1a(bytes)
-            })
-            .collect()
-    }
-
     #[test]
     fn every_chaos_round_ends_identical_typed_or_partial() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::common::serial_resetting(bat_faults::reset);
         let mut rng = Lcg(chaos_seed());
         let scratch = build_test_dataset(
             &Workload::Uniform {
@@ -87,10 +60,11 @@ mod chaos {
                 ..Default::default()
             },
         );
-        let ds = Dataset::open(&scratch.path, "s").expect("open");
-        assert!(ds.meta().leaves.len() >= 4);
-        let expected = expected_digests(&ds);
-        drop(ds);
+        let leaves = Dataset::open(&scratch.path, "s").unwrap().num_files();
+        assert!(leaves >= 4);
+        let (mut mix, mut expected) = wire_reference(&scratch.path);
+        mix.truncate(QUERIES);
+        expected.truncate(QUERIES);
 
         for round in 0..8 {
             let shards = 2 + rng.pick(2) as usize;
@@ -128,25 +102,15 @@ mod chaos {
             }
 
             let dir = scratch.path.clone();
-            let expected = expected.clone();
+            let (mix, expected) = (mix.clone(), expected.clone());
             let outcomes = Cluster::run_with(TransportKind::Socket, 1 + shards, move |comm| {
-                if comm.rank() == bat_stream::ROUTER_RANK {
+                if comm.rank() == ROUTER_RANK {
                     let ds = Dataset::open(&dir, "s").expect("open dataset");
                     let router = ShardRouter::new(comm, Arc::new(ds));
-                    for (qi, q) in queries().iter().enumerate() {
+                    for (qi, q) in mix.iter().enumerate() {
                         let q = q.clone().with_allow_partial(allow_partial);
-                        let mut bytes: Vec<u8> = Vec::new();
                         let t0 = Instant::now();
-                        let result = router.query(&q, Some(Duration::from_secs(8)), |c| {
-                            for (i, p) in c.positions.iter().enumerate() {
-                                for v in [p.x, p.y, p.z] {
-                                    bytes.extend_from_slice(&v.to_le_bytes());
-                                }
-                                for a in 0..c.num_attrs {
-                                    bytes.extend_from_slice(&c.attr(i, a).to_le_bytes());
-                                }
-                            }
-                        });
+                        let result = routed(&router, &q, Some(Duration::from_secs(8)));
                         let elapsed = t0.elapsed();
                         // Bounded: deadline + grace + slack, never a hang.
                         assert!(
@@ -154,14 +118,13 @@ mod chaos {
                             "query {qi} took {elapsed:?}"
                         );
                         match result {
-                            Ok(outcome) if !outcome.is_partial() => {
+                            Ok((digest, outcome)) if !outcome.is_partial() => {
                                 assert_eq!(
-                                    fnv1a(bytes),
-                                    expected[qi],
+                                    digest, expected[qi],
                                     "query {qi} completed with a non-identical stream"
                                 );
                             }
-                            Ok(outcome) => {
+                            Ok((_, outcome)) => {
                                 assert!(
                                     allow_partial,
                                     "partial outcome without opt-in: {outcome:?}"
@@ -184,7 +147,7 @@ mod chaos {
                 }
             });
             bat_faults::reset();
-            assert!(outcomes[bat_stream::ROUTER_RANK]);
+            assert!(outcomes[ROUTER_RANK]);
         }
     }
 }

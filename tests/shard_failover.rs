@@ -7,97 +7,16 @@
 mod common;
 
 use bat_comm::{Cluster, TransportKind};
-use bat_geom::{Aabb, Vec3};
 use bat_layout::Query;
 use bat_obs::knobs::{self, EnvGuard};
-use bat_serve::QueryPlan;
-use bat_stream::{run_shard, ShardRouter, SupervisorConfig};
-use common::{build_test_dataset, BuildOpts, Workload};
+use bat_stream::{run_shard, ShardRouter, SupervisorConfig, ROUTER_RANK};
+use common::{build_test_dataset, route_mix, wire_reference, BuildOpts, Workload};
 use libbat::Dataset;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// One shard cluster at a time per process: rank numbers repeat across
-/// clusters and the router policy knobs are process-global env vars.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// FNV-1a over the merged point stream plus the point count.
-struct StreamHash {
-    h: u64,
-    points: u64,
-}
-
-impl StreamHash {
-    fn new() -> StreamHash {
-        StreamHash {
-            h: 0xcbf2_9ce4_8422_2325,
-            points: 0,
-        }
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.h ^= b as u64;
-        self.h = self.h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn point(&mut self, pos: Vec3, attrs: &[f64]) {
-        for c in [pos.x, pos.y, pos.z] {
-            for b in c.to_le_bytes() {
-                self.byte(b);
-            }
-        }
-        for a in attrs {
-            for b in a.to_le_bytes() {
-                self.byte(b);
-            }
-        }
-        self.points += 1;
-    }
-
-    fn digest(&self) -> (u64, u64) {
-        (self.h, self.points)
-    }
-}
-
-fn test_queries() -> Vec<Query> {
-    vec![
-        Query::new(),
-        Query::new().with_quality(0.4),
-        Query::new()
-            .with_bounds(Aabb::new(Vec3::ZERO, Vec3::new(1.0, 0.6, 1.0)))
-            .with_filter(0, 0.1, 0.9),
-    ]
-}
-
-fn single_process_digests(ds: &Dataset) -> Vec<(u64, u64)> {
-    test_queries()
-        .iter()
-        .map(|q| {
-            let plan = QueryPlan::new(ds, q).expect("plan");
-            let mut hash = StreamHash::new();
-            plan.execute(None, |p| hash.point(p.position, p.attrs))
-                .expect("execute");
-            hash.digest()
-        })
-        .collect()
-}
-
-fn router_digest(router: &ShardRouter, q: &Query) -> (u64, u64, bat_stream::QueryOutcome) {
-    let mut hash = StreamHash::new();
-    let outcome = router
-        .query(q, Some(Duration::from_secs(20)), |c| {
-            for (i, p) in c.positions.iter().enumerate() {
-                let attrs: Vec<f64> = (0..c.num_attrs).map(|a| c.attr(i, a)).collect();
-                hash.point(*p, &attrs);
-            }
-        })
-        .expect("replicated fan-out succeeds");
-    let (h, n) = hash.digest();
-    (h, n, outcome)
+fn lock() -> common::Serial {
+    common::serial_resetting(bat_faults::reset)
 }
 
 fn global_counter(name: &str) -> u64 {
@@ -125,30 +44,15 @@ fn replica_failover_rides_out_a_dead_shard() {
             ..Default::default()
         },
     );
-    let ds = Dataset::open(&scratch.path, "s").expect("open");
-    assert!(ds.meta().leaves.len() >= 4);
-    let expected = single_process_digests(&ds);
-    drop(ds);
+    let (_, expected) = wire_reference(&scratch.path);
 
     let _on = bat_obs::enable();
     let failover_before = global_counter("shard.failover");
     let dir = scratch.path.clone();
     let shards = 3usize;
     let results = Cluster::run_with(TransportKind::Socket, 1 + shards, move |comm| {
-        if comm.rank() == bat_stream::ROUTER_RANK {
-            let ds = Dataset::open(&dir, "s").expect("open dataset");
-            let router = ShardRouter::new(comm, Arc::new(ds));
-            let digests: Vec<(u64, u64)> = test_queries()
-                .iter()
-                .map(|q| {
-                    let (h, n, outcome) = router_digest(&router, q);
-                    assert_eq!(outcome.points, n);
-                    assert!(!outcome.is_partial(), "replicas must cover the dead shard");
-                    (h, n)
-                })
-                .collect();
-            router.shutdown();
-            Some(digests)
+        if comm.rank() == ROUTER_RANK {
+            Some(route_mix(comm, &dir))
         } else if comm.rank() == shards {
             // The last shard joins, then crashes 80 ms in — mid first
             // query. `mark_dead` severs its links the way a killed
@@ -164,7 +68,7 @@ fn replica_failover_rides_out_a_dead_shard() {
     });
     let got = results
         .into_iter()
-        .nth(bat_stream::ROUTER_RANK)
+        .nth(ROUTER_RANK)
         .flatten()
         .expect("router digests");
     assert_eq!(got, expected, "failover changed the merged stream");
@@ -196,7 +100,7 @@ fn degraded_mode_reports_explicit_partial() {
     let partial_before = global_counter("shard.partial.queries");
     let dir = scratch.path.clone();
     let outcomes = Cluster::run_with(TransportKind::Socket, 3, move |comm| {
-        if comm.rank() == bat_stream::ROUTER_RANK {
+        if comm.rank() == ROUTER_RANK {
             let ds = Dataset::open(&dir, "s").expect("open dataset");
             let total = ds.meta().leaves.len() as u64;
             let router = ShardRouter::new(comm, Arc::new(ds));
@@ -231,7 +135,7 @@ fn degraded_mode_reports_explicit_partial() {
             false
         }
     });
-    assert!(outcomes[bat_stream::ROUTER_RANK]);
+    assert!(outcomes[ROUTER_RANK]);
     assert!(
         global_counter("shard.partial.queries") > partial_before,
         "partial serving must be counted"
@@ -256,7 +160,7 @@ fn supervisor_does_not_respawn_a_live_worker() {
     let respawns: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
     let seen = respawns.clone();
     let outcomes = Cluster::run_with(TransportKind::Socket, 2, move |comm| {
-        if comm.rank() == bat_stream::ROUTER_RANK {
+        if comm.rank() == ROUTER_RANK {
             let sup_comm = comm.clone_comm();
             let ds = Dataset::open(&dir, "s").expect("open dataset");
             let router = ShardRouter::new(comm, Arc::new(ds));
@@ -292,7 +196,7 @@ fn supervisor_does_not_respawn_a_live_worker() {
             false
         }
     });
-    assert!(outcomes[bat_stream::ROUTER_RANK]);
+    assert!(outcomes[ROUTER_RANK]);
     assert!(
         respawns.lock().unwrap().is_empty(),
         "live worker was respawned: {:?}",
@@ -319,7 +223,7 @@ fn supervisor_respawns_a_dead_worker() {
     let respawns: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
     let seen = respawns.clone();
     let outcomes = Cluster::run_with(TransportKind::Socket, 3, move |comm| {
-        if comm.rank() == bat_stream::ROUTER_RANK {
+        if comm.rank() == ROUTER_RANK {
             let sup_comm = comm.clone_comm();
             let ds = Dataset::open(&dir, "s").expect("open dataset");
             let router = ShardRouter::new(comm, Arc::new(ds));
@@ -364,7 +268,7 @@ fn supervisor_respawns_a_dead_worker() {
             false
         }
     });
-    assert!(outcomes[bat_stream::ROUTER_RANK]);
+    assert!(outcomes[ROUTER_RANK]);
     let log = respawns.lock().unwrap();
     assert!(
         log.contains(&1),
@@ -397,42 +301,26 @@ mod faults {
                 ..Default::default()
             },
         );
-        let ds = Dataset::open(&scratch.path, "s").expect("open");
-        assert!(ds.meta().leaves.len() >= 4);
-        let expected = single_process_digests(&ds);
-        drop(ds);
+        let (_, expected) = wire_reference(&scratch.path);
 
         let _on = bat_obs::enable();
         let issued_before = global_counter("shard.hedge.issued");
         let won_before = global_counter("shard.hedge.won");
-        bat_faults::reset();
         // 150 ms per leaf on shard rank 2: alive, just far over budget.
         bat_faults::configure("shard.exec=delay:150@rank=2").expect("fault spec");
         let dir = scratch.path.clone();
         let results = Cluster::run_with(TransportKind::Socket, 3, move |comm| {
-            if comm.rank() == bat_stream::ROUTER_RANK {
-                let ds = Dataset::open(&dir, "s").expect("open dataset");
-                let router = ShardRouter::new(comm, Arc::new(ds));
-                let digests: Vec<(u64, u64)> = test_queries()
-                    .iter()
-                    .map(|q| {
-                        let (h, n, outcome) = router_digest(&router, q);
-                        assert!(!outcome.is_partial());
-                        (h, n)
-                    })
-                    .collect();
-                router.shutdown();
-                Some(digests)
+            if comm.rank() == ROUTER_RANK {
+                Some(route_mix(comm, &dir))
             } else {
                 let ds = Dataset::open(&dir, "s").expect("open dataset");
                 run_shard(&*comm, &ds).expect("shard serve loop");
                 None
             }
         });
-        bat_faults::reset();
         let got = results
             .into_iter()
-            .nth(bat_stream::ROUTER_RANK)
+            .nth(ROUTER_RANK)
             .flatten()
             .expect("router digests");
         assert_eq!(got, expected, "hedging changed the merged stream");
