@@ -10,7 +10,7 @@
 //! so a deadline that fires mid-query has already delivered the most
 //! relevant data. Execution then hands each file to the reader's per-file
 //! loop ([`BatFile::execute_plan_until`]), which checks the deadline
-//! between treelets.
+//! before its fetch, before each decode window and between treelets.
 
 use crate::Dataset;
 use bat_geom::Aabb;
@@ -245,10 +245,10 @@ impl QueryPlan {
     }
 
     /// Execute the plan, invoking `cb` per matching point. The optional
-    /// `deadline` is checked before each file's prefetch and between
-    /// treelets — the unit of page-touching work — so an expired query
-    /// stops within one treelet's worth of effort and reports how far it
-    /// got.
+    /// `deadline` is checked before each file's fetch, before each decode
+    /// window and between treelets, so an expired query fetches and
+    /// decodes nothing, a live one stops within one decode window, and
+    /// either reports how far it got.
     pub fn execute(
         &self,
         deadline: Option<Instant>,
@@ -279,9 +279,9 @@ impl QueryPlan {
         Ok(stats)
     }
 
-    /// Files are already in overlap order, so the bytes a range-backed
-    /// file's loop prefetches are the most likely to be consumed before
-    /// any deadline fires.
+    /// Files are already in overlap order, so the blocks a range-backed
+    /// file's loop fetches are the most likely to be scanned before any
+    /// deadline fires.
     fn execute_file(
         &self,
         pf: &PlannedFile,

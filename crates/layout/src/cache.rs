@@ -279,9 +279,9 @@ impl PageCache {
     }
 
     /// True when a block for `(file, treelet)` is resident. Pure probe:
-    /// touches neither recency nor the hit/miss counters, so planners
-    /// (e.g. the range-path prefetcher deciding what to fetch) can consult
-    /// the cache without distorting its statistics.
+    /// touches neither recency nor the hit/miss counters, so a caller
+    /// (e.g. a test working out what a query will find resident) can
+    /// consult the cache without distorting its statistics.
     pub fn contains(&self, file: FileId, treelet: u32) -> bool {
         let shard = self
             .shard(file, treelet)

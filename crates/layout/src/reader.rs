@@ -15,10 +15,11 @@ use crate::codec::SectionKind;
 use crate::format::{self, FileHead, LeafRec, TreeletLayout};
 use crate::query::{contribution, quality_to_depth, PointRecord, Query};
 use crate::radix::{self, NodeRef};
-use crate::source::{ByteSource, RangeConfig, RangeReader};
+use crate::source::{ByteSource, Coalesced, RangeConfig, RangeReader};
 use crate::treelet::NO_CHILD;
 use bat_geom::{Aabb, Vec3};
 use bat_wire::{Block, WireError, WireResult};
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -201,8 +202,8 @@ impl FilePlan {
 /// `Block` is the local path: the whole file is addressable as one
 /// zero-copy byte window (owned buffer, message payload, or memory map).
 /// `Range` is the remote path: only the head has been materialized, and
-/// treelet blocks are fetched on demand — or prefetched in coalesced
-/// requests — through a [`RangeReader`] (DESIGN.md §13).
+/// each plan execution fetches its treelet blocks in coalesced requests
+/// through a [`RangeReader`] (DESIGN.md §13).
 enum Backing {
     Block(Block),
     Range(RangeReader),
@@ -261,9 +262,9 @@ impl BatFile {
     /// [`RangeConfig`].
     ///
     /// Only the file head is fetched here — typically one request for the
-    /// first page plus one for the rest of the head. Treelet blocks are
-    /// fetched on demand during execution, or ahead of it in coalesced
-    /// range requests by the prefetch [`BatFile::execute_plan`] runs.
+    /// first page plus one for the rest of the head. Each plan execution
+    /// ([`BatFile::execute_plan`]) fetches the blocks it needs in coalesced
+    /// range requests.
     pub fn from_source(source: Arc<dyn ByteSource>) -> WireResult<BatFile> {
         BatFile::from_source_with(source, RangeConfig::default())
     }
@@ -272,12 +273,6 @@ impl BatFile {
     pub fn from_source_with(source: Arc<dyn ByteSource>, cfg: RangeConfig) -> WireResult<BatFile> {
         let reader = RangeReader::new(source, cfg);
         let file_len = reader.len();
-        let io_err = |what: &'static str| {
-            move |e: std::io::Error| WireError::Io {
-                what,
-                message: e.to_string(),
-            }
-        };
         // First request: one page, enough for the fixed header of any
         // well-formed file. `head_end` sits at bytes 8..16.
         let prefix_len = (file_len as usize).min(bat_wire::PAGE_SIZE);
@@ -606,15 +601,20 @@ impl BatFile {
         Ok(stats)
     }
 
-    /// The per-file execute loop every read path runs: coalesced prefetch,
-    /// parallel warm-up, then the plan's treelets in order. This file's
-    /// work (shallow-traversal counters included) is added to `stats` and
-    /// reported through the `read.query.*` / `bitmap.*` counters.
+    /// The per-file execute loop every read path runs: one pass that asks
+    /// the cache once per planned treelet, fetches the misses' stored spans
+    /// in coalesced requests (range backings; the bytes live only as long
+    /// as this call), decodes v2 misses on the caller's pool a window of
+    /// four blocks per pool thread at a time, and scans in plan order,
+    /// offering each miss to the cache at the caller's priority. This
+    /// file's work (shallow-traversal counters included) is added to
+    /// `stats` and reported through the `read.query.*` / `bitmap.*`
+    /// counters.
     ///
-    /// `deadline` is checked before the prefetch and between treelets —
-    /// the unit of page-touching work — so an expired query fetches and
-    /// decodes nothing further and stops within one treelet's effort.
-    /// Returns `false` when the deadline fired before the plan finished;
+    /// `deadline` is checked before the fetch, before each decode window
+    /// and between treelets: an expired query fetches and decodes nothing,
+    /// and a live one stops within one decode window. Returns `false` when
+    /// the deadline fired before the plan finished;
     /// `stats.treelets_visited` then says how far execution got.
     pub fn execute_plan_until(
         &self,
@@ -635,86 +635,135 @@ impl BatFile {
             bitmap_skips: plan.pruned_bitmap,
             ..QueryStats::default()
         };
-        self.prefetch(plan);
-        self.warm_up(plan);
+        let treelets = &plan.treelets;
+        let hits: Vec<Option<Arc<Vec<u8>>>> = treelets.iter().map(|&t| self.cached(t)).collect();
+        let fetched = match &self.backing {
+            Backing::Range(reader) if hits.iter().any(Option::is_none) => {
+                let misses = treelets.iter().zip(&hits).filter(|(_, hit)| hit.is_none());
+                let spans: Vec<(u64, u64)> = misses
+                    .map(|(&t, _)| {
+                        let (_, start, end) = self.locate(t);
+                        (start, end)
+                    })
+                    .collect();
+                Some(reader.fetch_coalesced(&spans))
+            }
+            _ => None,
+        };
+        let window = 4 * rayon::current_num_threads();
+        let mut decoded = Vec::new();
         let mut attr_buf = vec![0.0; self.head.descs.len()];
         let mut finished = true;
-        for &t in &plan.treelets {
+        for (i, &t) in treelets.iter().enumerate() {
             if expired() {
                 finished = false;
                 break;
             }
-            self.query_treelet(t, q, &plan.masks, &mut attr_buf, &mut file_stats, &mut cb)?;
+            if self.head.is_v2() && i % window == 0 {
+                let end = (i + window).min(treelets.len());
+                decoded = self.decode_window(&treelets[i..end], &hits[i..end], fetched.as_ref());
+            }
+            let held: Arc<Vec<u8>>;
+            let block = match &hits[i] {
+                Some(hit) => {
+                    file_stats.cache_hits += 1;
+                    Cow::Borrowed(hit.as_slice())
+                }
+                None => {
+                    let image = match decoded.get_mut(i % window).and_then(Option::take) {
+                        Some(image) => Cow::Owned(image?),
+                        None => self.image(t, fetched.as_ref())?,
+                    };
+                    match &self.cache {
+                        Some(cache) => {
+                            file_stats.cache_misses += 1;
+                            held = Arc::new(image.into_owned());
+                            let priority = cache::thread_priority();
+                            cache.insert(self.file_id, t, held.clone(), priority);
+                            Cow::Borrowed(held.as_slice())
+                        }
+                        None => image,
+                    }
+                }
+            };
+            self.query_treelet(
+                t,
+                &block,
+                q,
+                &plan.masks,
+                &mut attr_buf,
+                &mut file_stats,
+                &mut cb,
+            )?;
         }
         file_stats.emit_counters();
         *stats += file_stats;
         Ok(finished)
     }
 
-    /// v2 + cache: materialize the plan's not-yet-resident blocks in
-    /// parallel through the rayon pool, populating the cache ahead of the
-    /// (still sequential, deterministic) scan. Each block decodes
-    /// independently to the same bytes regardless of pool size, so results
-    /// are byte-identical with this warm-up disabled. Best-effort: any
-    /// fetch/decode error is dropped here and resurfaces as the typed error
-    /// on the demand path.
-    fn warm_up(&self, plan: &FilePlan) {
-        let (true, Some(cache)) = (self.head.is_v2(), &self.cache) else {
-            return;
-        };
-        let pending: Vec<u32> = plan
-            .treelets
-            .iter()
-            .copied()
-            .filter(|&t| !cache.contains(self.file_id, t))
-            .collect();
-        if pending.len() < 2 {
-            return;
-        }
-        // Rayon workers don't inherit the query thread's cache-admission
-        // priority (it's thread-local), so capture and pass it through.
-        let priority = cache::thread_priority();
-        use rayon::prelude::*;
-        let _: Vec<()> = pending
-            .par_iter()
-            .map(|&t| {
-                let _prio = cache::set_thread_priority(priority);
-                let leaf = &self.head.leaves[t as usize];
-                let layout = self.treelet_layout(leaf);
-                let _ = self.treelet_block(leaf, t, &layout, &mut None, &mut QueryStats::default());
-            })
-            .collect();
+    /// Treelet `t`'s block image, when the attached cache holds it.
+    fn cached(&self, t: u32) -> Option<Arc<Vec<u8>>> {
+        let image = self.cache.as_ref()?.get(self.file_id, t)?;
+        // A stale entry can only disagree in length if the file was
+        // rewritten under a reused id, which `FileId` makes impossible;
+        // the check still guards cache corruption.
+        (image.len() == self.locate(t).0.size).then_some(image)
     }
 
-    /// Speculatively fetch the plan's treelet blocks in coalesced range
-    /// requests (a no-op for block-backed files, where the bytes are
-    /// already addressable), so a remote backend sees a handful of merged
-    /// GETs per planned file instead of one per treelet.
-    ///
-    /// Best-effort: blocks already resident in the attached cache or the
-    /// staging area are skipped, and fetch failures are deferred to the
-    /// demand path (which retries and returns the typed error).
-    fn prefetch(&self, plan: &FilePlan) {
-        let Backing::Range(reader) = &self.backing else {
-            return;
-        };
-        let mut wanted: Vec<(u32, u64, usize)> = Vec::with_capacity(plan.treelets.len());
-        for &t in &plan.treelets {
-            if reader.is_staged(t) {
-                continue;
-            }
-            if let Some(cache) = &self.cache {
-                if cache.contains(self.file_id, t) {
-                    continue;
-                }
-            }
-            // Stored size: compressed bytes for v2, layout size for v1 —
-            // a remote prefetch only ever moves the on-disk bytes.
-            let size = self.head.stored_block_size(t as usize);
-            let offset = self.head.leaves[t as usize].offset;
-            wanted.push((t, offset, size.expect("a planned treelet is in the head")));
+    /// Decode one window's v2 misses (the treelets `hits` does not hold)
+    /// on the caller's pool, each task recording into the caller's obs
+    /// scope. Slot `k` holds treelet `k`'s image or its decode error, or
+    /// `None` for a hit; a window of hits starts no batch and has no slots.
+    fn decode_window(
+        &self,
+        treelets: &[u32],
+        hits: &[Option<Arc<Vec<u8>>>],
+        fetched: Option<&Coalesced<'_>>,
+    ) -> Vec<Option<WireResult<Vec<u8>>>> {
+        use rayon::prelude::*;
+        if hits.iter().all(Option::is_some) {
+            return Vec::new();
         }
-        reader.prefetch_blocks(&wanted);
+        let scope = bat_obs::current_scope();
+        (0..treelets.len())
+            .into_par_iter()
+            .map(|k| {
+                let _scope = scope.clone().map(bat_obs::scope);
+                let image = || self.image(treelets[k], fetched).map(Cow::into_owned);
+                hits[k].is_none().then(image)
+            })
+            .collect()
+    }
+
+    /// Treelet `t`'s block image. Its stored bytes are a slice of the
+    /// block backing, or of the plan's coalesced fetch, else a demand range
+    /// request (verified-length, so a torn response is a typed error, never
+    /// a short block). A v2 block is decoded into a verbatim v1-layout
+    /// image, so every path is byte-identical by construction; a v1 block
+    /// over a block backing stays a borrow: no copy, no allocation.
+    fn image<'a>(
+        &'a self,
+        t: u32,
+        fetched: Option<&'a Coalesced<'_>>,
+    ) -> WireResult<Cow<'a, [u8]>> {
+        let (layout, start, end) = self.locate(t);
+        let stored = match &self.backing {
+            // The head checked at open that every stored block lies inside
+            // the file.
+            Backing::Block(data) => Cow::Borrowed(&data[start as usize..end as usize]),
+            Backing::Range(reader) => match fetched.and_then(|f| f.get(start, end)) {
+                Some(bytes) => Cow::Borrowed(bytes),
+                None => {
+                    let bytes = reader.fetch(start, (end - start) as usize);
+                    Cow::Owned(bytes.map_err(io_err("treelet block"))?)
+                }
+            },
+        };
+        let Some(rec) = self.head.codec_rec(t as usize) else {
+            return Ok(stored);
+        };
+        let points = self.head.leaves[t as usize].num_particles as usize;
+        format::decode_block(&stored, rec, &layout, &self.head.descs, points).map(Cow::Owned)
     }
 
     /// Count matching points without materializing them.
@@ -723,10 +772,12 @@ impl BatFile {
         Ok(stats.points_returned)
     }
 
+    /// Scan treelet `treelet` out of its block image `block`.
     #[allow(clippy::too_many_arguments)]
     fn query_treelet(
         &self,
         treelet: u32,
+        block: &[u8],
         q: &Query,
         masks: &[(usize, Bitmap32)],
         attr_buf: &mut [f64],
@@ -734,12 +785,18 @@ impl BatFile {
         cb: &mut impl FnMut(PointRecord<'_>),
     ) -> WireResult<()> {
         let leaf = &self.head.leaves[treelet as usize];
-        // Keeps a cache-resident copy of the block alive for the duration
-        // of the scan; borrowed by the view when the cache path is taken.
-        let mut storage: Option<Arc<Vec<u8>>> = None;
-        let view = self.treelet_view(leaf, treelet, &mut storage, stats)?;
+        let (layout, start, end) = self.locate(treelet);
+        // The view pre-slices the block's sections once: every per-point
+        // access is then a cheap in-bounds index (section lengths are exact
+        // by construction, and node-supplied indices are range-checked
+        // against `num_points`/`num_nodes` before use, so corrupt files
+        // surface as errors, never panics).
+        let view = TreeletView::over(block, leaf, &layout, &self.head);
+        // Distinct 4 KiB pages the *stored* block spans in the file (the
+        // compressed pages for v2): the unit the OS faults in on the mmap
+        // read path.
         stats.treelets_visited += 1;
-        stats.pages_touched += view.pages_4k;
+        stats.pages_touched += bat_wire::pages_spanned(start as usize, end as usize);
 
         // Quality maps to a depth within *this* treelet: the LOD particle
         // count roughly doubles per level of each treelet (§V-B), so the
@@ -841,113 +898,25 @@ impl BatFile {
         Ok(())
     }
 
-    /// Interpret a treelet block as a [`TreeletView`]. `storage` keeps a
-    /// materialized (cached, fetched or decoded) block alive for the borrow
-    /// the returned view holds.
-    fn treelet_view<'a>(
-        &'a self,
-        leaf: &LeafRec,
-        treelet: u32,
-        storage: &'a mut Option<Arc<Vec<u8>>>,
-        stats: &mut QueryStats,
-    ) -> WireResult<TreeletView<'a>> {
-        let layout = self.treelet_layout(leaf);
-        let (block, stored) = self.treelet_block(leaf, treelet, &layout, storage, stats)?;
-        let start = leaf.offset as usize;
-        // The view pre-slices the block's sections once: every per-point
-        // access is then a cheap in-bounds index (section lengths are exact
-        // by construction, and node-supplied indices are range-checked
-        // against `num_points`/`num_nodes` before use, so corrupt files
-        // surface as errors, never panics).
-        TreeletView::over(block, leaf, &layout, &self.head, start, start + stored)
+    /// Treelet `t`'s block layout and its stored span `[start, end)` in the
+    /// file: compressed bytes for v2, exactly the layout size for v1.
+    fn locate(&self, t: u32) -> (TreeletLayout, u64, u64) {
+        let leaf = &self.head.leaves[t as usize];
+        let (nodes, points) = (leaf.num_nodes as usize, leaf.num_particles as usize);
+        let layout = TreeletLayout::compute(nodes, points, &self.head.descs);
+        let stored = self
+            .head
+            .codec_rec(t as usize)
+            .map_or(layout.size, |r| r.stored_size());
+        (layout, leaf.offset, leaf.offset + stored as u64)
     }
+}
 
-    fn treelet_layout(&self, leaf: &LeafRec) -> TreeletLayout {
-        TreeletLayout::compute(
-            leaf.num_nodes as usize,
-            leaf.num_particles as usize,
-            &self.head.descs,
-        )
-    }
-
-    /// Materialize one treelet's v1-layout block image and report its
-    /// stored (on-disk) size. The one place a block comes into being, for
-    /// the demand path and the parallel warm-up alike:
-    ///
-    /// 1. the attached cache — verbatim on-disk bytes for v1 files,
-    ///    *decoded* blocks (charged at decoded size) for v2;
-    /// 2. the stored bytes — a slice of the block backing, or over a range
-    ///    backing the prefetch staging area, else a demand range request
-    ///    (verified-length, so a torn response is a typed error, never a
-    ///    short block);
-    /// 3. the v2 decode, whose output is a verbatim v1-layout image — so
-    ///    every path is byte-identical by construction;
-    /// 4. the cache insert, at the calling thread's admission priority.
-    ///
-    /// An uncached v1 block over a block backing is returned as a borrow
-    /// of the mapping: no copy, no allocation.
-    fn treelet_block<'a>(
-        &'a self,
-        leaf: &LeafRec,
-        treelet: u32,
-        layout: &TreeletLayout,
-        storage: &'a mut Option<Arc<Vec<u8>>>,
-        stats: &mut QueryStats,
-    ) -> WireResult<(&'a [u8], usize)> {
-        // The head checked at open that every stored block lies inside
-        // the file.
-        let codec = self.head.codec_rec(treelet as usize);
-        let stored = codec.map_or(layout.size, |rec| rec.stored_size());
-        let start = leaf.offset as usize;
-        let end = start + stored;
-        if let Some(cache) = &self.cache {
-            if let Some(arc) = cache.get(self.file_id, treelet) {
-                // A stale entry can only disagree in length if the file
-                // was rewritten under a reused id, which `FileId` makes
-                // impossible; the check still guards cache corruption.
-                if arc.len() == layout.size {
-                    stats.cache_hits += 1;
-                    return Ok((storage.insert(arc).as_slice(), stored));
-                }
-            }
-        }
-        let decode = |bytes: &[u8], rec| {
-            let points = leaf.num_particles as usize;
-            format::decode_block(bytes, rec, layout, &self.head.descs, points).map(Arc::new)
-        };
-        let image = match &self.backing {
-            Backing::Block(data) => match codec {
-                Some(rec) => decode(&data[start..end], rec)?,
-                None if self.cache.is_none() => return Ok((&data[start..end], stored)),
-                None => Arc::new(data[start..end].to_vec()),
-            },
-            Backing::Range(reader) => {
-                let fetched = match reader.take_staged(treelet) {
-                    Some(arc) if arc.len() == stored => arc,
-                    _ => {
-                        let bytes = reader.fetch(start as u64, stored);
-                        Arc::new(bytes.map_err(|e| WireError::Io {
-                            what: "treelet block",
-                            message: e.to_string(),
-                        })?)
-                    }
-                };
-                match codec {
-                    Some(rec) => decode(&fetched, rec)?,
-                    None => fetched,
-                }
-            }
-        };
-        if let Some(cache) = &self.cache {
-            stats.cache_misses += 1;
-            cache.insert(
-                self.file_id,
-                treelet,
-                image.clone(),
-                cache::thread_priority(),
-            );
-        }
-        Ok((storage.insert(image).as_slice(), stored))
+/// A failed range request while reading `what`, as a typed [`WireError`].
+fn io_err(what: &'static str) -> impl Fn(std::io::Error) -> WireError {
+    move |e| WireError::Io {
+        what,
+        message: e.to_string(),
     }
 }
 
@@ -1108,24 +1077,18 @@ pub struct TreeletView<'a> {
     na: usize,
     num_nodes: usize,
     num_points: usize,
-    /// Distinct 4 KiB pages the backing block spans.
-    pages_4k: u64,
 }
 
 impl<'a> TreeletView<'a> {
     /// Slice a (decoded) block image into its sections. `block` must be
     /// exactly `layout.size` bytes — verbatim file bytes for v1, the
-    /// decoded image for v2. `start..end` is the block's *stored* span in
-    /// the file, which sizes `pages_4k` (compressed pages for v2: the I/O
-    /// a reader actually performs).
+    /// decoded image for v2.
     fn over(
         block: &'a [u8],
         leaf: &LeafRec,
         layout: &TreeletLayout,
         head: &FileHead,
-        start: usize,
-        end: usize,
-    ) -> WireResult<TreeletView<'a>> {
+    ) -> TreeletView<'a> {
         let mut nodes: &[u8] = &[];
         let mut positions: &[u8] = &[];
         let mut attr_sections = Vec::with_capacity(head.descs.len());
@@ -1137,17 +1100,14 @@ impl<'a> TreeletView<'a> {
                 SectionKind::Attr(dtype) => attr_sections.push((bytes, dtype)),
             }
         }
-        Ok(TreeletView {
+        TreeletView {
             nodes,
             positions,
             attr_sections,
             na: head.descs.len(),
             num_nodes: leaf.num_nodes as usize,
             num_points: leaf.num_particles as usize,
-            // Distinct 4 KiB pages the stored block spans in the file — the
-            // unit the OS faults in on the mmap read path.
-            pages_4k: bat_wire::pages_spanned(start, end),
-        })
+        }
     }
 
     /// Decode node `i`'s record.

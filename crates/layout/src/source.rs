@@ -21,10 +21,9 @@
 //! Counters (all through `bat-obs`): `range.requests`, `range.bytes_fetched`,
 //! `range.retries`, `range.coalesced`, `range.prefetch_hits`.
 
-use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Anything that can serve absolute byte ranges of one immutable object.
 ///
@@ -162,19 +161,18 @@ pub struct RangeStats {
     pub coalesced: u64,
     /// Failed or torn attempts that were retried.
     pub retries: u64,
-    /// Treelet views served from a prefetch staged by [`coalesce_ranges`].
+    /// Planned blocks served from the coalesced fetch of the plan
+    /// execution that needed them ([`RangeReader::fetch_coalesced`]),
+    /// rather than from a demand request of their own.
     pub prefetch_hits: u64,
 }
 
 /// Issues verified, retried, coalesced range requests against a
-/// [`ByteSource`] and stages prefetched treelet blocks for the reader.
+/// [`ByteSource`]. It holds no bytes: what a plan fetches lives in the
+/// [`Coalesced`] of that plan's execution.
 pub struct RangeReader {
     source: Arc<dyn ByteSource>,
     cfg: RangeConfig,
-    /// Treelet blocks fetched ahead of execution by [`BatFile::prefetch`]
-    /// (`crate::reader`), consumed (and promoted into the treelet cache)
-    /// on first use.
-    staged: Mutex<HashMap<u32, Arc<Vec<u8>>>>,
     requests: AtomicU64,
     bytes_fetched: AtomicU64,
     coalesced: AtomicU64,
@@ -188,7 +186,6 @@ impl RangeReader {
         RangeReader {
             source,
             cfg,
-            staged: Mutex::new(HashMap::new()),
             requests: AtomicU64::new(0),
             bytes_fetched: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -257,59 +254,46 @@ impl RangeReader {
         Err(last_err.unwrap_or_else(|| io::Error::other("range request failed with no error")))
     }
 
-    /// Take a previously staged (prefetched) block for `treelet`, if any.
-    pub fn take_staged(&self, treelet: u32) -> Option<Arc<Vec<u8>>> {
-        let hit = self.staged.lock().expect("staged lock").remove(&treelet);
-        if hit.is_some() {
-            self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-            bat_obs::counter_add("range.prefetch_hits", 1);
-        }
-        hit
-    }
-
-    /// True when a block for `treelet` is already staged.
-    pub fn is_staged(&self, treelet: u32) -> bool {
-        self.staged
-            .lock()
-            .expect("staged lock")
-            .contains_key(&treelet)
-    }
-
-    /// Prefetch the given `(treelet, offset, len)` blocks with coalesced
-    /// requests and stage them for [`RangeReader::take_staged`].
+    /// Fetch the `[start, end)` spans one plan execution needs in
+    /// coalesced requests (merged within [`RangeConfig::gap_bytes`]).
     ///
-    /// Best-effort and infallible: a failed merged request is skipped (its
-    /// treelets fall back to demand fetches, which surface the error with
-    /// their own retry budget). Records `range.coalesced` savings.
-    pub fn prefetch_blocks(&self, blocks: &[(u32, u64, usize)]) {
-        if blocks.is_empty() {
-            return;
-        }
-        let ranges: Vec<(u64, u64)> = blocks
-            .iter()
-            .map(|&(_, off, len)| (off, off + len as u64))
-            .collect();
-        let merged = coalesce_ranges(&ranges, self.cfg.gap_bytes);
-        let saved = (ranges.len() - merged.len()) as u64;
+    /// Best-effort and infallible: a failed merged request is left out,
+    /// and its spans fall back to demand fetches, which surface the error
+    /// with their own retry budget. Records `range.coalesced` savings.
+    pub fn fetch_coalesced(&self, spans: &[(u64, u64)]) -> Coalesced<'_> {
+        let merged = coalesce_ranges(spans, self.cfg.gap_bytes);
+        let saved = (spans.len() - merged.len()) as u64;
         if saved > 0 {
             self.coalesced.fetch_add(saved, Ordering::Relaxed);
             bat_obs::counter_add("range.coalesced", saved);
         }
-        for &(mstart, mend) in &merged {
-            let buf = match self.fetch(mstart, (mend - mstart) as usize) {
-                Ok(b) => b,
-                Err(_) => continue,
-            };
-            let mut staged = self.staged.lock().expect("staged lock");
-            for &(treelet, off, len) in blocks {
-                if off >= mstart && off + len as u64 <= mend {
-                    let s = (off - mstart) as usize;
-                    staged
-                        .entry(treelet)
-                        .or_insert_with(|| Arc::new(buf[s..s + len].to_vec()));
-                }
-            }
-        }
+        let runs = merged
+            .into_iter()
+            .filter_map(|(s, e)| Some((s, self.fetch(s, (e - s) as usize).ok()?)))
+            .collect();
+        Coalesced { reader: self, runs }
+    }
+}
+
+/// The bytes [`RangeReader::fetch_coalesced`] brought in for one plan
+/// execution; they live exactly as long as the execution does.
+pub struct Coalesced<'a> {
+    reader: &'a RangeReader,
+    /// The merged requests that succeeded, sorted by start offset.
+    runs: Vec<(u64, Vec<u8>)>,
+}
+
+impl Coalesced<'_> {
+    /// The bytes of `[start, end)` when one fetched run covers them,
+    /// counted in `range.prefetch_hits`; `None` sends the caller to a
+    /// demand [`RangeReader::fetch`].
+    pub fn get(&self, start: u64, end: u64) -> Option<&[u8]> {
+        let i = self.runs.partition_point(|r| r.0 <= start).checked_sub(1)?;
+        let (run, bytes) = &self.runs[i];
+        let bytes = bytes.get((start - run) as usize..(end - run) as usize)?;
+        self.reader.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+        bat_obs::counter_add("range.prefetch_hits", 1);
+        Some(bytes)
     }
 }
 
@@ -429,29 +413,30 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_stages_blocks_and_counts_coalescing() {
+    fn fetch_coalesced_serves_spans_and_counts_coalescing() {
         let bytes: Vec<u8> = (0..2048u64).map(|i| (i % 251) as u8).collect();
-        let expect: Vec<Vec<u8>> = [(0u64, 100usize), (120, 80), (1000, 50)]
-            .iter()
-            .map(|&(o, l)| bytes[o as usize..o as usize + l].to_vec())
-            .collect();
+        let spans = [(0u64, 100u64), (120, 200), (1000, 1050)];
         let rr = RangeReader::new(
-            Arc::new(MemorySource::new(bytes)),
+            Arc::new(MemorySource::new(bytes.clone())),
             RangeConfig {
                 gap_bytes: 64,
                 backoff_ms: 0,
                 ..RangeConfig::default()
             },
         );
-        rr.prefetch_blocks(&[(0, 0, 100), (1, 120, 80), (2, 1000, 50)]);
+        let fetched = rr.fetch_coalesced(&spans);
         // (0,100) and (120,200) merge across the 20-byte gap; 1000 stays.
         let s = rr.stats();
         assert_eq!(s.requests, 2);
         assert_eq!(s.coalesced, 1);
-        for (t, want) in expect.iter().enumerate() {
-            assert_eq!(rr.take_staged(t as u32).unwrap().as_slice(), &want[..]);
+        for &(a, b) in &spans {
+            let got = fetched.get(a, b).unwrap();
+            assert_eq!(got, &bytes[a as usize..b as usize]);
         }
         assert_eq!(rr.stats().prefetch_hits, 3);
-        assert!(rr.take_staged(0).is_none());
+        // A span no run covers is left to a demand fetch.
+        assert!(fetched.get(500, 600).is_none());
+        assert!(fetched.get(1040, 1100).is_none());
+        assert_eq!(rr.stats().prefetch_hits, 3);
     }
 }

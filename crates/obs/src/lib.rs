@@ -274,6 +274,13 @@ pub fn scope(registry: Arc<Registry>) -> ScopeGuard {
     ScopeGuard { _priv: () }
 }
 
+/// The calling thread's innermost scoped registry, if one is installed.
+/// Work handed to helper threads installs it there with [`scope`], so it
+/// is counted where the caller's own work is.
+pub fn current_scope() -> Option<Arc<Registry>> {
+    SCOPE.with(|s| s.borrow().last().cloned())
+}
+
 /// Pops the scope installed by [`scope`].
 pub struct ScopeGuard {
     _priv: (),
@@ -420,6 +427,24 @@ mod tests {
         assert_eq!(snap.histogram("scoped.h_ns").map(|h| h.count), Some(1));
         assert_eq!(snap.gauge("scoped.g"), Some(0.5));
         assert_eq!(Registry::global().snapshot().counter("scoped.c"), None);
+    }
+
+    #[test]
+    fn current_scope_hands_the_scope_to_another_thread() {
+        let _g = serial();
+        let reg = Arc::new(Registry::new());
+        let _on = enable();
+        assert!(current_scope().is_none());
+        let _s = scope(reg.clone());
+        let handed = current_scope().expect("a scope is installed");
+        std::thread::spawn(move || {
+            let _s = scope(handed);
+            counter_add("handed.c", 4);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(reg.snapshot().counter("handed.c"), Some(4));
+        assert_eq!(Registry::global().snapshot().counter("handed.c"), None);
     }
 
     #[test]

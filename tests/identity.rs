@@ -189,7 +189,8 @@ fn range_sim_issues_coalesced_requests_and_reuses_cache() {
         "warm pass must not touch the store"
     );
 
-    // Per-file reader stats agree: prefetch staged blocks were consumed.
+    // Per-file reader stats agree: blocks were served from each plan's
+    // coalesced fetch.
     let mut prefetch_hits = 0;
     let mut retries = 0;
     for leaf in 0..ds.num_files() as u32 {

@@ -21,7 +21,6 @@ use bat_iosim::{ObjectStore, ObjectStoreConfig};
 use bat_layout::Query;
 use common::{build_test_dataset, BuildOpts, ScratchDir, Workload};
 use libbat::{Dataset, ReadBackend};
-use std::sync::OnceLock;
 
 /// The fault registry is process-global, so the matrix runs serialized;
 /// it is reset on acquire and on drop, so a failed test never leaks faults
@@ -30,22 +29,19 @@ fn faults() -> common::Serial {
     common::serial_resetting(bat_faults::reset)
 }
 
-/// One shared dataset for the whole matrix (the faults are injected in the
-/// store, not on disk, so the files never change).
-fn dataset_dir() -> &'static ScratchDir {
-    static DIR: OnceLock<ScratchDir> = OnceLock::new();
-    DIR.get_or_init(|| {
-        build_test_dataset(
-            &Workload::Uniform {
-                per_rank: 1_500,
-                seed: 11,
-            },
-            &BuildOpts {
-                tag: "range-faults",
-                ..BuildOpts::default()
-            },
-        )
-    })
+/// Each test's own dataset (the faults are injected in the store, not on
+/// disk, so the files never change); it is removed when the test ends.
+fn dataset() -> ScratchDir {
+    build_test_dataset(
+        &Workload::Uniform {
+            per_rank: 1_500,
+            seed: 11,
+        },
+        &BuildOpts {
+            tag: "range-faults",
+            ..BuildOpts::default()
+        },
+    )
 }
 
 fn query() -> Query {
@@ -56,8 +52,8 @@ fn query() -> Query {
 
 /// `(count, positions-checksum)` of the query against the local mmap
 /// reference — the ground truth every healed read must reproduce.
-fn reference() -> (u64, Vec<(u64, u32)>) {
-    let ds = Dataset::open(&dataset_dir().path, "s").unwrap();
+fn reference(dir: &ScratchDir) -> (u64, Vec<(u64, u32)>) {
+    let ds = Dataset::open(&dir.path, "s").unwrap();
     ds.set_backend(ReadBackend::Mmap);
     ds.set_cache(None);
     collect(&ds).expect("mmap reference read")
@@ -73,9 +69,9 @@ fn collect(ds: &Dataset) -> std::io::Result<(u64, Vec<(u64, u32)>)> {
 
 /// A fresh dataset handle over the simulated store, cache detached so every
 /// read goes through the GET path.
-fn sim_dataset() -> (Dataset, std::sync::Arc<ObjectStore>) {
+fn sim_dataset(dir: &ScratchDir) -> (Dataset, std::sync::Arc<ObjectStore>) {
     let store = ObjectStore::new(ObjectStoreConfig::default());
-    let ds = Dataset::open(&dataset_dir().path, "s").unwrap();
+    let ds = Dataset::open(&dir.path, "s").unwrap();
     ds.set_backend(ReadBackend::RangeSim(store.clone()));
     ds.set_cache(None);
     (ds, store)
@@ -91,12 +87,13 @@ fn total_retries(ds: &Dataset) -> u64 {
 
 #[test]
 fn transient_get_error_is_retried_and_heals() {
-    let expect = reference();
+    let dir = dataset();
+    let expect = reference(&dir);
     let _guard = faults();
     // The very first GET (the head-prefix fetch of the first leaf opened)
     // fails once; every subsequent request succeeds.
     bat_faults::configure_site("store.get", FaultAction::Error, Some(1), None, None, None);
-    let (ds, store) = sim_dataset();
+    let (ds, store) = sim_dataset(&dir);
     let got = collect(&ds).expect("query heals after one retry");
     assert_eq!(got, expect, "healed read diverged from mmap reference");
     assert!(
@@ -111,11 +108,12 @@ fn transient_get_error_is_retried_and_heals() {
 
 #[test]
 fn persistent_get_error_is_typed_and_bounded() {
+    let dir = dataset();
     let _guard = faults();
     // Every GET fails: the read must give up after the configured retry
     // budget with a typed error naming the fault — not panic, not loop.
     bat_faults::configure_site("store.get", FaultAction::Error, None, None, None, None);
-    let (ds, _store) = sim_dataset();
+    let (ds, _store) = sim_dataset(&dir);
     let mut delivered = 0u64;
     let err = ds
         .query(&query(), |_| delivered += 1)
@@ -128,7 +126,7 @@ fn persistent_get_error_is_typed_and_bounded() {
     assert_eq!(delivered, 0, "no points may be served from a dead store");
     // Bounded attempts: the head fetch of the first leaf is 1 + retries
     // attempts; allow generous slack for a second head request and a
-    // prefetch pass, but rule out anything resembling an unbounded loop.
+    // coalesced fetch, but rule out anything resembling an unbounded loop.
     let attempts = bat_faults::hits("store.get");
     assert!(
         (1..=64).contains(&attempts),
@@ -138,7 +136,8 @@ fn persistent_get_error_is_typed_and_bounded() {
 
 #[test]
 fn torn_get_response_is_detected_and_retried() {
-    let expect = reference();
+    let dir = dataset();
+    let expect = reference(&dir);
     let _guard = faults();
     // The first GET returns only 64 bytes of the requested page. The
     // reader's exact-length check must catch the truncation (there is no
@@ -151,7 +150,7 @@ fn torn_get_response_is_detected_and_retried() {
         None,
         None,
     );
-    let (ds, _store) = sim_dataset();
+    let (ds, _store) = sim_dataset(&dir);
     let got = collect(&ds).expect("query heals after retrying the torn GET");
     assert_eq!(got, expect, "healed read diverged from mmap reference");
     assert!(
@@ -162,6 +161,7 @@ fn torn_get_response_is_detected_and_retried() {
 
 #[test]
 fn persistently_torn_responses_never_serve_garbage() {
+    let dir = dataset();
     let _guard = faults();
     // Every GET body is truncated to 64 bytes. The length check fires on
     // every attempt; after the retry budget the read errs with the torn
@@ -174,7 +174,7 @@ fn persistently_torn_responses_never_serve_garbage() {
         None,
         None,
     );
-    let (ds, _store) = sim_dataset();
+    let (ds, _store) = sim_dataset(&dir);
     let mut delivered = 0u64;
     let err = ds
         .query(&query(), |_| delivered += 1)

@@ -1,7 +1,7 @@
 //! One read path, one set of counters: `Dataset::query`, the stream
 //! server and the shard front all run the same planner, per-file loop and
 //! block materializer, so the work they report through `bat-obs` must
-//! agree — and the work they *skip* (an expired deadline's warm-up
+//! agree — and the work they *skip* (an expired deadline's fetch and
 //! decode) must be skipped on every path.
 //!
 //! Server sessions record into the process-global registry (a
@@ -199,8 +199,8 @@ fn expired_deadline_returns_before_the_warm_up_decodes_anything() {
     use std::time::Duration;
 
     let _serial = lock();
-    // v2 files + an attached cache: the configuration in which the
-    // per-file loop decodes a whole plan in parallel before scanning.
+    // v2 files + an attached cache: the per-file loop would decode the
+    // plan's blocks on the pool and fill the cache.
     let scratch = sample("parity-deadline", Some("v2-lossless"));
     let cache = PageCache::new(8 << 20);
     let ds = Dataset::open(&scratch.path, "s").expect("open");
